@@ -6,7 +6,7 @@ parameters), and for the convex-body experiments a ``[body]`` section.  Each
 run writes a CSV data file with a fixed column schema and a human-readable
 summary with per-invariant pass/fail lines; both writes are atomic
 (write-then-rename).  Identical config and seed produce identical output
-bytes regardless of ``--workers``.
+bytes, also regardless of the ``sweep --workers`` thread count.
 
 Exit codes: 0 success, 2 config/parameter error, 3 invariant failure.
 """
@@ -356,18 +356,18 @@ def _run_mahler(cfg, pr):
 def _run_densities(cfg, pr):
     body = _body(cfg)
     method = cfg.get("body", {}).get("method", _BODY_DEFAULTS["method"])
-    f = convex.busemann_density(body, method, int(pr["n"]), int(pr["seed"]))
-    g = convex.holmes_thompson_density(body, method, int(pr["n"]), int(pr["seed"]) + 1)
-    ratio, se = convex.density_ratio(body, method, int(pr["n"]), int(pr["seed"]))
+    pair = convex.densities(body, method, int(pr["n"]), int(pr["seed"]))
+    ratio, se = pair.ratio, pair.ratio_std_error
     cap = body.dim ** (body.dim / 2.0)
     rep = Report()
     ok = rep.check("density ratio within [1, n^(n/2)]",
                    1.0 - 3.0 * se - 1e-9 <= ratio <= cap + 3.0 * se + 1e-9,
                    f"ratio={ratio:.6f}")
     _row(rep, "densities", body.describe(), 0.0, 0.0, pr["n"], pr["seed"],
-         ratio, se, ("busemann", f.value), ("holmes_thompson", g.value), ok)
-    rep.lines.insert(0, f"densities: ratio={ratio!r} busemann={f.value!r} "
-                        f"holmes_thompson={g.value!r}")
+         ratio, se, ("busemann", pair.busemann),
+         ("holmes_thompson", pair.holmes_thompson), ok)
+    rep.lines.insert(0, f"densities: ratio={ratio!r} busemann={pair.busemann!r} "
+                        f"holmes_thompson={pair.holmes_thompson!r}")
     return rep
 
 
@@ -519,7 +519,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=".")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--workers", type=int, default=1)
     p_run.add_argument("--format", choices=("csv", "summary"), default="summary")
 
     sub.add_parser("list", help="print the machine-readable experiment catalog")

@@ -2,10 +2,10 @@
 
 Bodies are centrally symmetric convex sets containing the origin in their
 interior, given as symmetric polytopes (vertex lists), axis-aligned
-ellipsoids, p-norm balls, or membership/support oracles.  Exact volumes are
-available for ellipsoids and p-balls in any dimension and for polytopes up to
-dimension 3 (facet decomposition); everything else falls back to rejection
-sampling in the support-function bounding box.
+ellipsoids, or p-norm balls.  Exact volumes are available for ellipsoids and
+p-balls in any dimension and for polytopes up to dimension 3 (facet
+decomposition); everything else falls back to rejection sampling in the
+support-function bounding box.
 
 The two Finsler volume densities of a norm with unit ball B are
 
@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
 from .errors import DomainError, ParameterError, UnsupportedMethodError
-from .rng import CHUNK, substream
+from .rng import chunked, substream
 
 _SYM_TOL = 1e-9
 
@@ -67,8 +66,9 @@ class ConvexBody:
         """Support function max_{v in body} xi . v."""
         raise NotImplementedError
 
-    def bounding_radius(self) -> float:
-        return max(self.support(e) for e in np.eye(self.dim)) * math.sqrt(self.dim)
+    def polar(self) -> "ConvexBody":
+        """Polar dual body."""
+        raise NotImplementedError
 
     def exact_volume(self) -> float:
         raise UnsupportedMethodError(
@@ -110,9 +110,6 @@ class Polytope(ConvexBody):
     def support(self, xi: np.ndarray) -> float:
         return float(np.max(self.vertices @ xi))
 
-    def bounding_radius(self) -> float:
-        return float(np.sqrt((self.vertices ** 2).sum(axis=1)).max())
-
     def exact_volume(self) -> float:
         if self.dim > 3:
             raise UnsupportedMethodError("exact polytope volume is limited to dim <= 3")
@@ -131,20 +128,17 @@ _DEDUPE_BLOCK_ELEMS = 1 << 20  # cap on the (block, earlier rows, dim) differenc
 
 
 def _dedupe_rows(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Drop each row within tol*(1 + max|o|) + 1e-5*|o| (elementwise) of an earlier kept row o."""
+    """Drop each row within tol*(1 + max|o|) (in max norm) of an earlier kept row o."""
     f, dim = rows.shape
-    mag = np.abs(rows)
-    # absolute part tol*(1 + max|o|) plus relative part 1e-5*|o| (the default
-    # rtol of np.allclose); outputs depend on both staying exactly as they are
-    thresh = (tol * (1 + mag.max(axis=1)))[:, None] + 1e-5 * mag
+    thresh = tol * (1 + np.abs(rows).max(axis=1))
     keep = np.ones(f, dtype=bool)
     # rows are compared a block at a time with every earlier row, so the
     # difference array stays O(f * dim) for each block
     step = max(1, _DEDUPE_BLOCK_ELEMS // (f * dim))
     for start in range(0, f, step):
         stop = min(start + step, f)
-        near = np.all(np.abs(rows[start:stop, None, :] - rows[None, :stop, :])
-                      <= thresh[None, :stop, :], axis=2)
+        near = (np.abs(rows[start:stop, None, :] - rows[None, :stop, :]).max(axis=2)
+                <= thresh[None, :stop])
         near &= np.arange(stop)[None, :] < np.arange(start, stop)[:, None]
         # greedy in row order: only a kept earlier row can absorb a later one
         for j in start + np.flatnonzero(near.any(axis=1)):
@@ -165,9 +159,6 @@ class Ellipsoid(ConvexBody):
 
     def support(self, xi: np.ndarray) -> float:
         return float(np.sqrt(((xi * self.semi_axes) ** 2).sum()))
-
-    def bounding_radius(self) -> float:
-        return float(self.semi_axes.max())
 
     def exact_volume(self) -> float:
         return unit_ball_volume(self.dim) * float(np.prod(self.semi_axes))
@@ -202,9 +193,6 @@ class LpBall(ConvexBody):
             return float(a.max())
         return float((a ** q).sum() ** (1.0 / q))
 
-    def bounding_radius(self) -> float:
-        return 1.0
-
     def exact_volume(self) -> float:
         return lp_ball_volume(self.dim, self.p)
 
@@ -223,76 +211,13 @@ def _conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-class OracleBody(ConvexBody):
-    def __init__(self, dim: int, membership: Callable[[np.ndarray], np.ndarray],
-                 support: Callable[[np.ndarray], float], bounding_radius: float,
-                 label: str = "oracle"):
-        self.dim = int(dim)
-        self._membership = membership
-        self._support = support
-        self._radius = float(bounding_radius)
-        self._label = label
-
-    def contains(self, xs: np.ndarray) -> np.ndarray:
-        return np.asarray(self._membership(xs), dtype=bool)
-
-    def support(self, xi: np.ndarray) -> float:
-        return float(self._support(xi))
-
-    def bounding_radius(self) -> float:
-        return self._radius
-
-    def describe(self) -> str:
-        return f"oracle({self._label},dim={self.dim})"
-
-
 def polar(body: ConvexBody) -> ConvexBody:
     """Polar dual {xi : xi . v <= 1 for all v in the body}.
 
     Polytopes dualize to polytopes (facets <-> vertices), so exact volume
-    survives polarity; ellipsoids and p-balls have closed-form duals; any
-    other body becomes a support-function membership oracle.
+    survives polarity; ellipsoids and p-balls have closed-form duals.
     """
-    if isinstance(body, (Polytope, Ellipsoid, LpBall)):
-        return body.polar()
-
-    def membership(xs: np.ndarray) -> np.ndarray:
-        return np.asarray([body.support(x) <= 1.0 + _SYM_TOL for x in xs])
-
-    # the polar contains the ball of radius 1/R when the body sits inside
-    # radius R; its own bounding radius is governed by the inradius of body
-    r_in = _inradius_lower_bound(body)
-    return OracleBody(body.dim, membership,
-                      support=lambda xi: _polar_support(body, xi),
-                      bounding_radius=1.0 / r_in,
-                      label=f"polar-of-{body.describe()}")
-
-
-def _inradius_lower_bound(body: ConvexBody, probes: int = 64) -> float:
-    rng = substream(0, 0x1AD)
-    best = math.inf
-    for _ in range(probes):
-        u = rng.normal(size=body.dim)
-        u /= np.sqrt((u * u).sum())
-        best = min(best, body.support(u))
-    return best
-
-
-def _polar_support(body: ConvexBody, xi: np.ndarray, steps: int = 60) -> float:
-    # support of the polar in direction xi = 1 / gauge of body at xi,
-    # found by bisecting the membership predicate along the ray
-    xi = np.asarray(xi, dtype=np.float64)
-    norm = float(np.sqrt((xi * xi).sum()))
-    if norm == 0.0:
-        return 0.0
-    lo, hi = 0.0, body.bounding_radius() * 1.001
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if bool(body.contains((mid * xi / norm)[None, :])[0]):
-            lo = mid
-        else:
-            hi = mid
-    return norm / max(lo, 1e-300)
+    return body.polar()
 
 
 def volume(body: ConvexBody, method: str = "exact", n: int = 200_000,
@@ -313,9 +238,7 @@ def volume(body: ConvexBody, method: str = "exact", n: int = 200_000,
     half = np.asarray([body.support(e) for e in np.eye(body.dim)])
     box = float(np.prod(2.0 * half))
     hits = 0
-    for i, start in enumerate(range(0, n, CHUNK)):
-        m = min(start + CHUNK, n) - start
-        rng = substream(seed, 0xB0D7, i)
+    for m, rng in chunked(seed, n, (0xB0D7,)):
         xs = rng.uniform(-half, half, size=(m, body.dim))
         hits += int(body.contains(xs).sum())
     p_hat = hits / n

@@ -5,6 +5,10 @@ scheme: sample index ``j`` is served by the generator for chunk ``j // CHUNK``,
 and that generator is seeded from ``(seed, chunk index)`` alone.  The value
 drawn for a given sample therefore depends only on ``(seed, j)``, never on how
 the work is split across workers or on how many samples are requested after it.
+
+:func:`chunked` is the one loop over that scheme: for chunk ``i`` it yields the
+chunk size and one generator ``substream(seed, *key, i)`` per requested key
+tuple, so an estimator that draws two batches asks for two keys.
 """
 
 from __future__ import annotations
@@ -22,16 +26,14 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
-def chunked(seed: int, n: int, *key: int) -> Iterator[tuple[int, int, np.random.Generator]]:
-    """Yield ``(start, stop, generator)`` for each fixed-size chunk of ``n`` samples.
+def chunked(seed: int, n: int, *keys: tuple[int, ...]) -> Iterator[tuple]:
+    """Yield ``(m, rng_1, ..., rng_k)`` for each fixed-size chunk of ``n`` samples.
 
-    ``key`` selects an independent substream family, so one estimator can
-    consume several streams (e.g. one per sampled batch) from a single seed.
+    ``m`` is the chunk's sample count (``CHUNK`` except for a shorter last
+    chunk) and ``rng_j`` is ``substream(seed, *keys[j], i)`` for chunk ``i``.
     """
-    if n < 0:
-        raise ValueError("sample count must be nonnegative")
     for i, start in enumerate(range(0, n, CHUNK)):
-        yield start, min(start + CHUNK, n), substream(seed, *key, i)
+        yield (min(CHUNK, n - start), *(substream(seed, *key, i) for key in keys))
 
 
 def deterministic_sum(chunk_totals: list[float]) -> float:

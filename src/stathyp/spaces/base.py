@@ -20,7 +20,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..errors import ParameterError, UnsupportedMeasureError
-from ..rng import CHUNK, substream
+from ..rng import chunked
 
 MEASURE_DIRECTION = "visual-uniform-direction"
 MEASURE_COUNTING = "counting"
@@ -141,9 +141,7 @@ class ModelSpace(ABC):
         if n < 1:
             raise ParameterError(f"need at least one sample, got {n}")
         parts = []
-        for i, start in enumerate(range(0, n, CHUNK)):
-            m = min(start + CHUNK, n) - start
-            rng = substream(seed, 0, i)
+        for m, rng in chunked(seed, n, (0,)):
             bundle = self.rays_chunk(x, m, rng, horizon=r)
             parts.append(bundle.points_at(r))
         return self.batch_concat(parts)
@@ -160,9 +158,7 @@ class ModelSpace(ABC):
         if n < 1:
             raise ParameterError(f"need at least one sample, got {n}")
         parts = []
-        for i, start in enumerate(range(0, n, CHUNK)):
-            m = min(start + CHUNK, n) - start
-            rng = substream(seed, 0, i)
+        for m, rng in chunked(seed, n, (0,)):
             bundle = self.rays_chunk(x, m, rng, horizon=r)
             radii = self.sample_radii(rng, m, r, k)
             parts.append(bundle.points_at(radii))

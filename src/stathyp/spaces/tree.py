@@ -224,8 +224,3 @@ class RegularTree(ModelSpace):
                         nxt.append((w, p))
             frontier = nxt
         return [p for p, _ in frontier]
-
-    def thick_many(self, batch, eps: float) -> np.ndarray:
-        if eps <= 0:
-            raise ParameterError(f"eps must be positive, got {eps}")
-        return np.ones(len(batch), dtype=bool)

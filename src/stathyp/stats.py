@@ -21,7 +21,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import CoverageError, DomainError, ParameterError
-from .rng import CHUNK, deterministic_sum, substream
+from .rng import chunked, deterministic_sum
 from .spaces.base import ModelSpace
 from .spaces.nets import Net
 
@@ -82,10 +82,9 @@ def estimate_spread(space: ModelSpace, x, r: float, k: float, n: int,
     if n < 10:
         raise ParameterError(f"need at least 10 pairs, got {n}")
     s1_parts, s2_parts = [], []
-    for i, start in enumerate(range(0, n, CHUNK)):
-        m = min(start + CHUNK, n) - start
-        ys = _shell_chunk(space, x, r, k, m, substream(seed, 0, i))
-        zs = _shell_chunk(space, x, r, k, m, substream(seed, 1, i))
+    for m, rng_y, rng_z in chunked(seed, n, (0,), (1,)):
+        ys = _shell_chunk(space, x, r, k, m, rng_y)
+        zs = _shell_chunk(space, x, r, k, m, rng_z)
         q = space.distance_many(ys, zs) / r
         s1_parts.append(float(q.sum()))
         s2_parts.append(float((q * q).sum()))
@@ -164,9 +163,8 @@ def ray_thick_fraction_many(space: ModelSpace, x, length: float, eps: float,
     if not space.has_thin_part:
         return np.ones(n)
     out = []
-    for i, start in enumerate(range(0, n, CHUNK)):
-        m_chunk = min(start + CHUNK, n) - start
-        phis = substream(seed, 0, i).uniform(0.0, math.pi, size=m_chunk)
+    for m_chunk, rng in chunked(seed, n, (0,)):
+        phis = rng.uniform(0.0, math.pi, size=m_chunk)
         flags, partial, p, _ = _walk_thick_flags(space, x, phis, length, eps, dt)
         thick_time = dt * flags.sum(axis=1, dtype=np.float64)
         if partial is not None:
@@ -217,9 +215,7 @@ def p1_fraction(space: ModelSpace, x, r: float, k: float, eps: float,
     j_lo = max(1, int(math.ceil(sigma * r / dt - _GRID_TOL)))
     j_hi = int((r + _GRID_TOL) // dt)
     good_parts = []
-    for i, start in enumerate(range(0, n, CHUNK)):
-        m_chunk = min(start + CHUNK, n) - start
-        rng = substream(seed, 0, i)
+    for m_chunk, rng in chunked(seed, n, (0,)):
         phis = rng.uniform(0.0, math.pi, size=m_chunk)
         space.sample_radii(rng, m_chunk, r, k)  # keeps the stream aligned with shell sampling
         flags, partial, p, m = _walk_thick_flags(space, x, phis, r, eps, dt)
@@ -248,10 +244,9 @@ def separation_fraction(space: ModelSpace, x, r: float, t: float, m0: float,
     if n < 1:
         raise ParameterError(f"need at least one sample, got {n}")
     hit_parts = []
-    for i, start in enumerate(range(0, n, CHUNK)):
-        m = min(start + CHUNK, n) - start
-        by = space.rays_chunk(x, m, substream(seed, 0, stream, i), horizon=r)
-        bz = space.rays_chunk(x, m, substream(seed, 1, stream, i), horizon=r)
+    for m, rng_y, rng_z in chunked(seed, n, (0, stream), (1, stream)):
+        by = space.rays_chunk(x, m, rng_y, horizon=r)
+        bz = space.rays_chunk(x, m, rng_z, horizon=r)
         d = space.distance_many(by.points_at(t), bz.points_at(t))
         hit_parts.append(float((d < m0).sum()))
     return deterministic_sum(hit_parts) / n

@@ -94,16 +94,30 @@ class TestRun:
         assert 1.2 < float(row[6]) < 1.35
         assert (tmp_path / "e.summary.txt").exists()
 
-    def test_bit_identical_across_worker_counts(self, tmp_path):
-        cfg_path = write(tmp_path, "e.ini", ESTIMATE_CFG)
+    def test_bit_identical_across_worker_counts(self, tmp_path, capsys):
+        cfg_dir = tmp_path / "cfg"
+        cfg_dir.mkdir()
+        write(cfg_dir, "one.ini", ESTIMATE_CFG)
+        write(cfg_dir, "two.ini", ESTIMATE_CFG.replace("seed = 42", "seed = 1"))
+        write(cfg_dir, "three.ini", "[experiment]\nkind = separation\nn = 3000\n")
         outs = []
-        for workers, sub in ((1, "a"), (4, "b")):
-            out_dir = tmp_path / sub
-            code = cli.main(["run", "--config", cfg_path, "--out", str(out_dir),
+        for workers in (1, 4):
+            out_dir = tmp_path / f"w{workers}"
+            code = cli.main(["sweep", "--config", str(cfg_dir), "--out", str(out_dir),
                              "--workers", str(workers)])
             assert code == 0
-            outs.append((out_dir / "e.csv").read_bytes())
+            files = sorted(p.name for p in out_dir.iterdir())
+            outs.append((capsys.readouterr().out,
+                         [(name, (out_dir / name).read_bytes()) for name in files]))
+        assert len(outs[0][1]) == 6
         assert outs[0] == outs[1]
+
+    def test_run_has_no_workers_flag(self, tmp_path):
+        cfg_path = write(tmp_path, "e.ini", ESTIMATE_CFG)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", cfg_path, "--out", str(tmp_path),
+                      "--workers", "2"])
+        assert exc.value.code == 2
 
     def test_parameter_violation_exits_2(self, tmp_path, capsys):
         bad = ESTIMATE_CFG.replace("k = 0.0", "k = 2.0")

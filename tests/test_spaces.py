@@ -10,6 +10,7 @@ from scipy import stats as sps
 
 from stathyp.errors import (DomainError, ParameterError,
                             UnsupportedMeasureError)
+from stathyp.rng import CHUNK
 from stathyp.spaces import (BoxRegion, EuclideanSpace, HyperbolicPlane,
                             ModularTorus, Net, RegularTree, SegmentRegion,
                             SupProduct, apply_word, build_net, check_net,
@@ -199,6 +200,16 @@ class TestSphereSampling:
         c = hyp.sample_sphere(1j, 3.0, 500, seed=5)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("space", [EuclideanSpace(2), HyperbolicPlane(), ModularTorus()],
+                             ids=str)
+    def test_prefix_stable_across_chunk_boundary(self, space):
+        # sample j depends only on (seed, j): asking for more samples past a
+        # chunk boundary leaves the earlier ones unchanged
+        x = space.basepoint()
+        more = space.sample_sphere(x, 2.0, CHUNK + 7, seed=3)
+        fewer = space.sample_sphere(x, 2.0, CHUNK + 1, seed=3)
+        assert np.array_equal(more[:CHUNK + 1], fewer)
 
     def test_counting_measure_rejected_on_continuum(self):
         eu = EuclideanSpace(2)
