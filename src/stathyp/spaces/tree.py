@@ -1,4 +1,4 @@
-"""Regular tree of valence q with points as edge-address strings.
+"""Regular tree of valence q: vertices as edge addresses, batches as label arrays.
 
 A vertex is the string of edge labels on the path from the root.  Labels are
 the first ``q`` lowercase letters; from the vertex reached by a last edge
@@ -6,6 +6,12 @@ the first ``q`` lowercase letters; from the vertex reached by a last edge
 repeat a letter twice in a row.  The root (empty string) allows all ``q``
 labels.  Every vertex has exactly q neighbors: the parent (address minus the
 last letter) and its extensions by one non-repeating letter.
+
+The scalar interface (``distance``, ``geodesic_point``, ``validate_point``,
+``sphere``, ``batch_get``, ``singleton``) speaks address strings.  Batches are
+:class:`TreeBatch` arrays: one row of labels per address (0 for ``a``),
+padded with -1 past its length.  Batch distances read the longest common
+prefix off the first column where two rows differ or one of them ends.
 
 Distances are integers; geodesics exist only through vertices, so geodesic
 times must be integers (to 1e-9).  Rays that need to continue past their
@@ -17,12 +23,22 @@ from __future__ import annotations
 
 import math
 import string
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ..errors import DomainError, ParameterError, UnsupportedMeasureError
 from .base import MEASURE_COUNTING, MEASURE_DIRECTION, ModelSpace, RayBundle
+
+_PAD = -1
+_A = ord("a")
+
+
+class TreeBatch(NamedTuple):
+    """Addresses as label rows (0 for ``a``) padded with -1, and their lengths."""
+
+    labels: np.ndarray   # (n, W) int8
+    lengths: np.ndarray  # (n,) int64
 
 
 def _lcp(u: str, v: str) -> int:
@@ -33,27 +49,72 @@ def _lcp(u: str, v: str) -> int:
     return n
 
 
+def _lcp_rows(a: np.ndarray, na: np.ndarray, b: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """Longest common prefixes of label rows ``a`` and ``b`` (lengths ``na``, ``nb``).
+
+    Leading axes broadcast.  The prefix ends at the first column where the
+    rows differ or the shorter one ends; a sentinel column stops rows that
+    agree on every shared column.
+    """
+    w = min(a.shape[-1], b.shape[-1])
+    stop = np.ones(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (w + 1,), dtype=bool)
+    np.not_equal(a[..., :w], b[..., :w], out=stop[..., :w])
+    stop[..., :w] |= np.arange(w) >= np.minimum(na, nb)[..., None]
+    return stop.argmax(axis=-1)
+
+
+def _encode(p: str) -> np.ndarray:
+    return (np.frombuffer(p.encode("ascii"), dtype=np.uint8) - _A).astype(np.int8)
+
+
+def _walk_points(x: np.ndarray, up: np.ndarray, moves: np.ndarray, t: np.ndarray) -> TreeBatch:
+    """Walk points at integer times ``t`` (see :class:`TreeRays`)."""
+    climbed = np.minimum(t, up)
+    base = len(x) - climbed
+    lengths = base + (t - climbed)
+    w = int(lengths.max(initial=0))
+    col = np.arange(w)
+    xrow = np.full(w, _PAD, dtype=np.int8)
+    xrow[:min(len(x), w)] = x[:w]
+    # past the kept prefix of x, column base + m holds the label of step up + m
+    idx = np.clip(col - base[:, None] + climbed[:, None], 0, moves.shape[1] - 1)
+    labels = np.where(col < base[:, None], xrow, np.take_along_axis(moves, idx, axis=1))
+    labels[col >= lengths[:, None]] = _PAD
+    return TreeBatch(labels, lengths)
+
+
 class TreeRays(RayBundle):
-    def __init__(self, walks: list[list[str]]):
-        self.walks = walks  # walks[i][t] = address of ray i at integer time t
+    """Non-backtracking walks from a common start ``x``.
+
+    A walk climbs toward the root for its first ``up[i]`` steps and only
+    descends after that, so at time t ray i is ``x`` without its last
+    min(t, up[i]) labels, followed by the labels ``moves[i, up[i]:t]`` chosen
+    at its descending steps.
+    """
+
+    def __init__(self, x: np.ndarray, up: np.ndarray, moves: np.ndarray, horizon: int):
+        self.x = x              # labels of the start
+        self.up = up            # (n,) leading steps toward the root
+        self.moves = moves      # (n, max(horizon, 1)) label taken at each descending step
+        self.horizon = horizon
 
     @property
     def size(self) -> int:
-        return len(self.walks)
+        return len(self.up)
 
-    def points_at(self, t):
-        ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        if ts.size == 1 and np.asarray(t).ndim == 0:
-            ts = np.full(len(self.walks), float(ts[0]))
-        out = []
-        for walk, ti in zip(self.walks, ts):
-            j = int(round(ti))
-            if abs(ti - j) > 1e-9:
-                raise DomainError(f"tree rays are defined at integer times, got {ti}")
-            if j >= len(walk):
-                raise ParameterError(f"ray horizon {len(walk) - 1} exceeded at time {j}")
-            out.append(walk[j])
-        return out
+    def points_at(self, t) -> TreeBatch:
+        ts = np.broadcast_to(np.asarray(t, dtype=np.float64), (self.size,))
+        js = np.rint(ts)
+        off_grid = ~(np.abs(ts - js) <= 1e-9)
+        bad = off_grid | (js < 0) | (js > self.horizon)
+        if bad.any():
+            i = int(bad.argmax())
+            if off_grid[i]:
+                raise DomainError(f"tree rays are defined at integer times, got {ts[i]}")
+            if js[i] < 0:
+                raise ParameterError(f"ray time must be nonnegative, got {ts[i]}")
+            raise ParameterError(f"ray horizon {self.horizon} exceeded at time {int(js[i])}")
+        return _walk_points(self.x, self.up, self.moves, js.astype(np.int64))
 
 
 class RegularTree(ModelSpace):
@@ -98,69 +159,74 @@ class RegularTree(ModelSpace):
             raise DomainError(f"tree geodesic times must be integers, got {t}")
         return j
 
-    def _path(self, u: str, v: str) -> list[str]:
-        """Vertices along the geodesic from u to v, inclusive."""
-        k = _lcp(u, v)
-        down = [u[:i] for i in range(len(u), k - 1, -1)]  # u .. common ancestor
-        up = [v[: i + 1] for i in range(k, len(v))]
-        return down + up
+    def _ray(self, u, v, ts) -> tuple[list[int], int, str]:
+        """Integer steps for the times ``ts``, and the ray from u through v.
 
-    def _extend(self, path: list[str], upto: int) -> list[str]:
-        """Canonically extend a geodesic path to length ``upto``."""
-        path = list(path)
-        while len(path) - 1 < upto:
-            cur = path[-1]
-            prev = path[-2] if len(path) >= 2 else None
-            for ch in self.alphabet:
-                if cur and cur[-1] == ch:
-                    continue  # backtracking as an address
-                nxt = cur + ch
-                if nxt != prev:
-                    path.append(nxt)
-                    break
-            else:  # pragma: no cover - q >= 3 always leaves a choice
-                raise DomainError("no extension available")
-        return path
-
-    def geodesic_point(self, u, v, t: float) -> str:
+        The ray climbs ``up`` edges from u to the common ancestor, then
+        descends along the labels ``down``, which run past v far enough to
+        reach the last step.
+        """
         self.validate_point(u)
         self.validate_point(v)
         if u == v:
             raise DomainError("degenerate ray: endpoints coincide")
-        if t < 0:
-            raise ParameterError(f"ray time must be nonnegative, got {t}")
-        j = self._as_step(t)
-        path = self._path(u, v)
-        if j >= len(path):
-            path = self._extend(path, j)
-        return path[j]
+        js = []
+        for t in ts:
+            if t < 0:
+                raise ParameterError(f"ray time must be nonnegative, got {t}")
+            js.append(self._as_step(t))
+        k = _lcp(u, v)
+        up, down = len(u) - k, v[k:]
+        # past v: the smallest label that neither repeats the last label nor
+        # steps back into the child the ray has just climbed out of
+        last, came = v[-1:], ("" if down else u[k])
+        while up + len(down) < max(js, default=0):
+            last = next(ch for ch in self.alphabet if ch != last and ch != came)
+            down, came = down + last, ""
+        return js, up, down
 
-    def geodesic_points(self, u, v, ts: np.ndarray) -> list[str]:
-        return [self.geodesic_point(u, v, float(t)) for t in np.asarray(ts).ravel()]
+    def geodesic_point(self, u, v, t: float) -> str:
+        (j,), up, down = self._ray(u, v, [t])
+        return u[:len(u) - min(j, up)] + down[:max(j - up, 0)]
 
-    # -- batches: lists of addresses -----------------------------------------
+    def geodesic_points(self, u, v, ts: np.ndarray) -> TreeBatch:
+        js, up, down = self._ray(u, v, np.asarray(ts, dtype=np.float64).ravel())
+        moves = np.concatenate((np.zeros(up, dtype=np.int8), _encode(down)))[None, :]
+        return _walk_points(_encode(u), np.full(len(js), up), moves,
+                            np.asarray(js, dtype=np.int64))
 
-    def batch_size(self, batch) -> int:
-        return len(batch)
+    # -- batches: TreeBatch label arrays --------------------------------------
 
-    def batch_get(self, batch, i: int) -> str:
-        return batch[i]
+    def batch_size(self, batch: TreeBatch) -> int:
+        return len(batch.lengths)
 
-    def batch_concat(self, batches: Sequence[list]) -> list:
-        out: list[str] = []
+    def batch_get(self, batch: TreeBatch, i: int) -> str:
+        row = batch.labels[i, :batch.lengths[i]]
+        return (row.astype(np.uint8) + _A).tobytes().decode("ascii")
+
+    def batch_concat(self, batches: Sequence[TreeBatch]) -> TreeBatch:
+        lengths = np.concatenate([b.lengths for b in batches])
+        labels = np.full((len(lengths), max(b.labels.shape[1] for b in batches)), _PAD,
+                         dtype=np.int8)
+        start = 0
         for b in batches:
-            out.extend(b)
-        return out
+            n, w = b.labels.shape
+            labels[start:start + n, :w] = b.labels
+            start += n
+        return TreeBatch(labels, lengths)
 
-    def singleton(self, p) -> list:
+    def singleton(self, p) -> TreeBatch:
         self.validate_point(p)
-        return [p]
+        return TreeBatch(_encode(p)[None, :], np.array([len(p)]))
 
-    def distance_many(self, U, V) -> np.ndarray:
-        return np.asarray([self.distance(u, v) for u, v in zip(U, V)])
+    def distance_many(self, U: TreeBatch, V: TreeBatch) -> np.ndarray:
+        k = _lcp_rows(U.labels, U.lengths, V.labels, V.lengths)
+        return (U.lengths + V.lengths - 2 * k).astype(np.float64)
 
-    def cross_distance(self, U, V) -> np.ndarray:
-        return np.asarray([[self.distance(u, v) for v in V] for u in U])
+    def cross_distance(self, U: TreeBatch, V: TreeBatch) -> np.ndarray:
+        nu, nv = U.lengths[:, None], V.lengths[None, :]
+        k = _lcp_rows(U.labels[:, None, :], nu, V.labels[None, :, :], nv)
+        return (nu + nv - 2 * k).astype(np.float64)
 
     # -- sampling -----------------------------------------------------------
 
@@ -171,23 +237,34 @@ class RegularTree(ModelSpace):
         return out
 
     def rays_chunk(self, x, count, rng, horizon) -> TreeRays:
+        self.validate_point(x)
         steps = self._as_step(horizon) if abs(horizon - round(horizon)) <= 1e-9 else int(math.ceil(horizon))
-        walks = []
         # uniform non-backtracking walk: q choices at the first step, q-1 after,
         # which is the uniform (counting) measure on every sphere
         u = rng.uniform(size=(count, max(steps, 1)))
-        for i in range(count):
-            walk = [x]
-            prev = None
-            for s in range(steps):
-                nbrs = self._neighbors(walk[-1])
-                if prev is not None:
-                    nbrs = [w for w in nbrs if w != prev]
-                pick = min(int(u[i, s] * len(nbrs)), len(nbrs) - 1)
-                prev = walk[-1]
-                walk.append(nbrs[pick])
-            walks.append(walk)
-        return TreeRays(walks)
+        q, xl = self.q, _encode(x)
+        # last label of x[:d] by depth d; q stands for "none" (the root)
+        last_at = np.concatenate(([q], xl)).astype(np.int64)
+        last = np.full(count, last_at[-1])
+        came = np.full(count, q)           # child just climbed out of, or q
+        up = np.zeros(count, dtype=np.int64)
+        moves = np.zeros((count, max(steps, 1)), dtype=np.int8)
+        for s in range(steps):
+            # neighbours in order: the parent while every step so far has
+            # climbed, then the children in label order without ``last`` and
+            # ``came``
+            parent = (up == s) & (up < len(xl))
+            n = parent + (q - (last < q) - (came < q))
+            pick = np.minimum((u[:, s] * n).astype(np.int64), n - 1)
+            rise = parent & (pick == 0)
+            child = pick - parent
+            child += child >= np.minimum(last, came)
+            child += child >= np.maximum(last, came)
+            moves[:, s] = child
+            up += rise
+            came = np.where(rise, last, q)
+            last = np.where(rise, last_at[len(xl) - up], child)
+        return TreeRays(xl, up, moves, steps)
 
     def sample_radii(self, rng, count, r, k):
         if k == 0:

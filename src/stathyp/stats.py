@@ -217,7 +217,6 @@ def p1_fraction(space: ModelSpace, x, r: float, k: float, eps: float,
     good_parts = []
     for m_chunk, rng in chunked(seed, n, (0,)):
         phis = rng.uniform(0.0, math.pi, size=m_chunk)
-        space.sample_radii(rng, m_chunk, r, k)  # keeps the stream aligned with shell sampling
         flags, partial, p, m = _walk_thick_flags(space, x, phis, r, eps, dt)
         cum = np.cumsum(flags, axis=1, dtype=np.float64)
         ratios = cum[:, j_lo - 1:j_hi] / np.arange(j_lo, j_hi + 1, dtype=np.float64)

@@ -164,12 +164,14 @@ class TestSphereSampling:
     def test_tree_sphere_exact_radius(self):
         tree = RegularTree(3)
         batch = tree.sample_sphere("", 4.0, 200, seed=1)
-        assert all(tree.distance("", p) == 4.0 for p in batch)
+        points = [tree.batch_get(batch, i) for i in range(tree.batch_size(batch))]
+        assert all(tree.distance("", p) == 4.0 for p in points)
 
     def test_tree_small_sphere_hits_every_point(self):
         tree = RegularTree(3)
         samples = tree.sample_sphere("", 2.0, 2000, seed=5)
-        assert set(samples) == set(tree.sphere("", 2))
+        points = {tree.batch_get(samples, i) for i in range(tree.batch_size(samples))}
+        assert points == set(tree.sphere("", 2))
 
     def test_rotation_invariance_chi2(self):
         # angular histogram uniform at significance 0.001
@@ -201,15 +203,17 @@ class TestSphereSampling:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    @pytest.mark.parametrize("space", [EuclideanSpace(2), HyperbolicPlane(), ModularTorus()],
-                             ids=str)
+    @pytest.mark.parametrize("space", [EuclideanSpace(2), HyperbolicPlane(), ModularTorus(),
+                                       RegularTree(3)], ids=str)
     def test_prefix_stable_across_chunk_boundary(self, space):
         # sample j depends only on (seed, j): asking for more samples past a
         # chunk boundary leaves the earlier ones unchanged
         x = space.basepoint()
         more = space.sample_sphere(x, 2.0, CHUNK + 7, seed=3)
         fewer = space.sample_sphere(x, 2.0, CHUNK + 1, seed=3)
-        assert np.array_equal(more[:CHUNK + 1], fewer)
+        assert space.batch_size(fewer) == CHUNK + 1
+        for i in range(CHUNK + 1):
+            assert np.array_equal(space.batch_get(more, i), space.batch_get(fewer, i))
 
     def test_counting_measure_rejected_on_continuum(self):
         eu = EuclideanSpace(2)
@@ -332,8 +336,91 @@ class TestTree:
     def test_annulus_integer_radii(self):
         tree = RegularTree(3)
         batch = tree.sample_annulus("", 5.0, 3.0, 300, seed=6)
-        radii = {tree.distance("", p) for p in batch}
+        radii = {tree.distance("", tree.batch_get(batch, i)) for i in range(tree.batch_size(batch))}
         assert radii <= {2.0, 3.0, 4.0, 5.0}
+
+
+def reference_walks(tree, x, count, rng, horizon):
+    """Scalar non-backtracking walks as address strings, one step at a time."""
+    def neighbors(p):
+        out = [] if p == "" else [p[:-1]]
+        last = p[-1] if p else None
+        out.extend(p + ch for ch in tree.alphabet if ch != last)
+        return out
+
+    steps = int(math.ceil(horizon - 1e-9))
+    walks = []
+    u = rng.uniform(size=(count, max(steps, 1)))
+    for i in range(count):
+        walk = [x]
+        prev = None
+        for s in range(steps):
+            nbrs = neighbors(walk[-1])
+            if prev is not None:
+                nbrs = [w for w in nbrs if w != prev]
+            pick = min(int(u[i, s] * len(nbrs)), len(nbrs) - 1)
+            prev = walk[-1]
+            walk.append(nbrs[pick])
+        walks.append(walk)
+    return walks
+
+
+def tree_batch(tree, points):
+    return tree.batch_concat([tree.singleton(p) for p in points])
+
+
+class TestTreeBatches:
+    @pytest.mark.parametrize("q", [3, 4, 5])
+    @pytest.mark.parametrize("x", ["", "a", "abcab"])
+    def test_walks_match_scalar_reference(self, q, x):
+        tree = RegularTree(q)
+        for horizon in range(1, 21):
+            seed = 1000 * q + horizon
+            bundle = tree.rays_chunk(x, 64, np.random.default_rng(seed), horizon=horizon)
+            walks = reference_walks(tree, x, 64, np.random.default_rng(seed), horizon)
+            ts = np.random.default_rng(seed + 1).integers(0, horizon + 1, size=64)
+            pts = bundle.points_at(ts.astype(np.float64))
+            assert tree.batch_size(pts) == 64
+            for i, t in enumerate(ts):
+                assert tree.batch_get(pts, i) == walks[i][t]
+            ends = bundle.points_at(float(horizon))
+            assert [tree.batch_get(ends, i) for i in range(64)] == [w[-1] for w in walks]
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_batch_distances_match_scalar(self, q):
+        tree = RegularTree(q)
+        pts = random_points(tree, 300, seed=41)
+        # equal points and prefixes, next to unrelated pairs
+        us = pts + pts[:50] + [p[:len(p) // 2] for p in pts[:50]] + [""] * 5
+        vs = pts[::-1] + pts[:50] + pts[:50] + ["", "a", "ab", "", "b"]
+        got = tree.distance_many(tree_batch(tree, us), tree_batch(tree, vs))
+        assert got.dtype == np.float64
+        assert got.tolist() == [tree.distance(u, v) for u, v in zip(us, vs)]
+        cross = tree.cross_distance(tree_batch(tree, us[:80]), tree_batch(tree, vs[-70:]))
+        assert cross.tolist() == [[tree.distance(u, v) for v in vs[-70:]] for u in us[:80]]
+
+    def test_geodesic_points_match_geodesic_point(self):
+        tree = RegularTree(3)
+        pts = random_points(tree, 200, seed=43)
+        ts = np.arange(0.0, 20.0)  # past every d(u, v) <= 16
+        for u, v in zip(pts[::2], pts[1::2]):
+            if u == v:
+                continue
+            batch = tree.geodesic_points(u, v, ts)
+            got = [tree.batch_get(batch, i) for i in range(len(ts))]
+            assert got == [tree.geodesic_point(u, v, t) for t in ts]
+            assert [tree.distance(u, p) for p in got] == ts.tolist()
+            assert got[int(tree.distance(u, v))] == v
+
+    def test_points_at_rejects_bad_times(self):
+        tree = RegularTree(3)
+        bundle = tree.rays_chunk("ab", 4, np.random.default_rng(0), horizon=5)
+        with pytest.raises(DomainError):
+            bundle.points_at(0.5)
+        with pytest.raises(ParameterError):
+            bundle.points_at(6.0)
+        with pytest.raises(ParameterError):
+            bundle.points_at(np.array([1.0, 2.0, 6.0, 0.0]))
 
 
 class TestSupProduct:

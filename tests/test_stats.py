@@ -319,7 +319,7 @@ class TestTreeCumulativeProgress:
         for _ in range(50):
             length = int(rng.integers(12, 40))
             bundle = tree.rays_chunk("", 1, rng, horizon=length)
-            walk = bundle.walks[0]
+            walk = [tree.batch_get(bundle.points_at(t), 0) for t in range(length + 1)]
             x, y = walk[0], walk[-1]
             assert tree.distance(x, y) == float(length)
             # carve disjoint subsegments
