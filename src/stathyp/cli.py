@@ -183,6 +183,13 @@ def _space(cfg: dict):
         raise ConfigError(str(exc)) from exc
 
 
+def _continuous_space(cfg: dict, kind: str):
+    space = _space(cfg)
+    if space.atomic:  # geodesics only at integer times
+        raise ConfigError(f"{kind} needs continuous geodesics; {space.kind} has none")
+    return space
+
+
 def _component(text: str):
     tokens = text.split()
     kind = tokens[0]
@@ -306,7 +313,7 @@ def _run_separation(cfg, pr):
 
 
 def _run_thin_triangle(cfg, pr):
-    space = _space(cfg)
+    space = _continuous_space(cfg, "thin-triangle")
     n, seed, r = int(pr["n"]), int(pr["seed"]), pr["r"]
     hits = 0
     worst = math.inf
@@ -413,7 +420,7 @@ def _run_coarse_check(cfg, pr):
 
 
 def _run_discretize(cfg, pr):
-    space = _space(cfg)
+    space = _continuous_space(cfg, "discretize")
     n, seed = int(pr["n"]), int(pr["seed"])
     tau, c = pr["tau"], pr["c"]
     if tau <= 4 * c:

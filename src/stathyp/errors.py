@@ -13,10 +13,6 @@ class ParameterError(StathypError):
     """A parameter violates an operation's preconditions."""
 
 
-class UnsupportedMeasureError(StathypError):
-    """The requested sampling measure is not defined on this model."""
-
-
 class UnsupportedMethodError(StathypError):
     """The requested computation method is not available for this input."""
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..errors import ParameterError
-from .base import MEASURE_COUNTING, MEASURE_DIRECTION, ModelSpace, RayBundle, ball_radial_mass
+from .base import ModelSpace, RayBundle, ball_radial_mass
 from .euclidean import EuclideanSpace
 from .hyperbolic import HyperbolicPlane
 from .modular import ModularTorus, apply_word, reduce_modular, thin_area_fraction
@@ -12,8 +12,6 @@ from .product import SupProduct
 from .tree import RegularTree
 
 __all__ = [
-    "MEASURE_COUNTING",
-    "MEASURE_DIRECTION",
     "ModelSpace",
     "RayBundle",
     "ball_radial_mass",

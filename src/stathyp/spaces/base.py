@@ -1,14 +1,17 @@
 """Measured-metric-space abstraction shared by all model geometries.
 
-A :class:`ModelSpace` bundles a metric, unit-speed geodesics, seeded sphere
-and annulus samplers, and a thickness predicate.  Concrete models keep their
-own point representation (vectors, complex numbers, address strings, tuples)
-and provide vectorized batch operations on homogeneous collections of points.
+A concrete model implements only its own geometry: its points, the metric,
+batch operations on homogeneous collections of points, rays from a point
+and batch geodesics.  :class:`ModelSpace` writes the shared parts once:
+scalar geodesics read off ``geodesic_points``; one shell sampler,
+``sample_shell`` (``k = 0`` sphere, ``0 < k < r`` annulus, ``k = r`` ball);
+and the thickness interface (``thick_many``, ``thick``, ``ray_walker``),
+which says "always thick" unless a model has a thin part.
 
-Sampling follows the package-wide determinism contract: directions and radii
-for sample ``j`` are derived from ``(seed, j)`` through fixed-size chunks (see
-:mod:`stathyp.rng`), so results never depend on worker count or on how many
-further samples are requested.
+Sampling follows the package-wide determinism contract: the direction and
+the radius of sample ``j`` come from their own substreams of ``(seed, j)``
+(see :mod:`stathyp.rng`), so results never depend on worker count or on how
+many further samples are requested.
 """
 
 from __future__ import annotations
@@ -19,11 +22,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..errors import ParameterError, UnsupportedMeasureError
+from ..errors import ParameterError, UnsupportedMethodError
 from ..rng import chunked
-
-MEASURE_DIRECTION = "visual-uniform-direction"
-MEASURE_COUNTING = "counting"
 
 
 class RayBundle(ABC):
@@ -49,7 +49,7 @@ class ModelSpace(ABC):
     h: float = 0.0
     #: True when the thickness predicate can be False somewhere
     has_thin_part: bool = False
-    #: True for models whose spheres are finite sets (counting measure)
+    #: True for models whose spheres are finite sets (geodesics only at integer times)
     atomic: bool = False
 
     # -- scalar interface ---------------------------------------------------
@@ -62,20 +62,17 @@ class ModelSpace(ABC):
     def distance(self, u, v) -> float:
         ...
 
-    @abstractmethod
     def geodesic_point(self, u, v, t: float):
         """Time-``t`` point of the unit-speed ray from ``u`` through ``v``."""
+        return self.batch_get(self.geodesic_points(u, v, [t]), 0)
 
     @abstractmethod
     def basepoint(self):
         ...
 
     def thick(self, p, eps: float) -> bool:
-        """Thickness predicate; models without a thin part are always thick."""
-        if eps <= 0:
-            raise ParameterError(f"eps must be positive, got {eps}")
-        self.validate_point(p)
-        return True
+        """Is ``p`` in the eps-thick part?"""
+        return bool(self.thick_many(self.singleton(p), eps)[0])
 
     @abstractmethod
     def describe(self) -> str:
@@ -112,7 +109,19 @@ class ModelSpace(ABC):
 
     @abstractmethod
     def geodesic_points(self, u, v, ts: np.ndarray):
-        """Batch of points of the ray from ``u`` through ``v`` at times ``ts``."""
+        """Batch of points of the ray from ``u`` through ``v`` at times ``ts >= 0``."""
+
+    # -- thickness ----------------------------------------------------------
+
+    def thick_many(self, batch, eps: float) -> np.ndarray:
+        """Thickness flags of a batch; models without a thin part are always thick."""
+        if eps <= 0:
+            raise ParameterError(f"eps must be positive, got {eps}")
+        return np.ones(self.batch_size(batch), dtype=bool)
+
+    def ray_walker(self, x, phi: np.ndarray):
+        """Long-ray walker for the rays from ``x`` with direction parameters ``phi``."""
+        raise UnsupportedMethodError(f"the {self.kind} model has no ray walker")
 
     # -- sampling -----------------------------------------------------------
 
@@ -124,45 +133,30 @@ class ModelSpace(ABC):
         models with discrete geodesics need it.
         """
 
-    def _check_measure(self, measure: str) -> None:
-        if measure == MEASURE_COUNTING and not self.atomic:
-            raise UnsupportedMeasureError(
-                f"counting measure is not defined on the {self.kind} model")
-        if measure not in (MEASURE_DIRECTION, MEASURE_COUNTING):
-            raise UnsupportedMeasureError(f"unknown measure {measure!r}")
+    def shell_chunk(self, x, r: float, k: float, m: int,
+                    rng_dir: np.random.Generator, rng_rad: np.random.Generator):
+        """``m`` shell points: directions from ``rng_dir``, radii from ``rng_rad``."""
+        bundle = self.rays_chunk(x, m, rng_dir, horizon=r)
+        return bundle.points_at(self.sample_radii(rng_rad, m, r, k))
 
-    def sample_sphere(self, x, r: float, n: int, seed: int,
-                      measure: str = MEASURE_DIRECTION):
-        """``n`` points on the sphere of radius ``r`` about ``x``."""
-        self.validate_point(x)
-        self._check_measure(measure)
-        if r <= 0:
-            raise ParameterError(f"sphere radius must be positive, got {r}")
-        if n < 1:
-            raise ParameterError(f"need at least one sample, got {n}")
-        parts = []
-        for m, rng in chunked(seed, n, (0,)):
-            bundle = self.rays_chunk(x, m, rng, horizon=r)
-            parts.append(bundle.points_at(r))
-        return self.batch_concat(parts)
-
-    def sample_annulus(self, x, r: float, k: float, n: int, seed: int):
+    def sample_shell(self, x, r: float, k: float, n: int, seed: int):
         """``n`` points with distance to ``x`` in [r-k, r].
 
-        Radii follow the density proportional to exp(h*s), the radial weight
-        that gives balls of radius ``r`` mass growing like exp(h*r).
+        ``k = 0`` is the sphere, ``0 < k < r`` the annulus and ``k = r`` the
+        ball.  Radii follow the density proportional to exp(h*s), the radial
+        weight that gives balls of radius ``r`` mass growing like exp(h*r).
         """
         self.validate_point(x)
-        if not (0 < k < r):
-            raise ParameterError(f"annulus needs 0 < k < r, got k={k}, r={r}")
+        if r <= 0:
+            raise ParameterError(f"radius must be positive, got {r}")
+        if not (0 <= k <= r):
+            raise ParameterError(f"shell width must lie in [0, r], got k={k}, r={r}")
         if n < 1:
             raise ParameterError(f"need at least one sample, got {n}")
-        parts = []
-        for m, rng in chunked(seed, n, (0,)):
-            bundle = self.rays_chunk(x, m, rng, horizon=r)
-            radii = self.sample_radii(rng, m, r, k)
-            parts.append(bundle.points_at(radii))
-        return self.batch_concat(parts)
+        # the keys of the first sample of stats.estimate_spread
+        return self.batch_concat([
+            self.shell_chunk(x, r, k, m, rng_dir, rng_rad)
+            for m, rng_dir, rng_rad in chunked(seed, n, (0,), (2,))])
 
     def sample_radii(self, rng: np.random.Generator, count: int, r: float, k: float) -> np.ndarray:
         """Radii in [r-k, r] with density proportional to exp(h*s)."""

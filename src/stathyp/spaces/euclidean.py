@@ -73,21 +73,14 @@ class EuclideanSpace(ModelSpace):
     def distance(self, u, v) -> float:
         return float(_pnorm(self._point(u) - self._point(v), self.p))
 
-    def geodesic_point(self, u, v, t: float) -> np.ndarray:
-        u, v = self._point(u), self._point(v)
-        d = float(_pnorm(v - u, self.p))
-        if d == 0.0:
-            raise DomainError("degenerate ray: endpoints coincide")
-        if t < 0:
-            raise ParameterError(f"ray time must be nonnegative, got {t}")
-        return u + (t / d) * (v - u)
-
     def geodesic_points(self, u, v, ts: np.ndarray) -> np.ndarray:
         u, v = self._point(u), self._point(v)
         d = float(_pnorm(v - u, self.p))
         if d == 0.0:
             raise DomainError("degenerate ray: endpoints coincide")
         ts = np.asarray(ts, dtype=np.float64)
+        if np.any(ts < 0):
+            raise ParameterError("ray times must be nonnegative")
         return u + (ts[:, None] / d) * (v - u)
 
     # -- batches: (n, dim) arrays ------------------------------------------

@@ -125,9 +125,6 @@ class HyperbolicPlane(ModelSpace):
         _, hv = mobius_apply(*g, v.real, v.imag)
         return g, hu, hv
 
-    def geodesic_point(self, u, v, t: float) -> complex:
-        return complex(self.geodesic_points(u, v, np.asarray([t]))[0])
-
     def geodesic_points(self, u, v, ts: np.ndarray):
         self.validate_point(u)
         self.validate_point(v)

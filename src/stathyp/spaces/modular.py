@@ -166,13 +166,6 @@ class ModularTorus(HyperbolicPlane):
     def describe(self) -> str:
         return f"modular-torus(h={self.h})"
 
-    def thick(self, p, eps: float) -> bool:
-        if eps <= 0:
-            raise ParameterError(f"eps must be positive, got {eps}")
-        self.validate_point(p)
-        zr, _ = reduce_modular(complex(p))
-        return zr.imag <= 1.0 / (eps * eps)
-
     def thick_many(self, batch, eps: float) -> np.ndarray:
         if eps <= 0:
             raise ParameterError(f"eps must be positive, got {eps}")

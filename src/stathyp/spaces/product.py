@@ -8,8 +8,9 @@ to the ordinary straight segment when the components are normed lines.
 
 Sphere sampling draws a Euclidean-uniform speed profile (the coordinatewise
 absolute value of a Gaussian direction, normalized by its maximum) together
-with an independent uniform direction in each component; on a product of
-lines this agrees with the uniform-direction measure on the sup-norm sphere.
+with an independent uniform direction in each component, drawn from a child
+stream of its own (``Generator.spawn``); on a product of lines this agrees
+with the uniform-direction measure on the sup-norm sphere.
 Components must have continuous geodesics, so trees cannot be factors.
 """
 
@@ -70,23 +71,6 @@ class SupProduct(ModelSpace):
         self.validate_point(v)
         return max(c.distance(ui, vi) for c, ui, vi in zip(self.components, u, v))
 
-    def geodesic_point(self, u, v, t: float) -> tuple:
-        self.validate_point(u)
-        self.validate_point(v)
-        dists = [c.distance(ui, vi) for c, ui, vi in zip(self.components, u, v)]
-        total = max(dists)
-        if total == 0.0:
-            raise DomainError("degenerate ray: endpoints coincide")
-        if t < 0:
-            raise ParameterError(f"ray time must be nonnegative, got {t}")
-        out = []
-        for comp, ui, vi, di in zip(self.components, u, v, dists):
-            if di == 0.0:
-                out.append(ui)
-            else:
-                out.append(comp.geodesic_point(ui, vi, t * di / total))
-        return tuple(out)
-
     def geodesic_points(self, u, v, ts: np.ndarray) -> tuple:
         self.validate_point(u)
         self.validate_point(v)
@@ -140,8 +124,10 @@ class SupProduct(ModelSpace):
             g[fix] = 1.0
             top[fix] = 1.0
         speeds = g / top[:, None]
+        # each component draws from its own child stream, so ray j depends
+        # only on row j of every draw
         bundles = [
-            comp.rays_chunk(xi, count, rng, horizon)
-            for comp, xi in zip(self.components, x)
+            comp.rays_chunk(xi, count, child, horizon)
+            for comp, xi, child in zip(self.components, x, rng.spawn(m))
         ]
         return ProductRays(bundles, speeds)

@@ -13,8 +13,10 @@ The scalar interface (``distance``, ``geodesic_point``, ``validate_point``,
 padded with -1 past its length.  Batch distances read the longest common
 prefix off the first column where two rows differ or one of them ends.
 
-Distances are integers; geodesics exist only through vertices, so geodesic
-times must be integers (to 1e-9).  Rays that need to continue past their
+Rays are uniform non-backtracking walks, so sphere samples are uniform over
+the sphere's points.  Distances are integers; geodesics exist only through
+vertices, so geodesic times and sphere radii must be integers (to 1e-9), and
+shell samples draw integer radii.  Rays that need to continue past their
 defining endpoint extend by the alphabetically smallest non-backtracking
 label, a fixed canonical choice.
 """
@@ -27,8 +29,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import DomainError, ParameterError, UnsupportedMeasureError
-from .base import MEASURE_COUNTING, MEASURE_DIRECTION, ModelSpace, RayBundle
+from ..errors import DomainError, ParameterError
+from .base import ModelSpace, RayBundle
 
 _PAD = -1
 _A = ord("a")
@@ -159,19 +161,16 @@ class RegularTree(ModelSpace):
             raise DomainError(f"tree geodesic times must be integers, got {t}")
         return j
 
-    def _ray(self, u, v, ts) -> tuple[list[int], int, str]:
-        """Integer steps for the times ``ts``, and the ray from u through v.
-
-        The ray climbs ``up`` edges from u to the common ancestor, then
-        descends along the labels ``down``, which run past v far enough to
-        reach the last step.
-        """
+    def geodesic_points(self, u, v, ts: np.ndarray) -> TreeBatch:
+        # the ray climbs ``up`` edges from u to the common ancestor, then
+        # descends along the labels ``down``, which run past v far enough to
+        # reach the last time
         self.validate_point(u)
         self.validate_point(v)
         if u == v:
             raise DomainError("degenerate ray: endpoints coincide")
         js = []
-        for t in ts:
+        for t in np.asarray(ts, dtype=np.float64).ravel():
             if t < 0:
                 raise ParameterError(f"ray time must be nonnegative, got {t}")
             js.append(self._as_step(t))
@@ -183,14 +182,6 @@ class RegularTree(ModelSpace):
         while up + len(down) < max(js, default=0):
             last = next(ch for ch in self.alphabet if ch != last and ch != came)
             down, came = down + last, ""
-        return js, up, down
-
-    def geodesic_point(self, u, v, t: float) -> str:
-        (j,), up, down = self._ray(u, v, [t])
-        return u[:len(u) - min(j, up)] + down[:max(j - up, 0)]
-
-    def geodesic_points(self, u, v, ts: np.ndarray) -> TreeBatch:
-        js, up, down = self._ray(u, v, np.asarray(ts, dtype=np.float64).ravel())
         moves = np.concatenate((np.zeros(up, dtype=np.int8), _encode(down)))[None, :]
         return _walk_points(_encode(u), np.full(len(js), up), moves,
                             np.asarray(js, dtype=np.int64))
@@ -268,7 +259,10 @@ class RegularTree(ModelSpace):
 
     def sample_radii(self, rng, count, r, k):
         if k == 0:
-            return np.full(count, float(self._as_step(r)))
+            r_int = self._as_step(r)
+            if r_int < 1:
+                raise ParameterError(f"sphere radius must be a positive integer, got {r}")
+            return np.full(count, float(r_int))
         lo = max(int(math.ceil(r - k)), 1)
         hi = int(math.floor(r))
         if hi < lo:
@@ -277,15 +271,6 @@ class RegularTree(ModelSpace):
         w = np.exp(self.h * (support - hi).astype(np.float64))
         w /= w.sum()
         return support[rng.choice(len(support), size=count, p=w)].astype(np.float64)
-
-    def sample_sphere(self, x, r: float, n: int, seed: int,
-                      measure: str = MEASURE_COUNTING):
-        if measure not in (MEASURE_DIRECTION, MEASURE_COUNTING):
-            raise UnsupportedMeasureError(f"unknown measure {measure!r}")
-        r_int = self._as_step(r)
-        if r_int < 1:
-            raise ParameterError(f"sphere radius must be a positive integer, got {r}")
-        return super().sample_sphere(x, float(r_int), n, seed, measure=MEASURE_DIRECTION)
 
     def sphere(self, x: str, r: int) -> list[str]:
         """The full sphere of radius r about x, by breadth-first enumeration."""

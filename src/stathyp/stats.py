@@ -82,9 +82,10 @@ def estimate_spread(space: ModelSpace, x, r: float, k: float, n: int,
     if n < 10:
         raise ParameterError(f"need at least 10 pairs, got {n}")
     s1_parts, s2_parts = [], []
-    for m, rng_y, rng_z in chunked(seed, n, (0,), (1,)):
-        ys = _shell_chunk(space, x, r, k, m, rng_y)
-        zs = _shell_chunk(space, x, r, k, m, rng_z)
+    # keys: directions of y and z, then radii of y and z
+    for m, dir_y, dir_z, rad_y, rad_z in chunked(seed, n, (0,), (1,), (2,), (3,)):
+        ys = space.shell_chunk(x, r, k, m, dir_y, rad_y)
+        zs = space.shell_chunk(x, r, k, m, dir_z, rad_z)
         q = space.distance_many(ys, zs) / r
         s1_parts.append(float(q.sum()))
         s2_parts.append(float((q * q).sum()))
@@ -99,13 +100,6 @@ def estimate_spread(space: ModelSpace, x, r: float, k: float, n: int,
     return EstimateResult(mean=mean, std_error=math.sqrt(var / n), n_pairs=n,
                           radius=float(r), shell=float(k), seed=seed,
                           config_digest=digest)
-
-
-def _shell_chunk(space: ModelSpace, x, r: float, k: float, m: int,
-                 rng: np.random.Generator):
-    bundle = space.rays_chunk(x, m, rng, horizon=r)
-    radii = space.sample_radii(rng, m, r, k)
-    return bundle.points_at(radii)
 
 
 # ---------------------------------------------------------------------------

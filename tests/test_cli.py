@@ -8,6 +8,7 @@ import math
 import pytest
 
 from stathyp import cli
+from stathyp.spaces import RegularTree
 
 ESTIMATE_CFG = """\
 [space]
@@ -173,6 +174,19 @@ class TestOtherExperiments:
                 "[experiment]\nkind = estimate-e\nr = 2.0\nn = 2000\n")
         cfg_path = write(tmp_path, "sp.ini", text)
         assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("kind", ["thin-triangle", "discretize"])
+    def test_tree_refused_before_sampling(self, tmp_path, capsys, monkeypatch, kind):
+        # tree geodesics exist only at integer times; the runner must say so
+        # before it draws a single ray
+        def no_rays(*args, **kwargs):
+            raise AssertionError("sampled rays on the tree")
+        monkeypatch.setattr(RegularTree, "rays_chunk", no_rays)
+        text = f"[space]\nkind = tree\nq = 3\n\n[experiment]\nkind = {kind}\nn = 2\n"
+        cfg_path = write(tmp_path, "t.ini", text)
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert "needs continuous geodesics" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_coarse_check_config(self, tmp_path):
         text = "[experiment]\nkind = coarse-check\nn = 2000\n"

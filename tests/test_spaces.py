@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from stathyp.errors import (DomainError, ParameterError,
-                            UnsupportedMeasureError)
+                            UnsupportedMethodError)
 from stathyp.rng import CHUNK
 from stathyp.spaces import (BoxRegion, EuclideanSpace, HyperbolicPlane,
                             ModularTorus, Net, RegularTree, SegmentRegion,
@@ -26,6 +26,12 @@ def euclid_line():
 
 def sup_plane():
     return SupProduct([euclid_line(), euclid_line()])
+
+
+def same_point(p, q):
+    if isinstance(p, tuple):
+        return all(same_point(a, b) for a, b in zip(p, q, strict=True))
+    return np.array_equal(p, q)
 
 
 def random_points(space, n, seed):
@@ -81,6 +87,16 @@ class TestMetricAxioms:
             if space.distance(u, v) == 0.0:
                 # distinct representations at distance zero would break the metric
                 assert repr(u) == repr(v)
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.describe())
+def test_negative_ray_time_rejected(space):
+    pts = random_points(space, 20, seed=31)
+    u, v = next((u, v) for u, v in zip(pts[::2], pts[1::2]) if space.distance(u, v) > 0)
+    with pytest.raises(ParameterError):
+        space.geodesic_points(u, v, [-1.0])
+    with pytest.raises(ParameterError):
+        space.geodesic_point(u, v, -1.0)
 
 
 CONTINUUM = [s for s in ALL_SPACES if not s.atomic]
@@ -156,20 +172,20 @@ class TestSphereSampling:
     ], ids=str)
     def test_samples_on_sphere(self, space, r):
         x = space.basepoint()
-        batch = space.sample_sphere(x, r, 300, seed=8)
+        batch = space.sample_shell(x, r, 0.0, 300, seed=8)
         for i in range(space.batch_size(batch)):
             d = space.distance(x, space.batch_get(batch, i))
             assert abs(d - r) <= 1e-9 * max(1.0, r)
 
     def test_tree_sphere_exact_radius(self):
         tree = RegularTree(3)
-        batch = tree.sample_sphere("", 4.0, 200, seed=1)
+        batch = tree.sample_shell("", 4.0, 0.0, 200, seed=1)
         points = [tree.batch_get(batch, i) for i in range(tree.batch_size(batch))]
         assert all(tree.distance("", p) == 4.0 for p in points)
 
     def test_tree_small_sphere_hits_every_point(self):
         tree = RegularTree(3)
-        samples = tree.sample_sphere("", 2.0, 2000, seed=5)
+        samples = tree.sample_shell("", 2.0, 0.0, 2000, seed=5)
         points = {tree.batch_get(samples, i) for i in range(tree.batch_size(samples))}
         assert points == set(tree.sphere("", 2))
 
@@ -179,7 +195,7 @@ class TestSphereSampling:
         crit = sps.chi2.ppf(1.0 - 0.001, bins - 1)
 
         eu = EuclideanSpace(2)
-        pts = eu.sample_sphere(eu.basepoint(), 2.0, n, seed=11)
+        pts = eu.sample_shell(eu.basepoint(), 2.0, 0.0, n, seed=11)
         ang = np.arctan2(pts[:, 1], pts[:, 0])
         counts, _ = np.histogram(ang, bins=bins, range=(-math.pi, math.pi))
         chi2 = ((counts - n / bins) ** 2 / (n / bins)).sum()
@@ -187,7 +203,7 @@ class TestSphereSampling:
 
         hyp = HyperbolicPlane()
         x = 0.7 + 2.0j
-        zs = hyp.sample_sphere(x, 2.0, n, seed=11)
+        zs = hyp.sample_shell(x, 2.0, 0.0, n, seed=11)
         # direction seen from x, via the disk chart centered at x
         w = (zs - x) / (zs - np.conj(x))
         ang = np.angle(w)
@@ -197,47 +213,47 @@ class TestSphereSampling:
 
     def test_deterministic_in_seed(self):
         hyp = HyperbolicPlane()
-        a = hyp.sample_sphere(1j, 3.0, 500, seed=4)
-        b = hyp.sample_sphere(1j, 3.0, 500, seed=4)
-        c = hyp.sample_sphere(1j, 3.0, 500, seed=5)
+        a = hyp.sample_shell(1j, 3.0, 0.0, 500, seed=4)
+        b = hyp.sample_shell(1j, 3.0, 0.0, 500, seed=4)
+        c = hyp.sample_shell(1j, 3.0, 0.0, 500, seed=5)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("space", [EuclideanSpace(2), HyperbolicPlane(), ModularTorus(),
-                                       RegularTree(3)], ids=str)
+                                       RegularTree(3),
+                                       SupProduct([EuclideanSpace(2), HyperbolicPlane()])],
+                             ids=str)
     def test_prefix_stable_across_chunk_boundary(self, space):
-        # sample j depends only on (seed, j): asking for more samples past a
-        # chunk boundary leaves the earlier ones unchanged
+        # sample j depends only on (seed, j): asking for more samples, inside
+        # a chunk or past a chunk boundary, leaves the earlier ones unchanged,
+        # on the sphere (k = 0), an annulus (0 < k < r) and the ball (k = r)
         x = space.basepoint()
-        more = space.sample_sphere(x, 2.0, CHUNK + 7, seed=3)
-        fewer = space.sample_sphere(x, 2.0, CHUNK + 1, seed=3)
-        assert space.batch_size(fewer) == CHUNK + 1
-        for i in range(CHUNK + 1):
-            assert np.array_equal(space.batch_get(more, i), space.batch_get(fewer, i))
-
-    def test_counting_measure_rejected_on_continuum(self):
-        eu = EuclideanSpace(2)
-        with pytest.raises(UnsupportedMeasureError):
-            eu.sample_sphere(eu.basepoint(), 1.0, 10, seed=0, measure="counting")
+        for k in (0.0, 1.0, 3.0):
+            for n_more, n_fewer in ((CHUNK + 7, CHUNK + 1), (100, 50)):
+                more = space.sample_shell(x, 3.0, k, n_more, seed=3)
+                fewer = space.sample_shell(x, 3.0, k, n_fewer, seed=3)
+                assert space.batch_size(fewer) == n_fewer
+                for i in range(n_fewer):
+                    assert same_point(space.batch_get(more, i), space.batch_get(fewer, i))
 
     def test_bad_radius(self):
         eu = EuclideanSpace(2)
         with pytest.raises(ParameterError):
-            eu.sample_sphere(eu.basepoint(), 0.0, 10, seed=0)
+            eu.sample_shell(eu.basepoint(), 0.0, 0.0, 10, seed=0)
 
 
 class TestAnnulusSampling:
     def test_radii_within_shell(self):
         for space in (EuclideanSpace(2, h=1.0), HyperbolicPlane()):
             x = space.basepoint()
-            batch = space.sample_annulus(x, 6.0, 2.0, 500, seed=2)
+            batch = space.sample_shell(x, 6.0, 2.0, 500, seed=2)
             for i in range(space.batch_size(batch)):
                 d = space.distance(x, space.batch_get(batch, i))
                 assert 4.0 - 1e-9 <= d <= 6.0 + 1e-9
 
     def test_uniform_radius_when_h_zero(self):
         eu = EuclideanSpace(2, h=0.0)
-        pts = eu.sample_annulus(eu.basepoint(), 6.0, 2.0, 100_000, seed=3)
+        pts = eu.sample_shell(eu.basepoint(), 6.0, 2.0, 100_000, seed=3)
         radii = np.sqrt((pts ** 2).sum(axis=1))
         ks = sps.kstest(radii, sps.uniform(loc=4.0, scale=2.0).cdf)
         assert ks.statistic < 0.01
@@ -246,7 +262,7 @@ class TestAnnulusSampling:
         # fraction with radius >= r-1 is (e^r - e^(r-1)) / (e^r - e^(r-k)) for h=1
         r, k, n = 5.0, 3.0, 100_000
         hyp = HyperbolicPlane(h=1.0)
-        pts = hyp.sample_annulus(1j, r, k, n, seed=9)
+        pts = hyp.sample_shell(1j, r, k, n, seed=9)
         radii = hyp.distance_many(np.full(n, 1j), pts)
         target = (1.0 - math.exp(-1.0)) / (1.0 - math.exp(-k))
         frac = float((radii >= r - 1.0).mean())
@@ -256,7 +272,7 @@ class TestAnnulusSampling:
     def test_bad_shell(self):
         eu = EuclideanSpace(2)
         with pytest.raises(ParameterError):
-            eu.sample_annulus(eu.basepoint(), 2.0, 2.0, 10, seed=0)
+            eu.sample_shell(eu.basepoint(), 2.0, 3.0, 10, seed=0)
 
 
 class TestModularReduction:
@@ -286,6 +302,18 @@ class TestModularReduction:
         assert mt.thick(10j + 7.0, 0.1)   # Im 10 <= 100
         eu = EuclideanSpace(2)
         assert eu.thick(eu.basepoint(), 0.5)
+
+    def test_declared_thickness_interface(self):
+        mt = ModularTorus()
+        zs = np.array([1j, 10j, 10j + 7.0, 0.3 + 0.01j])
+        assert mt.thick_many(zs, 0.5).tolist() == [mt.thick(z, 0.5) for z in zs]
+        for space in (EuclideanSpace(2), HyperbolicPlane(), RegularTree(3), sup_plane()):
+            batch = space.sample_shell(space.basepoint(), 3.0, 0.0, 5, seed=0)
+            assert space.thick_many(batch, 0.5).tolist() == [True] * 5
+            with pytest.raises(ParameterError):
+                space.thick_many(batch, 0.0)
+            with pytest.raises(UnsupportedMethodError):
+                space.ray_walker(space.basepoint(), np.zeros(3))
 
     def test_thin_area_fraction(self):
         # numeric integral of dx dy / y^2 over the thin part of the domain
@@ -335,7 +363,7 @@ class TestTree:
 
     def test_annulus_integer_radii(self):
         tree = RegularTree(3)
-        batch = tree.sample_annulus("", 5.0, 3.0, 300, seed=6)
+        batch = tree.sample_shell("", 5.0, 3.0, 300, seed=6)
         radii = {tree.distance("", tree.batch_get(batch, i)) for i in range(tree.batch_size(batch))}
         assert radii <= {2.0, 3.0, 4.0, 5.0}
 
