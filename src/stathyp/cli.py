@@ -29,7 +29,7 @@ import numpy as np
 
 from . import coarse, convex, stats
 from .errors import StathypError
-from .rng import substream
+from .rng import CHUNK, chunked, substream
 from .spaces import SegmentRegion, build_net, make_space, thin_area_fraction
 
 SEED_ENV = "STATHYP_SEED"
@@ -160,7 +160,11 @@ def _params(cfg: dict, kind: str, seed_override: int | None) -> dict:
             continue
         if key not in out:
             raise ConfigError(f"experiment {kind!r} does not take parameter {key!r}")
-        out[key] = type(out[key])(float(raw)) if isinstance(out[key], (int, float)) else raw
+        try:
+            out[key] = type(out[key])(float(raw)) if isinstance(out[key], (int, float)) else raw
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"experiment {kind!r} parameter {key} = {raw!r} is not "
+                              f"a valid {type(out[key]).__name__}") from exc
     if seed_override is not None:
         out["seed"] = int(seed_override)
     return out
@@ -380,27 +384,27 @@ def _run_densities(cfg, pr):
 
 def _run_coarse_check(cfg, pr):
     n, seed, eps0, m0 = int(pr["n"]), int(pr["seed"]), pr["eps"], pr["M0"]
+    if not (math.isfinite(eps0) and 0.0 < eps0 < 1.0):
+        raise ConfigError(f"coarse-check needs 0 < eps < 1, got eps={eps0}")
+    if not (math.isfinite(m0) and m0 > 0.0):
+        raise ConfigError(f"coarse-check needs a finite M0 > 0, got M0={m0}")
+    if n < 1:
+        raise ConfigError(f"coarse-check needs n >= 1, got n={n}")
     floor = coarse.threshold_floor(eps0)
-    pairs = coarse.random_pairs(n, seed, eps0)
-    sandwich_fails = sum(
-        not coarse.proxy_sandwich_holds(p) for p in pairs
-        if max(coarse.horoball_distance(p), coarse.log_max_proxy(p)) >= floor)
-    ineq_fails = 0
-    rng = substream(seed, 0xB1)
-    for _ in range(n):
-        d_c = math.exp(rng.uniform(-5.0, 300.0))
-        b = coarse.twist_only_distance(d_c)
-        if b >= 3.0 or d_c >= 3.0:
-            lp = coarse.log_plus(d_c)
-            ineq_fails += not (lp <= b + 1e-12 and b <= 4.0 * lp + 1e-12)
-    chain_fails = sum(
-        not coarse.chain_inequality_holds(coarse.random_pairs(40, seed + i, eps0), m0)
-        for i in range(max(n // 1000, 1)))
-    ident_fails = 0
-    rng = substream(seed, 0xB2)
-    for _ in range(n):
-        f, g, h = (math.exp(rng.uniform(-7.0, 20.0)) for _ in range(3))
-        ident_fails += not coarse.max_log_identity(f, g, h, math.e ** 3)[2]
+    counts = np.zeros(4, dtype=np.int64)  # sandwich, twist bounds, chain, identity
+    for i, (m, rng_twist, rng_ident) in enumerate(chunked(seed, n, (0xB1,), (0xB2,))):
+        pairs = coarse.random_pairs(m, seed, eps0, start=i * CHUNK)
+        d_c = np.exp(rng_twist.uniform(-5.0, 300.0, m))
+        b, lp = coarse.twist_only_distance(d_c), coarse.log_plus(d_c)
+        f, g, h = np.exp(rng_ident.uniform(-7.0, 20.0, (3, m)))
+        counts += [
+            np.count_nonzero(~coarse.proxy_sandwich_holds(pairs, floor)),
+            np.count_nonzero(((b >= 3.0) | (d_c >= 3.0))
+                             & ~((lp <= b + 1e-12) & (b <= 4.0 * lp + 1e-12))),
+            np.count_nonzero(~coarse.chain_inequality_holds(pairs, m0, profile_size=40)),
+            np.count_nonzero(~coarse.max_log_identity(f, g, h, math.e ** 3)[2]),
+        ]
+    sandwich_fails, ineq_fails, chain_fails, ident_fails = (int(c) for c in counts)
     fails = sandwich_fails + ineq_fails + chain_fails + ident_fails
     rep = Report()
     rep.check("proxy sandwich (factor 6) above the floor", sandwich_fails == 0,

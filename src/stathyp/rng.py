@@ -26,13 +26,15 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
-def chunked(seed: int, n: int, *keys: tuple[int, ...]) -> Iterator[tuple]:
+def chunked(seed: int, n: int, *keys: tuple[int, ...], first: int = 0) -> Iterator[tuple]:
     """Yield ``(m, rng_1, ..., rng_k)`` for each fixed-size chunk of ``n`` samples.
 
     ``m`` is the chunk's sample count (``CHUNK`` except for a shorter last
     chunk) and ``rng_j`` is ``substream(seed, *keys[j], i)`` for chunk ``i``.
+    Chunks are numbered from ``first``, so a run of samples that starts at
+    sample ``first * CHUNK`` draws what a longer run from sample 0 would.
     """
-    for i, start in enumerate(range(0, n, CHUNK)):
+    for i, start in enumerate(range(0, n, CHUNK), first):
         yield (min(CHUNK, n - start), *(substream(seed, *key, i) for key in keys))
 
 

@@ -155,22 +155,16 @@ def test_06_proxy_sandwich():
     eps0 = math.exp(-10.0)
     floor = coarse.threshold_floor(eps0)
     pairs = coarse.random_pairs(100_000, seed=31, eps0=eps0)
-    tested = violations = 0
-    for pair in pairs:
-        if max(coarse.horoball_distance(pair), coarse.log_max_proxy(pair)) < floor:
-            continue
-        tested += 1
-        if not coarse.proxy_sandwich_holds(pair):
-            violations += 1
-    b_fails = b_tested = 0
+    above = np.maximum(coarse.horoball_distance(pairs), coarse.log_max_proxy(pairs)) >= floor
+    tested = np.count_nonzero(above)
+    violations = np.count_nonzero(above & ~coarse.proxy_sandwich_holds(pairs))
     rng = np.random.default_rng(37)
-    for d_c in np.exp(rng.uniform(-5.0, 300.0, size=100_000)):
-        b = coarse.twist_only_distance(float(d_c))
-        if b >= 3.0 or d_c >= 3.0:
-            b_tested += 1
-            lp = coarse.log_plus(float(d_c))
-            if not (lp <= b + 1e-12 and b <= 4.0 * lp + 1e-12):
-                b_fails += 1
+    d_c = np.exp(rng.uniform(-5.0, 300.0, size=100_000))
+    b = coarse.twist_only_distance(d_c)
+    in_range = (b >= 3.0) | (d_c >= 3.0)
+    lp = coarse.log_plus(d_c)
+    b_tested = np.count_nonzero(in_range)
+    b_fails = np.count_nonzero(in_range & ~((lp <= b + 1e-12) & (b <= 4.0 * lp + 1e-12)))
     elapsed = time.monotonic() - t0
     ok = violations == 0 and b_fails == 0 and tested > 10_000 and elapsed < 10.0
     assert report(6, "factor-6 proxy sandwich", ok,
@@ -189,12 +183,9 @@ def test_07_distance_formula_arithmetic():
         pairs = coarse.random_pairs(40, seed=seed, eps0=eps0)
         if not coarse.chain_inequality_holds(pairs, m0):
             chain_fails += 1
-    ident_fails = 0
     rng = np.random.default_rng(41)
-    for _ in range(100_000):
-        f, g, h = np.exp(rng.uniform(-7.0, 20.0, size=3))
-        if not coarse.max_log_identity(float(f), float(g), float(h), math.e ** 3)[2]:
-            ident_fails += 1
+    f, g, h = np.exp(rng.uniform(-7.0, 20.0, size=(100_000, 3))).T
+    ident_fails = np.count_nonzero(~coarse.max_log_identity(f, g, h, math.e ** 3)[2])
     ok = chain_fails == 0 and ident_fails == 0
     assert report(7, "threshold chain and factor-3 identity", ok,
                   f"chain_fails={chain_fails}/{n_profiles} "

@@ -196,6 +196,21 @@ class TestOtherExperiments:
         assert row[-1] == "1"
         assert float(row[6]) == 0.0
 
+    @pytest.mark.parametrize("key,value,shown", [
+        ("eps", "0", "eps=0.0"), ("eps", "2", "eps=2.0"), ("eps", "nan", "eps=nan"),
+        ("n", "0", "n=0"), ("n", "-5", "n=-5"), ("M0", "-3", "M0=-3.0"),
+        ("n", "nan", "'nan'"), ("M0", "inf", "M0=inf"),
+    ])
+    def test_coarse_check_rejects_bad_parameter(self, tmp_path, capsys, key, value, shown):
+        params = {"n": "200", key: value}
+        text = "[experiment]\nkind = coarse-check\n" + "".join(
+            f"{k} = {v}\n" for k, v in params.items())
+        cfg_path = write(tmp_path, "cc.ini", text)
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and shown in err
+        assert not (tmp_path / "cc.csv").exists()
+
 
 class TestSweep:
     def test_sweep_runs_all_and_reports(self, tmp_path, capsys):

@@ -57,6 +57,11 @@ def random_points(space, n, seed):
     raise AssertionError(kind)
 
 
+def space_id(value) -> str:
+    """Test id: a space's descriptor, or the value itself for radii."""
+    return value.describe() if hasattr(value, "describe") else str(value)
+
+
 ALL_SPACES = [
     EuclideanSpace(2),
     EuclideanSpace(3, p=1.0),
@@ -69,7 +74,7 @@ ALL_SPACES = [
 ]
 
 
-@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.describe())
+@pytest.mark.parametrize("space", ALL_SPACES, ids=space_id)
 class TestMetricAxioms:
     def test_axioms_on_random_triples(self, space):
         pts = random_points(space, 3 * 400, seed=17)
@@ -89,7 +94,7 @@ class TestMetricAxioms:
                 assert repr(u) == repr(v)
 
 
-@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.describe())
+@pytest.mark.parametrize("space", ALL_SPACES, ids=space_id)
 def test_negative_ray_time_rejected(space):
     pts = random_points(space, 20, seed=31)
     u, v = next((u, v) for u, v in zip(pts[::2], pts[1::2]) if space.distance(u, v) > 0)
@@ -102,7 +107,7 @@ def test_negative_ray_time_rejected(space):
 CONTINUUM = [s for s in ALL_SPACES if not s.atomic]
 
 
-@pytest.mark.parametrize("space", CONTINUUM, ids=lambda s: s.describe())
+@pytest.mark.parametrize("space", CONTINUUM, ids=space_id)
 class TestGeodesics:
     def test_unit_speed(self, space):
         pts = random_points(space, 80, seed=23)
@@ -169,7 +174,7 @@ class TestSphereSampling:
         (HyperbolicPlane(), 5.0),
         (HyperbolicPlane(), 40.0),
         (sup_plane(), 4.0),
-    ], ids=str)
+    ], ids=space_id)
     def test_samples_on_sphere(self, space, r):
         x = space.basepoint()
         batch = space.sample_shell(x, r, 0.0, 300, seed=8)
@@ -222,7 +227,7 @@ class TestSphereSampling:
     @pytest.mark.parametrize("space", [EuclideanSpace(2), HyperbolicPlane(), ModularTorus(),
                                        RegularTree(3),
                                        SupProduct([EuclideanSpace(2), HyperbolicPlane()])],
-                             ids=str)
+                             ids=space_id)
     def test_prefix_stable_across_chunk_boundary(self, space):
         # sample j depends only on (seed, j): asking for more samples, inside
         # a chunk or past a chunk boundary, leaves the earlier ones unchanged,

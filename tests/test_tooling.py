@@ -3,7 +3,7 @@
 import importlib.util
 from pathlib import Path
 
-from stathyp import cli, rng, stats
+from stathyp import cli, coarse, rng, stats
 from stathyp.spaces import EuclideanSpace, RegularTree
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -36,3 +36,25 @@ def test_tracer_install_and_restore():
     assert cli._RUNNERS == runners
     assert (EuclideanSpace.__dict__["distance_many"], RegularTree.__dict__["sample_radii"],
             stats.estimate_spread, rng.substream) == patched
+
+
+COARSE_HOOKS = ("random_pairs", "chain_inequality_holds", "horoball_distance", "log_max_proxy",
+                "proxy_sandwich_holds", "max_log_identity", "log_plus")
+
+
+def test_tracer_counts_coarse_hooks():
+    # the coarse layer works on batches, so its counters count calls per
+    # chunk; random_pairs' items still count every pair drawn
+    tracing = load_tracing()
+    originals = {name: getattr(coarse, name) for name in COARSE_HOOKS}
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        cfg = cli.parse_config("[experiment]\nkind = coarse-check\nn = 300\n")
+        assert cli.run_config(cfg).ok
+        assert tracer.calls["coarse.random_pairs"] >= 1
+        assert tracer.items["coarse.random_pairs"] == 300
+        assert tracer.calls["coarse.log_plus"] >= 1
+    finally:
+        restore()
+    assert {name: getattr(coarse, name) for name in COARSE_HOOKS} == originals
