@@ -9,8 +9,7 @@ threshold arithmetic of subsurface distance formulas.
 """
 
 from .spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus,
-                     RegularTree, SupProduct, build_net, make_space,
-                     reduce_modular)
+                     RegularTree, SupProduct, build_net, make_space)
 from .stats import (EstimateResult, SamplePath, discretize_geodesic,
                     estimate_spread, near_fraction, p1_fraction,
                     separation_fraction, thick_stat, thin_triangle_probe)
@@ -19,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EuclideanSpace", "HyperbolicPlane", "ModularTorus", "RegularTree",
-    "SupProduct", "make_space", "build_net", "reduce_modular",
+    "SupProduct", "make_space", "build_net",
     "EstimateResult", "SamplePath", "estimate_spread", "thick_stat",
     "p1_fraction", "separation_fraction", "thin_triangle_probe",
     "near_fraction", "discretize_geodesic",

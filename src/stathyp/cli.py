@@ -50,34 +50,41 @@ class ConfigError(StathypError):
 _SPACE_DEFAULTS = {"kind": "euclidean", "dim": 2, "p": 2.0, "q": 3}
 _BODY_DEFAULTS = {"kind": "lp", "dim": 2, "p": 2.0, "method": "exact"}
 
+# "positive" names the parameters that must be finite and > 0; any other
+# value is a ConfigError before the experiment starts
 CATALOG = {
     "estimate-e": {
         "claim": "average normalized pair distance over spheres/annuli/balls: "
                  "4/pi on the round plane, approaching 2 on hyperbolic models",
         "parameters": {"r": 1.0, "k": 0.0, "n": 100000, "seed": 0},
+        "positive": ("r", "n"),
     },
     "thick-stat": {
         "claim": "time fraction a geodesic ray spends in the thick part; "
                  "long rays match the thick-region area fraction",
         "parameters": {"r": 100.0, "n": 50, "eps": 0.5, "dt": 0.1, "seed": 0},
+        "positive": ("r", "n", "eps", "dt"),
     },
     "p1": {
         "claim": "typical rays keep their running thickness fraction above "
                  "theta beyond time sigma*r",
         "parameters": {"r": 50.0, "k": 5.0, "n": 1000, "eps": 0.1,
                        "theta": 0.5, "sigma": 0.2, "dt": 0.1, "seed": 0},
+        "positive": ("r", "n", "eps", "dt"),
     },
     "separation": {
         "claim": "probability that two random rays are still M0-close at time "
                  "t = sigma*r; decays exponentially on hyperbolic models, "
                  "polynomially on flat ones",
         "parameters": {"r": 20.0, "sigma": 0.5, "M0": 2.0, "n": 100000, "seed": 0},
+        "positive": ("r", "n", "M0"),
     },
     "thin-triangle": {
         "claim": "the middle of one side of a long random triangle comes "
                  "within C of the other two sides when the space is "
                  "hyperbolic-like",
         "parameters": {"r": 20.0, "n": 100, "C": 3.0, "ds": 0.05, "seed": 0},
+        "positive": ("r", "n", "C", "ds"),
     },
     "mahler": {
         "claim": "product of the volumes of a symmetric convex body and its "
@@ -95,11 +102,13 @@ CATALOG = {
                  "accordingly, and the max/sum log identity has factor 3",
         "parameters": {"n": 100000, "eps": 4.5399929762484854e-05,  # exp(-10)
                        "M0": 400.0, "seed": 0},
+        "positive": ("n", "M0"),
     },
     "discretize": {
         "claim": "snapping marks spaced tau-2c to a c-separated, 2c-dense net "
                  "yields paths with steps at most tau and marks within 2c",
         "parameters": {"r": 10.0, "tau": 3.0, "c": 0.5, "n": 200, "seed": 0},
+        "positive": ("r", "n", "tau", "c"),
     },
 }
 
@@ -167,6 +176,9 @@ def _params(cfg: dict, kind: str, seed_override: int | None) -> dict:
                               f"a valid {type(out[key]).__name__}") from exc
     if seed_override is not None:
         out["seed"] = int(seed_override)
+    for name in CATALOG[kind].get("positive", ()):
+        if not (math.isfinite(out[name]) and out[name] > 0):
+            raise ConfigError(f"{kind} needs a finite {name} > 0, got {name}={out[name]}")
     return out
 
 
@@ -386,10 +398,6 @@ def _run_coarse_check(cfg, pr):
     n, seed, eps0, m0 = int(pr["n"]), int(pr["seed"]), pr["eps"], pr["M0"]
     if not (math.isfinite(eps0) and 0.0 < eps0 < 1.0):
         raise ConfigError(f"coarse-check needs 0 < eps < 1, got eps={eps0}")
-    if not (math.isfinite(m0) and m0 > 0.0):
-        raise ConfigError(f"coarse-check needs a finite M0 > 0, got M0={m0}")
-    if n < 1:
-        raise ConfigError(f"coarse-check needs n >= 1, got n={n}")
     floor = coarse.threshold_floor(eps0)
     counts = np.zeros(4, dtype=np.int64)  # sandwich, twist bounds, chain, identity
     for i, (m, rng_twist, rng_ident) in enumerate(chunked(seed, n, (0xB1,), (0xB2,))):

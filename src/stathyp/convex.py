@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import DomainError, ParameterError, UnsupportedMethodError
 from .rng import chunked, substream
@@ -88,6 +87,9 @@ class Polytope(ConvexBody):
         self.dim = v.shape[1]
         self.vertices = v
         self._check_symmetry()
+        # deferred: only polytope bodies need Qhull, and importing
+        # scipy.spatial would otherwise dominate every run's start-up
+        from scipy.spatial import ConvexHull
         try:
             self.hull = ConvexHull(v)
         except Exception as exc:

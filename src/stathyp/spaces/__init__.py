@@ -6,7 +6,7 @@ from ..errors import ParameterError
 from .base import ModelSpace, RayBundle, ball_radial_mass
 from .euclidean import EuclideanSpace
 from .hyperbolic import HyperbolicPlane
-from .modular import ModularTorus, apply_word, reduce_modular, thin_area_fraction
+from .modular import ModularTorus, thin_area_fraction
 from .nets import BoxRegion, Net, SegmentRegion, build_net, check_net
 from .product import SupProduct
 from .tree import RegularTree
@@ -25,8 +25,6 @@ __all__ = [
     "Net",
     "build_net",
     "check_net",
-    "apply_word",
-    "reduce_modular",
     "thin_area_fraction",
     "make_space",
 ]

@@ -25,54 +25,7 @@ from .hyperbolic import HyperbolicPlane, _ray_matrices
 
 _BOUND_TOL = 1e-12
 _MAX_REDUCE = 4000
-
-
-def reduce_modular(z: complex):
-    """Reduce ``z`` to the fundamental domain; return ``(z', word)``.
-
-    ``word`` is a tuple of generator tokens ``("T", n)`` (translation by n)
-    and ``("S",)`` (inversion) which, applied in order to ``z'`` via
-    :func:`apply_word`, recover ``z``.
-    """
-    z = complex(z)
-    if not (z.imag > 0):
-        raise DomainError(f"modulus must have Im > 0, got {z}")
-    x, y = z.real, z.imag
-    ops = []  # operations applied to z, in order
-    for _ in range(_MAX_REDUCE):
-        n = math.floor(x + 0.5)
-        if n != 0:
-            x -= n
-            ops.append(("T", -n))
-        m2 = x * x + y * y
-        if m2 < 1.0 - _BOUND_TOL:
-            x, y = -x / m2, y / m2
-            ops.append(("S",))
-        else:
-            break
-    else:
-        raise DomainError(f"reduction did not converge for {z}")
-    word = tuple(_invert_op(op) for op in reversed(ops))
-    return complex(x, y), word
-
-
-def _invert_op(op):
-    if op[0] == "T":
-        return ("T", -op[1])
-    return ("S",)
-
-
-def apply_word(word, z: complex) -> complex:
-    """Apply a reduction word (tuple of T/S tokens) to ``z``."""
-    z = complex(z)
-    for op in word:
-        if op[0] == "T":
-            z = z + op[1]
-        elif op[0] == "S":
-            z = -1.0 / z
-        else:
-            raise ParameterError(f"unknown generator token {op!r}")
-    return z
+_S_SIGNS = np.array([[-1.0], [-1.0], [1.0], [1.0]])
 
 
 def reduce_many(x: np.ndarray, y: np.ndarray):
@@ -97,66 +50,53 @@ def reduce_many(x: np.ndarray, y: np.ndarray):
 class RayWalker:
     """Unit tangent frames flowed in fixed time steps, re-reduced each step.
 
-    State is one det-1 matrix per ray; the current point is M.i, kept inside
-    the fundamental domain by integer translations and inversions applied on
-    the left.  ``step`` advances all rays and returns the reduced coordinates.
+    State is one det-1 matrix per ray, stored as the rows a, b, c, d of a
+    (4, n) array; the current point is M.i, kept inside the fundamental
+    domain by integer translations and inversions applied on the left.
+    ``step`` advances all rays and returns the reduced coordinates.
     """
 
     def __init__(self, a, b, c, d):
-        self.a = np.array(a, dtype=np.float64)
-        self.b = np.array(b, dtype=np.float64)
-        self.c = np.array(c, dtype=np.float64)
-        self.d = np.array(d, dtype=np.float64)
+        self._m = np.array([a, b, c, d], dtype=np.float64)
         self._steps = 0
         self._reduce()
 
-    @property
-    def size(self) -> int:
-        return len(self.a)
-
-    def _position(self):
-        den = self.c * self.c + self.d * self.d
-        return (self.a * self.c + self.b * self.d) / den, 1.0 / den
-
     def _reduce(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
+        """Reduce every frame; return the reduced (x, y) coordinates."""
+        m = self._m
         for _ in range(_MAX_REDUCE):
-            x, y = self._position()
-            n = np.floor(x + 0.5)
-            nz = n != 0
-            if np.any(nz):
-                # left-multiply by T^{-n}
-                a[nz] -= n[nz] * c[nz]
-                b[nz] -= n[nz] * d[nz]
-            x, y = self._position()
+            a, b, c, d = m
+            den = c * c + d * d
+            y = 1.0 / den
+            n = np.floor((a * c + b * d) / den + 0.5)
+            # left-multiply by T^{-n}; exact on the rays with n == 0, and
+            # c, d (hence den and y) are unchanged
+            a -= n * c
+            b -= n * d
+            x = (a * c + b * d) / den
             mask = x * x + y * y < 1.0 - _BOUND_TOL
-            if not np.any(mask):
-                return
-            # left-multiply by S on the unreduced rays
-            a[mask], b[mask], c[mask], d[mask] = (
-                -c[mask].copy(), -d[mask].copy(), a[mask].copy(), b[mask].copy())
+            if not mask.any():
+                return x, y
+            # left-multiply by S on the unreduced rays: (a, b, c, d) -> (-c, -d, a, b)
+            m = self._m = np.where(mask, m[[2, 3, 0, 1]] * _S_SIGNS, m)
         raise DomainError("walker reduction did not converge")
 
     def step(self, dt: float):
         """Advance every ray by ``dt``; return reduced (x, y) coordinates."""
         e = math.exp(0.5 * dt)
-        self.a *= e
-        self.b /= e
-        self.c *= e
-        self.d /= e
+        m = self._m
+        m[0::2] *= e  # a, c
+        m[1::2] /= e  # b, d
         self._steps += 1
         if self._steps % 1024 == 0:
-            det = self.a * self.d - self.b * self.c
-            s = np.sqrt(det)
-            self.a /= s
-            self.b /= s
-            self.c /= s
-            self.d /= s
-        self._reduce()
-        return self._position()
+            a, b, c, d = m
+            m /= np.sqrt(a * d - b * c)
+        return self._reduce()
 
     def position(self):
-        return self._position()
+        a, b, c, d = self._m
+        den = c * c + d * d
+        return (a * c + b * d) / den, 1.0 / den
 
 
 class ModularTorus(HyperbolicPlane):

@@ -211,6 +211,29 @@ class TestOtherExperiments:
         assert err.startswith("error:") and shown in err
         assert not (tmp_path / "cc.csv").exists()
 
+    @pytest.mark.parametrize("kind,space,key,value,shown", [
+        ("thick-stat", "modular", "eps", "0", "eps=0.0"),
+        ("thick-stat", "modular", "r", "nan", "r=nan"),
+        ("thick-stat", "modular", "dt", "nan", "dt=nan"),
+        ("p1", "modular", "dt", "nan", "dt=nan"),
+        ("p1", "modular", "eps", "-1", "eps=-1.0"),
+        ("separation", "euclidean", "M0", "nan", "M0=nan"),
+        ("thin-triangle", "hyperbolic", "n", "0", "n=0"),
+        ("thin-triangle", "hyperbolic", "ds", "nan", "ds=nan"),
+        ("thin-triangle", "hyperbolic", "C", "nan", "C=nan"),
+        ("thin-triangle", "hyperbolic", "r", "-1", "r=-1.0"),
+        ("discretize", "hyperbolic", "n", "0", "n=0"),
+    ])
+    def test_geodesic_kinds_reject_bad_parameter(self, tmp_path, capsys, kind, space,
+                                                 key, value, shown):
+        # each case used to end in a traceback or a vacuous PASS
+        text = f"[space]\nkind = {space}\n[experiment]\nkind = {kind}\n{key} = {value}\n"
+        cfg_path = write(tmp_path, "bad.ini", text)
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and shown in err
+        assert not (tmp_path / "bad.csv").exists()
+
 
 class TestSweep:
     def test_sweep_runs_all_and_reports(self, tmp_path, capsys):

@@ -13,8 +13,10 @@ from stathyp.errors import (DomainError, ParameterError,
 from stathyp.rng import CHUNK
 from stathyp.spaces import (BoxRegion, EuclideanSpace, HyperbolicPlane,
                             ModularTorus, Net, RegularTree, SegmentRegion,
-                            SupProduct, apply_word, build_net, check_net,
-                            make_space, reduce_modular, thin_area_fraction)
+                            SupProduct, build_net, check_net, make_space,
+                            thin_area_fraction)
+from stathyp.spaces.hyperbolic import _ray_matrices
+from stathyp.spaces.modular import _BOUND_TOL, _MAX_REDUCE, reduce_many
 
 METRIC_TOL = 1e-9
 SPEED_TOL = 1e-8
@@ -280,25 +282,88 @@ class TestAnnulusSampling:
             eu.sample_shell(eu.basepoint(), 2.0, 3.0, 10, seed=0)
 
 
+class ReferenceWalker:
+    """The masked, one-array-per-entry walker that ``RayWalker`` replaced.
+
+    ``RayWalker`` must keep every float operation this walker applies to
+    each ray, so their positions agree bit for bit after every step.
+    """
+
+    def __init__(self, a, b, c, d):
+        self.a, self.b, self.c, self.d = (np.array(v, dtype=np.float64) for v in (a, b, c, d))
+        self._steps = 0
+        self._reduce()
+
+    def _position(self):
+        den = self.c * self.c + self.d * self.d
+        return (self.a * self.c + self.b * self.d) / den, 1.0 / den
+
+    def _reduce(self):
+        a, b, c, d = self.a, self.b, self.c, self.d
+        for _ in range(_MAX_REDUCE):
+            x, y = self._position()
+            n = np.floor(x + 0.5)
+            nz = n != 0
+            if np.any(nz):
+                a[nz] -= n[nz] * c[nz]
+                b[nz] -= n[nz] * d[nz]
+            x, y = self._position()
+            mask = x * x + y * y < 1.0 - _BOUND_TOL
+            if not np.any(mask):
+                return
+            a[mask], b[mask], c[mask], d[mask] = (
+                -c[mask].copy(), -d[mask].copy(), a[mask].copy(), b[mask].copy())
+        raise AssertionError("reference reduction did not converge")
+
+    def step(self, dt):
+        e = math.exp(0.5 * dt)
+        self.a *= e
+        self.b /= e
+        self.c *= e
+        self.d /= e
+        self._steps += 1
+        if self._steps % 1024 == 0:
+            s = np.sqrt(self.a * self.d - self.b * self.c)
+            self.a /= s
+            self.b /= s
+            self.c /= s
+            self.d /= s
+        self._reduce()
+        return self._position()
+
+
 class TestModularReduction:
     def test_already_reduced(self):
-        z, word = reduce_modular(1j)
-        assert z == 1j and word == ()
-        z, word = reduce_modular(0.1 + 10j)
-        assert z == 0.1 + 10j and word == ()
+        x, y = reduce_many([0.0, 0.1], [1.0, 10.0])
+        assert x.tolist() == [0.0, 0.1] and y.tolist() == [1.0, 10.0]
 
-    def test_membership_and_word_recovery(self):
+    def test_membership(self):
         rng = np.random.default_rng(21)
-        for _ in range(10_000):
-            z = complex(rng.uniform(-8, 8), math.exp(rng.uniform(-6, 3)))
-            zr, word = reduce_modular(z)
-            assert abs(zr.real) <= 0.5 + 1e-9
-            assert abs(zr) >= 1.0 - 1e-9
-            assert abs(apply_word(word, zr) - z) <= 1e-9 * max(1.0, abs(z))
+        pts = np.array([(rng.uniform(-8, 8), math.exp(rng.uniform(-6, 3)))
+                        for _ in range(10_000)])
+        x, y = reduce_many(pts[:, 0], pts[:, 1])
+        assert np.all(np.abs(x) <= 0.5 + 1e-9)
+        assert np.all(np.hypot(x, y) >= 1.0 - 1e-9)
+        # the reduced point is the highest point of its orbit
+        assert np.all(y >= pts[:, 1] * (1.0 - 1e-12))
 
     def test_example_in_strip(self):
-        zr, _ = reduce_modular(2.3 + 0.5j)
-        assert abs(zr.real) <= 0.5 and abs(zr) >= 1.0 - 1e-12
+        x, y = reduce_many([2.3], [0.5])
+        assert abs(x[0]) <= 0.5 and math.hypot(x[0], y[0]) >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("rays, steps", [(8, 2100), (1, 5000)])
+    def test_walker_matches_reference_bit_for_bit(self, rays, steps):
+        # 2100 steps cross the renormalisations at steps 1024 and 2048
+        mt = ModularTorus()
+        x = 0.3 + 1.7j
+        phi = np.random.default_rng(rays).uniform(0.0, math.pi, rays)
+        walker = mt.ray_walker(x, phi)
+        ref = ReferenceWalker(*_ray_matrices(x, phi))
+        pos, ref_pos = walker.position(), ref._position()
+        for _ in range(steps):
+            assert np.array_equal(pos[0], ref_pos[0]) and np.array_equal(pos[1], ref_pos[1])
+            pos, ref_pos = walker.step(0.1), ref.step(0.1)
+        assert np.array_equal(pos[0], ref_pos[0]) and np.array_equal(pos[1], ref_pos[1])
 
     def test_thickness_convention(self):
         mt = ModularTorus()

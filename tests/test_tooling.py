@@ -1,6 +1,11 @@
-"""The benchmark's tracer installs onto the package and comes off again."""
+"""The benchmark's tracer installs onto the package and comes off again, and
+a run that builds no polytope never imports scipy."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from stathyp import cli, coarse, rng, stats
@@ -58,3 +63,57 @@ def test_tracer_counts_coarse_hooks():
     finally:
         restore()
     assert {name: getattr(coarse, name) for name in COARSE_HOOKS} == originals
+
+
+TINY_CONFIGS = {
+    "estimate-e": "[space]\nkind = hyperbolic\n[experiment]\nkind = estimate-e\nn = 100\n",
+    "thick-stat": "[space]\nkind = modular\n[experiment]\nkind = thick-stat\nr = 5\nn = 2\n",
+    "p1": "[space]\nkind = modular\n[experiment]\nkind = p1\nr = 5\nk = 1\nn = 10\n",
+    "separation": "[experiment]\nkind = separation\nn = 100\n",
+    "thin-triangle": "[space]\nkind = hyperbolic\n[experiment]\nkind = thin-triangle\n"
+                     "r = 5\nn = 2\n",
+    "discretize": "[space]\nkind = hyperbolic\n[experiment]\nkind = discretize\nr = 3\nn = 2\n",
+    "coarse-check": "[experiment]\nkind = coarse-check\nn = 200\n",
+    "mahler": "[experiment]\nkind = mahler\n",
+    "cube": "[body]\nkind = polytope\ndim = 3\nvertices = " + "; ".join(
+        f"{x} {y} {z}" for x in (-1, 1) for y in (-1, 1) for z in (-1, 1))
+            + "\n[experiment]\nkind = mahler\n",
+}
+
+COLD_START = """
+import contextlib, csv, io, json, os, sys
+import stathyp, stathyp.cli as cli
+
+out_dir, configs = sys.argv[1], json.loads(sys.argv[2])
+result = {"codes": {}, "means": {}, "scipy": {}}
+for name, text in configs.items():
+    path = os.path.join(out_dir, name + ".ini")
+    with open(path, "w") as fh:
+        fh.write(text)
+    with contextlib.redirect_stdout(io.StringIO()):
+        result["codes"][name] = cli.main(["run", "--config", path, "--out", out_dir])
+    with open(os.path.join(out_dir, name + ".csv")) as fh:
+        result["means"][name] = float(next(csv.DictReader(fh))["mean"])
+    result["scipy"][name] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(result))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_polytopes(tmp_path):
+    # scipy.spatial once took more than half of every run's start-up time
+    # and 30 MB of memory, for the one Qhull call that builds a polytope
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path),
+                           json.dumps(TINY_CONFIGS)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == {name: 0 for name in TINY_CONFIGS}
+    for name in TINY_CONFIGS:
+        if name != "cube":
+            assert result["scipy"][name] == [], name
+    # the cube's polar is the octahedron: 8 * 4/3
+    assert abs(result["means"]["cube"] - 32.0 / 3.0) <= 1e-12
+    assert "scipy.spatial" in result["scipy"]["cube"]
