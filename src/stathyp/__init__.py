@@ -11,8 +11,8 @@ threshold arithmetic of subsurface distance formulas.
 from .spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus,
                      RegularTree, SupProduct, build_net, make_space)
 from .stats import (EstimateResult, SamplePath, discretize_geodesic,
-                    estimate_spread, near_fraction, p1_fraction,
-                    separation_fraction, thick_stat, thin_triangle_probe)
+                    estimate_spread, p1_fraction, separation_fraction,
+                    thick_stat, thin_triangle_probe)
 
 __version__ = "0.1.0"
 
@@ -21,5 +21,5 @@ __all__ = [
     "SupProduct", "make_space", "build_net",
     "EstimateResult", "SamplePath", "estimate_spread", "thick_stat",
     "p1_fraction", "separation_fraction", "thin_triangle_probe",
-    "near_fraction", "discretize_geodesic",
+    "discretize_geodesic",
 ]

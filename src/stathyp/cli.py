@@ -162,6 +162,25 @@ def serialize_config(cfg: dict) -> str:
     return buf.getvalue()
 
 
+def _value(section: str, key: str, raw: str | None, convert):
+    """``convert(raw)`` for the ``key`` entry of ``[section]``; a missing or
+    malformed entry is a ConfigError naming the section, the key and the text."""
+    if raw is None:
+        raise ConfigError(f"[{section}] has no {key} entry")
+    try:
+        return convert(raw)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not valid: {exc}") from exc
+
+
+def _int(text: str) -> int:
+    return int(float(text))
+
+
+def _floats(text: str) -> list[float]:
+    return [float(a) for a in text.replace(",", " ").split()]
+
+
 def _params(cfg: dict, kind: str, seed_override: int | None) -> dict:
     out = dict(CATALOG[kind]["parameters"])
     for key, raw in cfg.get("experiment", {}).items():
@@ -169,13 +188,11 @@ def _params(cfg: dict, kind: str, seed_override: int | None) -> dict:
             continue
         if key not in out:
             raise ConfigError(f"experiment {kind!r} does not take parameter {key!r}")
-        try:
-            out[key] = type(out[key])(float(raw)) if isinstance(out[key], (int, float)) else raw
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"experiment {kind!r} parameter {key} = {raw!r} is not "
-                              f"a valid {type(out[key]).__name__}") from exc
+        out[key] = _value("experiment", key, raw, _int if isinstance(out[key], int) else float)
     if seed_override is not None:
         out["seed"] = int(seed_override)
+    if out["seed"] < 0:
+        raise ConfigError(f"{kind} needs a seed >= 0, got seed={out['seed']}")
     for name in CATALOG[kind].get("positive", ()):
         if not (math.isfinite(out[name]) and out[name] > 0):
             raise ConfigError(f"{kind} needs a finite {name} > 0, got {name}={out[name]}")
@@ -185,7 +202,10 @@ def _params(cfg: dict, kind: str, seed_override: int | None) -> dict:
 def _space(cfg: dict):
     sec = {**{k: str(v) for k, v in _SPACE_DEFAULTS.items()}, **cfg.get("space", {})}
     kind = sec["kind"]
-    h = float(sec["h"]) if sec.get("h") not in (None, "") else None
+    args = {"dim": _value("space", "dim", sec["dim"], _int),
+            "p": _value("space", "p", sec["p"], float),
+            "q": _value("space", "q", sec["q"], _int),
+            "h": _value("space", "h", sec["h"], float) if sec.get("h") else None}
     components = None
     if kind in ("sup-product",):
         comp_text = sec.get("components", "")
@@ -193,8 +213,7 @@ def _space(cfg: dict):
             raise ConfigError("sup-product spaces need a components entry")
         components = [_component(c.strip()) for c in comp_text.split(";") if c.strip()]
     try:
-        return make_space(kind, dim=int(float(sec["dim"])), p=float(sec["p"]),
-                          q=int(float(sec["q"])), h=h, components=components)
+        return make_space(kind, components=components, **args)
     except StathypError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -206,28 +225,32 @@ def _continuous_space(cfg: dict, kind: str):
     return space
 
 
+def _component_args(text: str) -> tuple[str, dict]:
+    kind, *tokens = text.split()
+    kv = dict(t.split("=", 1) for t in tokens)
+    return kind, {"dim": _int(kv.get("dim", 1)), "p": float(kv.get("p", 2.0)),
+                  "q": _int(kv.get("q", 3)), "h": float(kv["h"]) if "h" in kv else None}
+
+
 def _component(text: str):
-    tokens = text.split()
-    kind = tokens[0]
-    kv = dict(t.split("=", 1) for t in tokens[1:])
-    return make_space(kind, dim=int(float(kv.get("dim", 1))),
-                      p=float(kv.get("p", 2.0)), q=int(float(kv.get("q", 3))),
-                      h=float(kv["h"]) if "h" in kv else None)
+    kind, args = _value("space", "components", text, _component_args)
+    return make_space(kind, **args)
+
+
+def _polytope_rows(text: str) -> np.ndarray:
+    return np.asarray([_floats(row) for row in text.split(";") if row.strip()])
 
 
 def _body(cfg: dict) -> convex.ConvexBody:
     sec = {**{k: str(v) for k, v in _BODY_DEFAULTS.items()}, **cfg.get("body", {})}
     kind = sec["kind"]
     if kind == "lp":
-        p = math.inf if sec["p"] in ("inf", "oo") else float(sec["p"])
-        return convex.LpBall(int(float(sec["dim"])), p)
+        p = _value("body", "p", sec["p"], lambda t: math.inf if t == "oo" else float(t))
+        return convex.LpBall(_value("body", "dim", sec["dim"], _int), p)
     if kind == "ellipsoid":
-        axes = [float(a) for a in sec["axes"].replace(",", " ").split()]
-        return convex.Ellipsoid(axes)
+        return convex.Ellipsoid(_value("body", "axes", sec.get("axes"), _floats))
     if kind == "polytope":
-        rows = [r.strip() for r in sec["vertices"].split(";") if r.strip()]
-        verts = [[float(v) for v in row.replace(",", " ").split()] for row in rows]
-        return convex.Polytope(np.asarray(verts))
+        return convex.Polytope(_value("body", "vertices", sec.get("vertices"), _polytope_rows))
     raise ConfigError(f"unknown body kind {kind!r}")
 
 

@@ -1,12 +1,13 @@
-"""Coarse distance-formula arithmetic over synthetic projection profiles.
+"""Threshold arithmetic of the annular terms of Rafi's distance formula.
 
-A :class:`ProjectionProfile` assigns nonnegative projection values to abstract
-subsurface labels.  Non-annular entries carry a single value; annular entries
-carry a twist value ``d_c`` together with a curve length on each side, from
-which a hyperbolic horoball distance is computed.  The combinators below sum
-thresholded values in two different groupings (a uniform sum and a split sum
-with a log-max proxy for long annular terms) that are bilipschitz equivalent
-when the threshold is large enough.
+An annular term compares the lengths ``l_x`` and ``l_y`` of one curve at two
+points with the twist ``d_c`` between them.  Its exact value is the
+hyperbolic distance between two horoball projections; its coarse value is
+the log-max proxy.  The checks below say, elementwise, that the two agree up
+to a factor 6 above the threshold floor, that thresholded sums of them chain
+accordingly, and that a sum of thresholded logs and the thresholded max of
+those logs agree up to a factor 3.  These are the estimates the distance
+formula needs, and it needs them only up to such constants.
 
 The pair arithmetic is written once in numpy: every function takes floats or
 equal-length 1-D arrays and works elementwise.  A :class:`HoroballPair` is
@@ -19,12 +20,12 @@ surfaces or geodesics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .rng import CHUNK, chunked, substream
+from .rng import CHUNK, chunked
 from .spaces.hyperbolic import uhp_distance
 
 #: Default short-curve cutoff.  log_plus(1/EPS0_DEFAULT) = 100.
@@ -123,84 +124,6 @@ def twist_only_distance(d_c):
     return _scalar(2.0 * np.arcsinh(0.5 * d_c))
 
 
-@dataclass(frozen=True)
-class ProfileEntry:
-    label: str
-    kind: str  # "non-annular" | "annular"
-    d_value: float = 0.0          # non-annular projection value
-    pair: HoroballPair | None = None  # annular data
-
-    def __post_init__(self):
-        if self.kind not in ("non-annular", "annular"):
-            raise ParameterError(f"unknown entry kind {self.kind!r}")
-        if self.kind == "annular" and self.pair is None:
-            raise ParameterError("annular entries need a HoroballPair")
-        if self.kind == "non-annular":
-            if self.pair is not None:
-                raise ParameterError("non-annular entries must not carry a pair")
-            if not (self.d_value >= 0 and math.isfinite(self.d_value)):
-                raise DomainError(f"bad projection value {self.d_value}")
-
-    def value(self) -> float:
-        """The entry's contribution before thresholding."""
-        if self.kind == "annular":
-            return horoball_distance(self.pair)
-        return self.d_value
-
-
-@dataclass(frozen=True)
-class ProjectionProfile:
-    """Top-level value plus a list of labelled subsurface entries."""
-
-    d_s: float = 0.0
-    entries: tuple[ProfileEntry, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if not (self.d_s >= 0 and math.isfinite(self.d_s)):
-            raise DomainError(f"bad top-level value {self.d_s}")
-        labels = [e.label for e in self.entries]
-        if len(set(labels)) != len(labels):
-            raise ParameterError("entry labels must be unique")
-
-
-def distance_formula_uniform(profile: ProjectionProfile, m0: float) -> float:
-    """Sum of thresholded values over every entry, annular or not.
-
-    Annular entries contribute their horoball distance.  Monotone in ``m0``:
-    raising the threshold can only decrease the result.
-    """
-    if m0 <= 0:
-        raise ParameterError(f"threshold must be positive, got {m0}")
-    total = profile.d_s
-    for e in profile.entries:
-        total += threshold(e.value(), m0)
-    return total
-
-
-def distance_formula_split(profile: ProjectionProfile, m0: float, eps0: float) -> float:
-    """Split form: horoball distance for doubly short annuli, log-max proxy else.
-
-    Non-annular entries are thresholded at ``m0``; annular entries whose curve
-    is eps0-short on both sides contribute their thresholded horoball distance,
-    and the remaining annular entries contribute their log-max proxy
-    thresholded at ``log m0``.
-    """
-    if m0 <= 1:
-        raise ParameterError(f"split form needs m0 > 1, got {m0}")
-    total = profile.d_s
-    log_m0 = math.log(m0)
-    for e in profile.entries:
-        if e.kind == "non-annular":
-            total += threshold(e.d_value, m0)
-        else:
-            pair = HoroballPair(e.pair.l_x, e.pair.l_y, e.pair.d_c, eps0)
-            if pair.both_short:
-                total += threshold(horoball_distance(pair), m0)
-            else:
-                total += threshold(log_max_proxy(pair), log_m0)
-    return total
-
-
 def max_log_identity(f, g, h, m0: float):
     """Compare the sum of thresholded logs with the thresholded max of logs.
 
@@ -295,77 +218,3 @@ def random_pairs(n: int, seed: int, eps0: float, log_lo: float = -600.0,
         out[:, at:at + m] = l_x, l_y, d_c
         at += m
     return HoroballPair(*out, eps0)
-
-
-def random_profile(seed: int, eps0: float = EPS0_DEFAULT, max_entries: int = 50) -> ProjectionProfile:
-    """A synthetic profile stressing both branches of every threshold.
-
-    Values are log-uniform over [1e-3, e^20]; entry count uniform in
-    [0, max_entries].
-    """
-    rng = substream(seed, 0xBEEF)
-    n = int(rng.integers(0, max_entries + 1))
-    entries = []
-    for i in range(n):
-        if rng.uniform() < 0.5:
-            entries.append(ProfileEntry(f"V{i}", "non-annular",
-                                        d_value=_log_uniform(rng)))
-        else:
-            pair = HoroballPair(
-                _log_uniform(rng),
-                _log_uniform(rng),
-                _log_uniform(rng) if rng.uniform() < 0.8 else 0.0,
-                eps0,
-            )
-            entries.append(ProfileEntry(f"A{i}", "annular", pair=pair))
-    d_s = _log_uniform(rng) if rng.uniform() < 0.8 else 0.0
-    return ProjectionProfile(d_s, tuple(entries))
-
-
-def _log_uniform(rng: np.random.Generator, lo: float = math.log(1e-3), hi: float = 20.0) -> float:
-    return math.exp(rng.uniform(lo, hi))
-
-
-# ---------------------------------------------------------------------------
-# Profile fixture files
-# ---------------------------------------------------------------------------
-#
-# One record per line:
-#   d_S <value>
-#   nonannular <label> <d_value>
-#   annular <label> lx=<v> ly=<v> dc=<v>
-# Blank lines and '#' comments are ignored.
-
-def dump_profile(profile: ProjectionProfile) -> str:
-    lines = [f"d_S {profile.d_s!r}"]
-    for e in profile.entries:
-        if e.kind == "non-annular":
-            lines.append(f"nonannular {e.label} {e.d_value!r}")
-        else:
-            p = e.pair
-            lines.append(f"annular {e.label} lx={p.l_x!r} ly={p.l_y!r} dc={p.d_c!r}")
-    return "\n".join(lines) + "\n"
-
-
-def load_profile(text: str, eps0: float = EPS0_DEFAULT) -> ProjectionProfile:
-    d_s = 0.0
-    entries = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        try:
-            if tokens[0] == "d_S":
-                d_s = float(tokens[1])
-            elif tokens[0] == "nonannular":
-                entries.append(ProfileEntry(tokens[1], "non-annular", d_value=float(tokens[2])))
-            elif tokens[0] == "annular":
-                kv = dict(t.split("=", 1) for t in tokens[2:])
-                pair = HoroballPair(float(kv["lx"]), float(kv["ly"]), float(kv["dc"]), eps0)
-                entries.append(ProfileEntry(tokens[1], "annular", pair=pair))
-            else:
-                raise ParameterError(f"unknown record {tokens[0]!r}")
-        except (IndexError, KeyError, ValueError) as exc:
-            raise ParameterError(f"bad profile record at line {lineno}: {raw!r}") from exc
-    return ProjectionProfile(d_s, tuple(entries))

@@ -151,8 +151,8 @@ def _dedupe_rows(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 class Ellipsoid(ConvexBody):
     def __init__(self, semi_axes):
         a = np.asarray(semi_axes, dtype=np.float64)
-        if a.ndim != 1 or np.any(a <= 0):
-            raise ParameterError("semi-axes must be a vector of positive reals")
+        if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a) & (a > 0)):
+            raise ParameterError(f"semi-axes must be finite positive reals, got {semi_axes}")
         self.dim = len(a)
         self.semi_axes = a
 

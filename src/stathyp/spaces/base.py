@@ -52,6 +52,13 @@ class ModelSpace(ABC):
     #: True for models whose spheres are finite sets (geodesics only at integer times)
     atomic: bool = False
 
+    @staticmethod
+    def _growth_exponent(h: float) -> float:
+        """``h`` as a float once it is checked finite and nonnegative."""
+        if not (math.isfinite(h) and h >= 0):
+            raise ParameterError(f"growth exponent must be finite and nonnegative, got {h}")
+        return float(h)
+
     # -- scalar interface ---------------------------------------------------
 
     @abstractmethod
@@ -165,8 +172,6 @@ class ModelSpace(ABC):
         u = rng.uniform(size=count)
         if self.h == 0.0:
             return (r - k) + k * u
-        if self.h < 0:
-            raise ParameterError("radial sampling needs h >= 0")
         # inverse CDF, written so exp never sees an argument above 0
         return r + np.log(math.exp(-self.h * k) + u * (1.0 - math.exp(-self.h * k))) / self.h
 

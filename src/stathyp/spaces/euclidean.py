@@ -47,11 +47,9 @@ class EuclideanSpace(ModelSpace):
             raise ParameterError(f"dimension must be at least 1, got {dim}")
         if not (p >= 1.0):
             raise ParameterError(f"norm exponent must satisfy p >= 1, got {p}")
-        if h < 0:
-            raise ParameterError(f"growth exponent must be nonnegative, got {h}")
         self.dim = int(dim)
         self.p = float(p)
-        self.h = float(h)
+        self.h = self._growth_exponent(h)
 
     def describe(self) -> str:
         return f"euclidean-p-norm(dim={self.dim},p={self.p},h={self.h})"

@@ -87,9 +87,7 @@ class HyperbolicPlane(ModelSpace):
     kind = "hyperbolic-plane"
 
     def __init__(self, h: float = 1.0):
-        if h < 0:
-            raise ParameterError(f"growth exponent must be nonnegative, got {h}")
-        self.h = float(h)
+        self.h = self._growth_exponent(h)
 
     def describe(self) -> str:
         return f"hyperbolic-plane(h={self.h})"

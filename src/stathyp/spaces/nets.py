@@ -1,4 +1,4 @@
-"""Separated, dense point nets over bounded regions.
+"""Separated, dense point nets over geodesic segments.
 
 A net is c-separated (pairwise distances at least c) and 2c-dense (every
 region point within 2c of a net point).  Construction is greedy over a fine
@@ -17,7 +17,6 @@ import numpy as np
 
 from ..errors import ParameterError
 from .base import ModelSpace
-from .euclidean import EuclideanSpace
 
 _MAX_CANDIDATES = 400_000
 
@@ -27,13 +26,6 @@ class SegmentRegion:
     """The geodesic segment from u to v (any model with continuous geodesics)."""
     u: Any
     v: Any
-
-
-@dataclass(frozen=True)
-class BoxRegion:
-    """Axis-aligned box in a normed vector space."""
-    lo: tuple
-    hi: tuple
 
 
 @dataclass(frozen=True)
@@ -52,40 +44,25 @@ class Net:
 
 
 def _candidate_grid(space: ModelSpace, region, c: float):
+    if not isinstance(region, SegmentRegion):
+        raise ParameterError(f"unknown region descriptor {type(region).__name__}")
     step = c / 2.0
-    if isinstance(region, SegmentRegion):
-        space.validate_point(region.u)
-        space.validate_point(region.v)
-        d = space.distance(region.u, region.v)
-        if not math.isfinite(d):
-            raise ParameterError("segment region is unbounded")
-        if d == 0.0:
-            return space.singleton(region.u)
-        m = int(math.floor(d / step))
-        ts = np.append(np.arange(m + 1) * step, d)
-        if len(ts) > _MAX_CANDIDATES:
-            raise ParameterError("candidate grid too large; increase c")
-        return space.geodesic_points(region.u, region.v, ts)
-    if isinstance(region, BoxRegion):
-        if not isinstance(space, EuclideanSpace):
-            raise ParameterError("box regions are only defined on normed vector spaces")
-        lo = np.asarray(region.lo, dtype=np.float64)
-        hi = np.asarray(region.hi, dtype=np.float64)
-        if lo.shape != (space.dim,) or hi.shape != (space.dim,):
-            raise ParameterError("box bounds must match the space dimension")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(hi >= lo)):
-            raise ParameterError("box region must be bounded with hi >= lo")
-        axes = [np.append(np.arange(lo[i], hi[i], step), hi[i]) for i in range(space.dim)]
-        total = math.prod(len(a) for a in axes)
-        if total > _MAX_CANDIDATES:
-            raise ParameterError("candidate grid too large; increase c")
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-    raise ParameterError(f"unknown region descriptor {type(region).__name__}")
+    space.validate_point(region.u)
+    space.validate_point(region.v)
+    d = space.distance(region.u, region.v)
+    if not math.isfinite(d):
+        raise ParameterError("segment region is unbounded")
+    if d == 0.0:
+        return space.singleton(region.u)
+    m = int(math.floor(d / step))
+    ts = np.append(np.arange(m + 1) * step, d)
+    if len(ts) > _MAX_CANDIDATES:
+        raise ParameterError("candidate grid too large; increase c")
+    return space.geodesic_points(region.u, region.v, ts)
 
 
 def build_net(space: ModelSpace, region, c: float) -> Net:
-    """Greedy c-separated, 2c-dense net over a bounded region."""
+    """Greedy c-separated, 2c-dense net over a geodesic segment."""
     if c <= 0:
         raise ParameterError(f"net separation must be positive, got {c}")
     candidates = _candidate_grid(space, region, c)

@@ -50,7 +50,7 @@ class SupProduct(ModelSpace):
                     f"sup products need continuous factors, got {comp.kind}")
         self.components = tuple(components)
         # ball volume is the product of factor volumes, so exponents add
-        self.h = sum(c.h for c in components) if h is None else float(h)
+        self.h = sum(c.h for c in components) if h is None else self._growth_exponent(h)
 
     def describe(self) -> str:
         inner = ",".join(c.describe() for c in self.components)

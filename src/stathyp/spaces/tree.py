@@ -132,7 +132,7 @@ class RegularTree(ModelSpace):
             raise ParameterError("valence above 26 is not supported by the address alphabet")
         self.q = int(q)
         self.alphabet = string.ascii_lowercase[: self.q]
-        self.h = math.log(q - 1) if h is None else float(h)
+        self.h = math.log(q - 1) if h is None else self._growth_exponent(h)
 
     def describe(self) -> str:
         return f"regular-tree(q={self.q},h={self.h})"

@@ -308,7 +308,14 @@ def _time_grid(a: float, b: float, ds: float) -> np.ndarray:
     return ts
 
 
-def _interval_side_mins(space: ModelSpace, x, y, z, interval, ds: float) -> np.ndarray:
+def thin_triangle_probe(space: ModelSpace, x, y, z, interval, c: float,
+                        ds: float) -> tuple[bool, float]:
+    """Does the subinterval of [x, y] come within c of the other two sides?
+
+    Grids all three sides at step ``ds`` and reports the minimum grid-to-grid
+    distance, an upper bound on the true minimum with error at most ds (each
+    geodesic is 1-Lipschitz in its time parameter).
+    """
     s1, s2 = interval
     if ds <= 0:
         raise ParameterError(f"grid step must be positive, got {ds}")
@@ -326,27 +333,8 @@ def _interval_side_mins(space: ModelSpace, x, y, z, interval, ds: float) -> np.n
     side_b = space.geodesic_points(y, z, _time_grid(0.0, d_yz, ds))
     min_a = space.cross_distance(pts_i, side_a).min(axis=1)
     min_b = space.cross_distance(pts_i, side_b).min(axis=1)
-    return np.minimum(min_a, min_b)
-
-
-def thin_triangle_probe(space: ModelSpace, x, y, z, interval, c: float,
-                        ds: float) -> tuple[bool, float]:
-    """Does the subinterval of [x, y] come within c of the other two sides?
-
-    Grids all three sides at step ``ds`` and reports the minimum grid-to-grid
-    distance, an upper bound on the true minimum with error at most ds (each
-    geodesic is 1-Lipschitz in its time parameter).
-    """
-    mins = _interval_side_mins(space, x, y, z, interval, ds)
-    best = float(mins.min())
+    best = float(np.minimum(min_a, min_b).min())
     return best <= c, best
-
-
-def near_fraction(space: ModelSpace, x, y, z, interval, c: float,
-                  ds: float) -> float:
-    """Fraction of the subinterval grid within c of the other two sides."""
-    mins = _interval_side_mins(space, x, y, z, interval, ds)
-    return float((mins <= c).mean())
 
 
 # ---------------------------------------------------------------------------

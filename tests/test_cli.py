@@ -24,6 +24,9 @@ n = 20000
 seed = 42
 """
 
+EST_TINY = "[experiment]\nkind = estimate-e\nn = 100\n"
+MAHLER_TINY = "[experiment]\nkind = mahler\nn = 100\n"
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -232,6 +235,35 @@ class TestOtherExperiments:
         assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and shown in err
+        assert not (tmp_path / "bad.csv").exists()
+
+    @pytest.mark.parametrize("text,args,env,shown", [
+        ("[space]\nkind = hyperbolic\nh = abc\n" + EST_TINY, [], None, "[space] h = 'abc'"),
+        ("[space]\ndim = two\n" + EST_TINY, [], None, "[space] dim = 'two'"),
+        ("[space]\nkind = sup-product\ncomponents = euclidean dim ; euclidean\n" + EST_TINY,
+         [], None, "[space] components = 'euclidean dim'"),
+        ("[space]\nkind = hyperbolic\nh = nan\n" + EST_TINY, [], None, "got nan"),
+        ("[space]\nkind = hyperbolic\nh = inf\n" + EST_TINY, [], None, "got inf"),
+        ("[space]\nkind = tree\nh = -1\n" + EST_TINY, [], None, "got -1.0"),
+        ("[body]\nkind = ellipsoid\n" + MAHLER_TINY, [], None, "[body] has no axes entry"),
+        ("[body]\nkind = lp\np = x\n" + MAHLER_TINY, [], None, "[body] p = 'x'"),
+        ("[body]\nkind = ellipsoid\naxes = 1, nan\n" + MAHLER_TINY, [], None, "[1.0, nan]"),
+        ("[body]\nkind = ellipsoid\naxes =\n" + MAHLER_TINY, [], None, "got []"),
+        (EST_TINY + "seed = -1\n", [], None, "seed=-1"),
+        (EST_TINY, ["--seed", "-1"], None, "seed=-1"),
+        (EST_TINY, [], "-1", "seed=-1"),
+    ], ids=["h-abc", "dim-two", "component-without-equals", "h-nan", "h-inf", "tree-h-negative",
+            "ellipsoid-without-axes", "lp-p-x", "ellipsoid-nan-axis", "ellipsoid-empty-axes",
+            "seed-negative", "seed-flag-negative", "seed-env-negative"])
+    def test_bad_config_values_exit_2(self, tmp_path, capsys, monkeypatch, text, args, env,
+                                      shown):
+        # each case used to end in a traceback or in a vacuous PASS
+        if env is not None:
+            monkeypatch.setenv(cli.SEED_ENV, env)
+        cfg_path = write(tmp_path, "bad.ini", text)
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err and shown in err
         assert not (tmp_path / "bad.csv").exists()
 
 

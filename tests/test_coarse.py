@@ -112,57 +112,6 @@ class TestLogMaxProxy:
         assert coarse.log_max_proxy(coarse.HoroballPair(1.0, 1.0, 0.5)) == 0.0
 
 
-class TestDistanceFormulas:
-    def test_uniform_example(self):
-        profile = coarse.ProjectionProfile(7.0, (
-            coarse.ProfileEntry("V1", "non-annular", d_value=12.0),
-            coarse.ProfileEntry("V2", "non-annular", d_value=3.0),
-        ))
-        assert coarse.distance_formula_uniform(profile, 10.0) == 19.0
-
-    def test_empty_profile(self):
-        assert coarse.distance_formula_uniform(coarse.ProjectionProfile(), 10.0) == 0.0
-        assert coarse.distance_formula_split(coarse.ProjectionProfile(), math.e ** 4, 0.1) == 0.0
-
-    def test_all_below_threshold(self):
-        profile = coarse.ProjectionProfile(2.5, (
-            coarse.ProfileEntry("V1", "non-annular", d_value=9.0),
-        ))
-        assert coarse.distance_formula_uniform(profile, 100.0) == 2.5
-
-    def test_split_single_annular(self):
-        pair = coarse.HoroballPair(math.exp(-5.0), 1.0, 0.0)
-        profile = coarse.ProjectionProfile(0.0, (
-            coarse.ProfileEntry("A", "annular", pair=pair),
-        ))
-        # the curve is not short on both sides, so the proxy branch applies:
-        # threshold(max(0, 5, 0), log(e^4)) = threshold(5, 4) = 5
-        assert coarse.distance_formula_split(profile, math.e ** 4, 0.1) == pytest.approx(5.0)
-
-    def test_split_equals_uniform_without_annuli(self):
-        for seed in range(30):
-            profile = coarse.random_profile(seed)
-            flat = coarse.ProjectionProfile(profile.d_s, tuple(
-                e for e in profile.entries if e.kind == "non-annular"))
-            m0 = 50.0
-            assert coarse.distance_formula_split(flat, m0, 0.1) == \
-                coarse.distance_formula_uniform(flat, m0)
-
-    def test_monotone_in_threshold(self):
-        for seed in range(50):
-            profile = coarse.random_profile(seed)
-            values = [coarse.distance_formula_uniform(profile, m0)
-                      for m0 in (1.0, 5.0, 50.0, 5e3, 5e8)]
-            assert all(a >= b for a, b in zip(values, values[1:]))
-
-    def test_unique_labels_enforced(self):
-        with pytest.raises(ParameterError):
-            coarse.ProjectionProfile(0.0, (
-                coarse.ProfileEntry("A", "non-annular", d_value=1.0),
-                coarse.ProfileEntry("A", "non-annular", d_value=2.0),
-            ))
-
-
 class TestMaxLogIdentity:
     def test_all_zero(self):
         lhs, rhs, ok = coarse.max_log_identity(0.0, 0.0, 0.0, math.e ** 2)
@@ -330,28 +279,3 @@ class TestRandomPairs:
         assert 0.2 < np.mean(pairs.d_c == 0.0) < 0.3
         kept = coarse.random_pairs(5000, seed=2, eps0=eps0, exclude_both_short=False)
         assert np.any(kept.both_short)
-
-
-class TestProfileFiles:
-    def test_round_trip(self):
-        for seed in range(20):
-            profile = coarse.random_profile(seed)
-            text = coarse.dump_profile(profile)
-            back = coarse.load_profile(text, eps0=coarse.EPS0_DEFAULT)
-            assert back.d_s == profile.d_s
-            assert len(back.entries) == len(profile.entries)
-            for a, b in zip(profile.entries, back.entries):
-                assert (a.label, a.kind, a.d_value) == (b.label, b.kind, b.d_value)
-                if a.kind == "annular":
-                    assert (a.pair.l_x, a.pair.l_y, a.pair.d_c) == \
-                        (b.pair.l_x, b.pair.l_y, b.pair.d_c)
-
-    def test_comments_and_blanks(self):
-        text = "# fixture\n\nd_S 3.0\nnonannular V 12.0  # tail comment\n"
-        profile = coarse.load_profile(text)
-        assert profile.d_s == 3.0
-        assert profile.entries[0].d_value == 12.0
-
-    def test_bad_record(self):
-        with pytest.raises(ParameterError):
-            coarse.load_profile("frobnicate A 1.0\n")

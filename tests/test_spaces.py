@@ -11,7 +11,7 @@ from scipy import stats as sps
 from stathyp.errors import (DomainError, ParameterError,
                             UnsupportedMethodError)
 from stathyp.rng import CHUNK
-from stathyp.spaces import (BoxRegion, EuclideanSpace, HyperbolicPlane,
+from stathyp.spaces import (EuclideanSpace, HyperbolicPlane,
                             ModularTorus, Net, RegularTree, SegmentRegion,
                             SupProduct, build_net, check_net, make_space,
                             thin_area_fraction)
@@ -550,7 +550,7 @@ class TestNets:
 
     def test_invariants(self):
         eu = EuclideanSpace(2)
-        region = BoxRegion((0.0, 0.0), (4.0, 3.0))
+        region = SegmentRegion(np.array([0.0, 0.0]), np.array([4.0, 3.0]))
         net = build_net(eu, region, 0.7)
         sep, cover = check_net(eu, net)
         assert sep >= 0.7 - 1e-12
@@ -562,11 +562,6 @@ class TestNets:
         sep, cover = check_net(hyp, net)
         assert sep >= 0.4 - 1e-9
         assert cover <= 0.8 + 1e-9
-
-    def test_unbounded_region_rejected(self):
-        eu = EuclideanSpace(2)
-        with pytest.raises(ParameterError):
-            build_net(eu, BoxRegion((0.0, 0.0), (math.inf, 1.0)), 1.0)
 
     def test_nearest(self):
         eu = euclid_line()

@@ -1,9 +1,12 @@
-"""The benchmark's tracer installs onto the package and comes off again, and
-a run that builds no polytope never imports scipy."""
+"""The benchmark's tracer installs onto the package and comes off again, a
+run that builds no polytope never imports scipy, and the README's layout
+table names only what exists."""
 
+import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +14,8 @@ from pathlib import Path
 from stathyp import cli, coarse, rng, stats
 from stathyp.spaces import EuclideanSpace, RegularTree
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -103,7 +107,7 @@ def test_cold_start_loads_scipy_only_for_polytopes(tmp_path):
     # scipy.spatial once took more than half of every run's start-up time
     # and 30 MB of memory, for the one Qhull call that builds a polytope
     env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path),
                            json.dumps(TINY_CONFIGS)],
@@ -117,3 +121,25 @@ def test_cold_start_loads_scipy_only_for_polytopes(tmp_path):
     # the cube's polar is the octahedron: 8 * 4/3
     assert abs(result["means"]["cube"] - 32.0 / 3.0) <= 1e-12
     assert "scipy.spatial" in result["scipy"]["cube"]
+
+
+def test_readme_layout_names_resolve():
+    # each row reads "| `stathyp.<module>` | contents |"; a backticked dotted
+    # name in the contents is a module of the package, any other backticked
+    # identifier an attribute of the row's module
+    text = (ROOT / "README.md").read_text()
+    table = text.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(stathyp[\w.]*)` \| (.*) \|$", table, re.M)
+    assert len(rows) == 5
+    missing = []
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for name in re.findall(r"`([A-Za-z_][\w.]*)`", contents):
+            if "." in name:
+                try:
+                    importlib.import_module(name)
+                except ImportError:
+                    missing.append(name)
+            elif not hasattr(module, name):
+                missing.append(f"{module_name}.{name}")
+    assert missing == []
