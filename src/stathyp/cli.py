@@ -49,6 +49,9 @@ class ConfigError(StathypError):
 
 _SPACE_DEFAULTS = {"kind": "euclidean", "dim": 2, "p": 2.0, "q": 3}
 _BODY_DEFAULTS = {"kind": "lp", "dim": 2, "p": 2.0, "method": "exact"}
+# the keys each section may hold; [experiment] keys are checked per kind by _params
+_SECTION_KEYS = {"experiment": None, "space": (*_SPACE_DEFAULTS, "h", "components"),
+                 "body": (*_BODY_DEFAULTS, "axes", "vertices")}
 
 # "positive" names the parameters that must be finite and > 0; any other
 # value is a ConfigError before the experiment starts
@@ -145,6 +148,13 @@ def parse_config(text: str) -> dict:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     cfg = {s: dict(cp.items(s)) for s in cp.sections()}
+    for section, items in cfg.items():
+        if section not in _SECTION_KEYS:
+            raise ConfigError(f"unknown section [{section}]; use [space], [experiment] or [body]")
+        unknown = [key for key in items if key not in (_SECTION_KEYS[section] or items)]
+        if unknown:
+            raise ConfigError(f"[{section}] has no key {unknown[0]!r}; "
+                              f"known keys: {' '.join(_SECTION_KEYS[section])}")
     if "experiment" not in cfg or "kind" not in cfg["experiment"]:
         raise ConfigError("config needs an [experiment] section with a kind")
     kind = cfg["experiment"]["kind"]
@@ -174,7 +184,10 @@ def _value(section: str, key: str, raw: str | None, convert):
 
 
 def _int(text: str) -> int:
-    return int(float(text))
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError("not a whole number")
+    return int(value)
 
 
 def _floats(text: str) -> list[float]:
@@ -207,12 +220,11 @@ def _space(cfg: dict):
             "q": _value("space", "q", sec["q"], _int),
             "h": _value("space", "h", sec["h"], float) if sec.get("h") else None}
     components = None
-    if kind in ("sup-product",):
-        comp_text = sec.get("components", "")
-        if not comp_text:
-            raise ConfigError("sup-product spaces need a components entry")
-        components = [_component(c.strip()) for c in comp_text.split(";") if c.strip()]
     try:
+        if kind == "sup-product":
+            text = _value("space", "components", sec.get("components") or None, str)
+            components = [_value("space", "components", c.strip(), _component)
+                          for c in text.split(";") if c.strip()]
         return make_space(kind, components=components, **args)
     except StathypError as exc:
         raise ConfigError(str(exc)) from exc
@@ -225,32 +237,29 @@ def _continuous_space(cfg: dict, kind: str):
     return space
 
 
-def _component_args(text: str) -> tuple[str, dict]:
+def _component(text: str):
     kind, *tokens = text.split()
     kv = dict(t.split("=", 1) for t in tokens)
-    return kind, {"dim": _int(kv.get("dim", 1)), "p": float(kv.get("p", 2.0)),
-                  "q": _int(kv.get("q", 3)), "h": float(kv["h"]) if "h" in kv else None}
-
-
-def _component(text: str):
-    kind, args = _value("space", "components", text, _component_args)
-    return make_space(kind, **args)
+    return make_space(kind, dim=_int(kv.get("dim", 1)), p=float(kv.get("p", 2.0)),
+                      q=_int(kv.get("q", 3)), h=float(kv["h"]) if "h" in kv else None)
 
 
 def _polytope_rows(text: str) -> np.ndarray:
     return np.asarray([_floats(row) for row in text.split(";") if row.strip()])
 
 
-def _body(cfg: dict) -> convex.ConvexBody:
+def _body(cfg: dict) -> tuple[convex.ConvexBody, str]:
+    """The ``[body]`` of ``cfg`` and the volume ``method`` it names."""
     sec = {**{k: str(v) for k, v in _BODY_DEFAULTS.items()}, **cfg.get("body", {})}
-    kind = sec["kind"]
+    kind, method = sec["kind"], sec["method"]
     if kind == "lp":
         p = _value("body", "p", sec["p"], lambda t: math.inf if t == "oo" else float(t))
-        return convex.LpBall(_value("body", "dim", sec["dim"], _int), p)
+        return convex.LpBall(_value("body", "dim", sec["dim"], _int), p), method
     if kind == "ellipsoid":
-        return convex.Ellipsoid(_value("body", "axes", sec.get("axes"), _floats))
+        return convex.Ellipsoid(_value("body", "axes", sec.get("axes"), _floats)), method
     if kind == "polytope":
-        return convex.Polytope(_value("body", "vertices", sec.get("vertices"), _polytope_rows))
+        rows = _value("body", "vertices", sec.get("vertices"), _polytope_rows)
+        return convex.Polytope(rows), method
     raise ConfigError(f"unknown body kind {kind!r}")
 
 
@@ -260,100 +269,76 @@ def _body(cfg: dict) -> convex.ConvexBody:
 
 @dataclass
 class Report:
-    rows: list[tuple] = field(default_factory=list)
+    row: tuple = ()
     lines: list[str] = field(default_factory=list)
     ok: bool = True
 
-    def check(self, label: str, passed: bool, detail: str = "") -> bool:
+    def check(self, label: str, passed: bool, detail: str = "") -> None:
         tag = "PASS" if passed else "FAIL"
         self.lines.append(f"{tag}: {label}" + (f" ({detail})" if detail else ""))
         self.ok = self.ok and passed
-        return passed
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
-def _row(report: Report, experiment: str, space: str, r, k, n, seed, mean,
-         std_error, e1=("", ""), e2=("", ""), passed=True):
-    report.rows.append((experiment, space, _fmt(float(r)), _fmt(float(k)),
-                        str(int(n)), str(int(seed)), _fmt(float(mean)),
-                        _fmt(float(std_error)), e1[0], _fmt(e1[1]) if e1[0] else "",
-                        e2[0], _fmt(e2[1]) if e2[0] else "",
-                        "1" if passed else "0"))
+def _binomial_se(frac: float, n: float) -> float:
+    """Standard error of a fraction of ``n`` trials, floored at one count."""
+    return math.sqrt(max(frac * (1 - frac), 1.0 / n) / n)
 
 
-def _run_estimate_e(cfg, pr):
+def _run_estimate_e(cfg, pr, rep):
     space = _space(cfg)
-    res = stats.estimate_spread(space, space.basepoint(), pr["r"], pr["k"],
-                                int(pr["n"]), int(pr["seed"]))
-    rep = Report()
+    res = stats.estimate_spread(space, space.basepoint(), pr["r"], pr["k"], pr["n"], pr["seed"])
     form = "sphere" if pr["k"] == 0 else ("ball" if pr["k"] == pr["r"] else "annulus")
-    ok = rep.check("normalized mean within [0, 2]", 0.0 <= res.mean <= 2.0,
-                   f"mean={res.mean:.6f} se={res.std_error:.2e}")
-    _row(rep, "estimate-e", space.describe(), pr["r"], pr["k"], pr["n"],
-         pr["seed"], res.mean, res.std_error, ("form", form),
-         ("digest", res.config_digest), ok)
-    rep.lines.insert(0, f"estimate-e: mean={res.mean!r} std_error={res.std_error!r} "
-                        f"digest={res.config_digest}")
-    return rep
+    rep.check("normalized mean within [0, 2]", 0.0 <= res.mean <= 2.0,
+              f"mean={res.mean:.6f} se={res.std_error:.2e}")
+    return (space.describe(), res.mean, res.std_error, ("form", form),
+            ("digest", res.config_digest),
+            f"mean={res.mean!r} std_error={res.std_error!r} digest={res.config_digest}")
 
 
-def _run_thick_stat(cfg, pr):
+def _run_thick_stat(cfg, pr, rep):
     space = _space(cfg)
-    n, seed = int(pr["n"]), int(pr["seed"])
+    n = pr["n"]
     fracs = stats.ray_thick_fraction_many(space, space.basepoint(), pr["r"],
-                                          pr["eps"], pr["dt"], n, seed)
+                                          pr["eps"], pr["dt"], n, pr["seed"])
     mean = float(np.mean(fracs))
     se = float(np.std(fracs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    rep = Report()
-    ok = rep.check("thick fractions within [0, 1]",
-                   bool(np.all((fracs >= 0) & (fracs <= 1 + 1e-12))),
-                   f"mean={mean:.6f}")
+    rep.check("thick fractions within [0, 1]",
+              bool(np.all((fracs >= 0) & (fracs <= 1 + 1e-12))), f"mean={mean:.6f}")
     extra = ("", "")
     if space.has_thin_part:
         extra = ("thick_area_fraction", 1.0 - thin_area_fraction(pr["eps"]))
-    _row(rep, "thick-stat", space.describe(), pr["r"], 0.0, n, seed, mean, se,
-         extra, ("eps", pr["eps"]), ok)
-    rep.lines.insert(0, f"thick-stat: mean={mean!r} std_error={se!r}")
-    return rep
+    return (space.describe(), mean, se, extra, ("eps", pr["eps"]),
+            f"mean={mean!r} std_error={se!r}")
 
 
-def _run_p1(cfg, pr):
+def _run_p1(cfg, pr, rep):
     space = _space(cfg)
     frac = stats.p1_fraction(space, space.basepoint(), pr["r"], pr["k"],
-                             pr["eps"], pr["theta"], pr["sigma"], int(pr["n"]),
-                             pr["dt"], int(pr["seed"]))
-    se = math.sqrt(max(frac * (1 - frac), 1.0 / pr["n"]) / pr["n"])
-    rep = Report()
-    ok = rep.check("fraction within [0, 1]", 0.0 <= frac <= 1.0, f"fraction={frac:.4f}")
-    _row(rep, "p1", space.describe(), pr["r"], pr["k"], pr["n"], pr["seed"],
-         frac, se, ("theta", pr["theta"]), ("sigma", pr["sigma"]), ok)
-    rep.lines.insert(0, f"p1: fraction={frac!r}")
-    return rep
+                             pr["eps"], pr["theta"], pr["sigma"], pr["n"],
+                             pr["dt"], pr["seed"])
+    rep.check("fraction within [0, 1]", 0.0 <= frac <= 1.0, f"fraction={frac:.4f}")
+    return (space.describe(), frac, _binomial_se(frac, pr["n"]), ("theta", pr["theta"]),
+            ("sigma", pr["sigma"]), f"fraction={frac!r}")
 
 
-def _run_separation(cfg, pr):
+def _run_separation(cfg, pr, rep):
     space = _space(cfg)
     t = pr["sigma"] * pr["r"]
     frac = stats.separation_fraction(space, space.basepoint(), pr["r"], t,
-                                     pr["M0"], int(pr["n"]), int(pr["seed"]))
-    se = math.sqrt(max(frac * (1 - frac), 1.0 / pr["n"]) / pr["n"])
-    rep = Report()
-    ok = rep.check("fraction within [0, 1]", 0.0 <= frac <= 1.0,
-                   f"fraction={frac:.6f} at t={t:.3f}")
-    _row(rep, "separation", space.describe(), pr["r"], 0.0, pr["n"], pr["seed"],
-         frac, se, ("t", t), ("M0", pr["M0"]), ok)
-    rep.lines.insert(0, f"separation: fraction={frac!r} at t={t!r}")
-    return rep
+                                     pr["M0"], pr["n"], pr["seed"])
+    rep.check("fraction within [0, 1]", 0.0 <= frac <= 1.0,
+              f"fraction={frac:.6f} at t={t:.3f}")
+    return (space.describe(), frac, _binomial_se(frac, pr["n"]), ("t", t),
+            ("M0", pr["M0"]), f"fraction={frac!r} at t={t!r}")
 
 
-def _run_thin_triangle(cfg, pr):
+def _run_thin_triangle(cfg, pr, rep):
     space = _continuous_space(cfg, "thin-triangle")
-    n, seed, r = int(pr["n"]), int(pr["seed"]), pr["r"]
+    n, seed, r = pr["n"], pr["seed"], pr["r"]
     hits = 0
     worst = math.inf
     x = space.basepoint()
@@ -375,54 +360,43 @@ def _run_thin_triangle(cfg, pr):
                                               pr["C"], pr["ds"])
         hits += int(hit)
         worst = min(worst, mind)
-    rep = Report()
     rate = hits / n
-    ok = rep.check("reported minima nonnegative", worst >= 0.0,
-                   f"hit_rate={rate:.3f} min={worst:.4f}")
-    _row(rep, "thin-triangle", space.describe(), r, 0.0, n, seed, rate, 0.0,
-         ("C", pr["C"]), ("min_distance", worst), ok)
-    rep.lines.insert(0, f"thin-triangle: hit_rate={rate!r} min_distance={worst!r}")
-    return rep
+    rep.check("reported minima nonnegative", worst >= 0.0,
+              f"hit_rate={rate:.3f} min={worst:.4f}")
+    return (space.describe(), rate, 0.0, ("C", pr["C"]), ("min_distance", worst),
+            f"hit_rate={rate!r} min_distance={worst!r}")
 
 
-def _run_mahler(cfg, pr):
-    body = _body(cfg)
-    method = cfg.get("body", {}).get("method", _BODY_DEFAULTS["method"])
-    report = convex.mahler(body, method, int(pr["n"]), int(pr["seed"]))
-    rep = Report()
-    ok = rep.check("Mahler volume within bounds", report.ok,
-                   f"{report.lower_bound:.6f} <= {report.value:.6f} <= {report.upper_bound:.6f}")
-    _row(rep, "mahler", body.describe(), 0.0, 0.0, pr["n"], pr["seed"],
-         report.value, report.std_error, ("lower", report.lower_bound),
-         ("upper", report.upper_bound), ok)
-    rep.lines.insert(0, f"mahler: value={report.value!r} std_error={report.std_error!r}")
-    return rep
+def _run_mahler(cfg, pr, rep):
+    body, method = _body(cfg)
+    report = convex.mahler(body, method, pr["n"], pr["seed"])
+    rep.check("Mahler volume within bounds", report.ok,
+              f"{report.lower_bound:.6f} <= {report.value:.6f} <= {report.upper_bound:.6f}")
+    return (body.describe(), report.value, report.std_error, ("lower", report.lower_bound),
+            ("upper", report.upper_bound),
+            f"value={report.value!r} std_error={report.std_error!r}")
 
 
-def _run_densities(cfg, pr):
-    body = _body(cfg)
-    method = cfg.get("body", {}).get("method", _BODY_DEFAULTS["method"])
-    pair = convex.densities(body, method, int(pr["n"]), int(pr["seed"]))
+def _run_densities(cfg, pr, rep):
+    body, method = _body(cfg)
+    pair = convex.densities(body, method, pr["n"], pr["seed"])
     ratio, se = pair.ratio, pair.ratio_std_error
     cap = body.dim ** (body.dim / 2.0)
-    rep = Report()
-    ok = rep.check("density ratio within [1, n^(n/2)]",
-                   1.0 - 3.0 * se - 1e-9 <= ratio <= cap + 3.0 * se + 1e-9,
-                   f"ratio={ratio:.6f}")
-    _row(rep, "densities", body.describe(), 0.0, 0.0, pr["n"], pr["seed"],
-         ratio, se, ("busemann", pair.busemann),
-         ("holmes_thompson", pair.holmes_thompson), ok)
-    rep.lines.insert(0, f"densities: ratio={ratio!r} busemann={pair.busemann!r} "
-                        f"holmes_thompson={pair.holmes_thompson!r}")
-    return rep
+    rep.check("density ratio within [1, n^(n/2)]",
+              1.0 - 3.0 * se - 1e-9 <= ratio <= cap + 3.0 * se + 1e-9,
+              f"ratio={ratio:.6f}")
+    return (body.describe(), ratio, se, ("busemann", pair.busemann),
+            ("holmes_thompson", pair.holmes_thompson),
+            f"ratio={ratio!r} busemann={pair.busemann!r} "
+            f"holmes_thompson={pair.holmes_thompson!r}")
 
 
-def _run_coarse_check(cfg, pr):
-    n, seed, eps0, m0 = int(pr["n"]), int(pr["seed"]), pr["eps"], pr["M0"]
+def _run_coarse_check(cfg, pr, rep):
+    n, seed, eps0, m0 = pr["n"], pr["seed"], pr["eps"], pr["M0"]
     if not (math.isfinite(eps0) and 0.0 < eps0 < 1.0):
         raise ConfigError(f"coarse-check needs 0 < eps < 1, got eps={eps0}")
     floor = coarse.threshold_floor(eps0)
-    counts = np.zeros(4, dtype=np.int64)  # sandwich, twist bounds, chain, identity
+    counts = np.zeros(4, dtype=np.int64)
     for i, (m, rng_twist, rng_ident) in enumerate(chunked(seed, n, (0xB1,), (0xB2,))):
         pairs = coarse.random_pairs(m, seed, eps0, start=i * CHUNK)
         d_c = np.exp(rng_twist.uniform(-5.0, 300.0, m))
@@ -435,29 +409,22 @@ def _run_coarse_check(cfg, pr):
             np.count_nonzero(~coarse.chain_inequality_holds(pairs, m0, profile_size=40)),
             np.count_nonzero(~coarse.max_log_identity(f, g, h, math.e ** 3)[2]),
         ]
-    sandwich_fails, ineq_fails, chain_fails, ident_fails = (int(c) for c in counts)
-    fails = sandwich_fails + ineq_fails + chain_fails + ident_fails
-    rep = Report()
-    rep.check("proxy sandwich (factor 6) above the floor", sandwich_fails == 0,
-              f"{sandwich_fails} failures")
-    rep.check("twist-distance log bounds (factor 4)", ineq_fails == 0,
-              f"{ineq_fails} failures")
-    rep.check("thresholded-sum chain", chain_fails == 0, f"{chain_fails} failures")
-    rep.check("max/sum log identity (factor 3)", ident_fails == 0,
-              f"{ident_fails} failures")
+    labels = ("proxy sandwich (factor 6) above the floor",
+              "twist-distance log bounds (factor 4)", "thresholded-sum chain",
+              "max/sum log identity (factor 3)")
+    for label, count in zip(labels, counts.tolist()):
+        rep.check(label, count == 0, f"{count} failures")
+    fails = int(counts.sum())
     if m0 < floor:
         rep.lines.append(f"NOTE: M0={m0} is below the documented floor {floor:.1f}; "
                          "sandwich guarantees do not apply")
-    _row(rep, "coarse-check", f"profiles(eps0={eps0!r})", 0.0, 0.0, n, seed,
-         float(fails), 0.0, ("M0", m0), ("floor", floor), fails == 0)
-    rep.lines.insert(0, f"coarse-check: failures={fails}")
-    return rep
+    return (f"horoball-pairs(eps0={eps0!r})", fails, 0.0, ("M0", m0), ("floor", floor),
+            f"failures={fails}")
 
 
-def _run_discretize(cfg, pr):
+def _run_discretize(cfg, pr, rep):
     space = _continuous_space(cfg, "discretize")
-    n, seed = int(pr["n"]), int(pr["seed"])
-    tau, c = pr["tau"], pr["c"]
+    n, seed, tau, c = pr["n"], pr["seed"], pr["tau"], pr["c"]
     if tau <= 4 * c:
         raise ConfigError(f"need tau > 4c, got tau={tau}, c={c}")
     x = space.basepoint()
@@ -474,14 +441,10 @@ def _run_discretize(cfg, pr):
             marks_checked += space.batch_size(path.points)
         except StathypError:
             violations += 1
-    rep = Report()
-    ok = rep.check("step-tau and 2c-proximity invariants", violations == 0,
-                   f"{violations} violations over {n} runs")
-    _row(rep, "discretize", space.describe(), pr["r"], 0.0, n, seed,
-         float(violations), 0.0, ("tau", tau), ("c", c), ok)
-    rep.lines.insert(0, f"discretize: violations={violations} "
-                        f"path_points={marks_checked}")
-    return rep
+    rep.check("step-tau and 2c-proximity invariants", violations == 0,
+              f"{violations} violations over {n} runs")
+    return (space.describe(), violations, 0.0, ("tau", tau), ("c", c),
+            f"violations={violations} path_points={marks_checked}")
 
 
 _RUNNERS = {
@@ -498,14 +461,24 @@ _RUNNERS = {
 
 
 def run_config(cfg: dict, seed_override: int | None = None) -> Report:
+    """Run ``cfg``.  Its runner adds the PASS/FAIL lines to the report and
+    returns ``(descriptor, mean, std_error, extra1, extra2, headline)``, each
+    extra a ``(name, value)`` pair or ``("", "")``; the head line and the CSV
+    row are written here, with ``r`` and ``k`` 0.0 where a kind has none."""
     kind = cfg["experiment"]["kind"]
     pr = _params(cfg, kind, seed_override)
+    rep = Report()
     try:
-        return _RUNNERS[kind](cfg, pr)
+        descriptor, mean, se, extra1, extra2, headline = _RUNNERS[kind](cfg, pr, rep)
     except ConfigError:
         raise
     except StathypError as exc:
         raise ConfigError(f"parameter error in {kind}: {exc}") from exc
+    rep.lines.insert(0, f"{kind}: {headline}")
+    rep.row = (kind, descriptor, _fmt(pr.get("r", 0.0)), _fmt(pr.get("k", 0.0)), str(pr["n"]),
+               str(pr["seed"]), _fmt(float(mean)), _fmt(float(se)), extra1[0],
+               _fmt(extra1[1]), extra2[0], _fmt(extra2[1]), "1" if rep.ok else "0")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +502,7 @@ def _atomic_write(path: str, text: str) -> None:
 def render_csv(report: Report) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(report.rows)
+    writer.writerows([CSV_COLUMNS, report.row])
     return buf.getvalue()
 
 
@@ -544,11 +516,10 @@ def _run_one(config_path: str, out_dir: str, seed_override, fmt: str) -> tuple[s
         cfg = parse_config(fh.read())
     report = run_config(cfg, seed_override)
     stem = os.path.splitext(os.path.basename(config_path))[0]
-    _atomic_write(os.path.join(out_dir, stem + ".csv"), render_csv(report))
-    _atomic_write(os.path.join(out_dir, stem + ".summary.txt"),
-                  render_summary(cfg, report))
-    echo = render_csv(report) if fmt == "csv" else render_summary(cfg, report)
-    return echo, report
+    csv_text, summary = render_csv(report), render_summary(cfg, report)
+    _atomic_write(os.path.join(out_dir, stem + ".csv"), csv_text)
+    _atomic_write(os.path.join(out_dir, stem + ".summary.txt"), summary)
+    return (csv_text if fmt == "csv" else summary), report
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -556,24 +527,23 @@ def main(argv: list[str] | None = None) -> int:
         prog="stathyp",
         description="run statistical-hyperbolicity experiments from config files")
     sub = parser.add_subparsers(dest="command", required=True)
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--out", default=".")
+    outputs.add_argument("--seed", type=int, default=None)
+    outputs.add_argument("--format", choices=("csv", "summary"), default="summary")
 
-    p_run = sub.add_parser("run", help="run one experiment config")
+    p_run = sub.add_parser("run", parents=[outputs], help="run one experiment config")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default=".")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--format", choices=("csv", "summary"), default="summary")
 
     sub.add_parser("list", help="print the machine-readable experiment catalog")
 
-    p_sweep = sub.add_parser("sweep", help="run every *.ini config in a directory")
+    p_sweep = sub.add_parser("sweep", parents=[outputs],
+                             help="run every *.ini config in a directory")
     p_sweep.add_argument("--config", required=True, help="directory of configs")
-    p_sweep.add_argument("--out", default=".")
-    p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--workers", type=int, default=1)
-    p_sweep.add_argument("--format", choices=("csv", "summary"), default="summary")
 
     args = parser.parse_args(argv)
-    seed_override = args.seed if getattr(args, "seed", None) is not None else None
+    seed_override = getattr(args, "seed", None)
     if seed_override is None and os.environ.get(SEED_ENV):
         try:
             seed_override = int(os.environ[SEED_ENV])
@@ -601,21 +571,19 @@ def main(argv: list[str] | None = None) -> int:
         with ThreadPoolExecutor(max_workers=max(args.workers, 1)) as pool:
             futures = [pool.submit(_run_one, p, args.out, seed_override, args.format)
                        for p in paths]
-        any_config_error = False
-        all_ok = True
+        code = 0
         for path, future in zip(paths, futures):
             print(f"== {os.path.basename(path)}")
             try:
                 echo, report = future.result()
             except (ConfigError, OSError) as exc:
                 print(f"error: {exc}")
-                any_config_error = True
+                code = 2
                 continue
             print(echo, end="")
-            all_ok = all_ok and report.ok
-        if any_config_error:
-            return 2
-        return 0 if all_ok else 3
+            if not report.ok and code == 0:
+                code = 3
+        return code
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -53,6 +53,12 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError):
             cli.run_config(cfg)
 
+    @pytest.mark.parametrize("text", ["100000", "1e5", "100000.0"])
+    def test_whole_number_spellings(self, text):
+        cfg = cli.parse_config(f"[experiment]\nkind = estimate-e\nn = {text}\n")
+        n = cli._params(cfg, "estimate-e", None)["n"]
+        assert n == 100000 and isinstance(n, int)
+
     def test_case_sensitive_keys(self):
         # C (neighborhood threshold) and c (net separation) must not collide
         cfg = cli.parse_config(
@@ -252,9 +258,21 @@ class TestOtherExperiments:
         (EST_TINY + "seed = -1\n", [], None, "seed=-1"),
         (EST_TINY, ["--seed", "-1"], None, "seed=-1"),
         (EST_TINY, [], "-1", "seed=-1"),
+        (EST_TINY.replace("n = 100", "n = 100.9"), [], None, "[experiment] n = '100.9'"),
+        (EST_TINY + "seed = 1.5\n", [], None, "[experiment] seed = '1.5'"),
+        ("[space]\nkind = tree\nq = 3.9\n" + EST_TINY, [], None, "[space] q = '3.9'"),
+        ("[space]\nkind = sup-product\ncomponents = euclidean dim=1.5 ; euclidean\n" + EST_TINY,
+         [], None, "[space] components = 'euclidean dim=1.5'"),
+        ("[body]\nkind = lp\ndim = 2.5\n" + MAHLER_TINY, [], None, "[body] dim = '2.5'"),
+        ("[spcae]\nkind = hyperbolic\n" + EST_TINY, [], None, "unknown section [spcae]"),
+        ("[space]\ndimm = 3\n" + EST_TINY, [], None, "[space] has no key 'dimm'"),
+        ("[body]\nkind = ellipsoid\naxis = 1, 2\n" + MAHLER_TINY, [], None,
+         "[body] has no key 'axis'"),
     ], ids=["h-abc", "dim-two", "component-without-equals", "h-nan", "h-inf", "tree-h-negative",
             "ellipsoid-without-axes", "lp-p-x", "ellipsoid-nan-axis", "ellipsoid-empty-axes",
-            "seed-negative", "seed-flag-negative", "seed-env-negative"])
+            "seed-negative", "seed-flag-negative", "seed-env-negative", "n-fractional",
+            "seed-fractional", "tree-q-fractional", "component-dim-fractional",
+            "body-dim-fractional", "section-typo", "space-key-typo", "body-key-typo"])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, monkeypatch, text, args, env,
                                       shown):
         # each case used to end in a traceback or in a vacuous PASS

@@ -1,7 +1,9 @@
-"""The benchmark's tracer installs onto the package and comes off again, a
-run that builds no polytope never imports scipy, and the README's layout
-table names only what exists."""
+"""The benchmark's tracer installs onto the package and comes off again, its
+workloads build and run through the CLI, every kind writes its CSV row and
+summary head from its parameters, a run that builds no polytope never imports
+scipy, and the README's layout table and example config hold."""
 
+import csv
 import importlib
 import importlib.util
 import json
@@ -11,16 +13,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from stathyp import cli, coarse, rng, stats
 from stathyp.spaces import EuclideanSpace, RegularTree
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
@@ -28,7 +33,7 @@ def load_tracing():
 def test_tracer_install_and_restore():
     # the tracer patches methods by name, so deleting or renaming one of
     # them shows up here instead of only in a benchmark run
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     runners = dict(cli._RUNNERS)
     patched = (EuclideanSpace.__dict__["distance_many"], RegularTree.__dict__["sample_radii"],
                stats.estimate_spread, rng.substream)
@@ -54,7 +59,7 @@ COARSE_HOOKS = ("random_pairs", "chain_inequality_holds", "horoball_distance", "
 def test_tracer_counts_coarse_hooks():
     # the coarse layer works on batches, so its counters count calls per
     # chunk; random_pairs' items still count every pair drawn
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     originals = {name: getattr(coarse, name) for name in COARSE_HOOKS}
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
@@ -79,10 +84,54 @@ TINY_CONFIGS = {
     "discretize": "[space]\nkind = hyperbolic\n[experiment]\nkind = discretize\nr = 3\nn = 2\n",
     "coarse-check": "[experiment]\nkind = coarse-check\nn = 200\n",
     "mahler": "[experiment]\nkind = mahler\n",
+    "densities": "[experiment]\nkind = densities\n",
     "cube": "[body]\nkind = polytope\ndim = 3\nvertices = " + "; ".join(
         f"{x} {y} {z}" for x in (-1, 1) for y in (-1, 1) for z in (-1, 1))
             + "\n[experiment]\nkind = mahler\n",
 }
+
+
+@pytest.mark.parametrize("kind", sorted(cli.CATALOG))
+def test_row_and_head_follow_the_parameters(tmp_path, capsys, kind):
+    # run_config writes every kind's row and head line: r and k from the
+    # parameters (0.0 where the kind has none), n and seed as parsed, and
+    # pass as the exit code says
+    text = TINY_CONFIGS[kind]
+    path = tmp_path / "c.ini"
+    path.write_text(text)
+    code = cli.main(["run", "--config", str(path), "--out", str(tmp_path)])
+    assert code in (0, 3)
+    params = cli._params(cli.parse_config(text), kind, None)
+    with open(tmp_path / "c.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["experiment"] == kind
+    assert row["r"] == repr(float(params.get("r", 0.0)))
+    assert row["k"] == repr(float(params.get("k", 0.0)))
+    assert (row["n"], row["seed"]) == (str(params["n"]), str(params["seed"]))
+    assert row["pass"] == ("1" if code == 0 else "0")
+    head = (tmp_path / "c.summary.txt").read_text().splitlines()[1]
+    assert head.startswith(f"{kind}: ")
+    assert capsys.readouterr().out.splitlines()[1] == head
+
+
+def test_benchmark_workloads_build_and_run(tmp_path, capsys):
+    # the benchmark builds every config's space or body through cli._space
+    # and cli._body, then runs the tiny variants through cli.main; a CLI
+    # change that breaks either shows up here instead of in a benchmark run
+    workloads = load_perfbench("workloads")
+    for name in workloads.WORKLOADS:
+        configs = workloads.generate(name, 1)
+        paths = workloads.write(configs, str(tmp_path / name), tiny=True)
+        for config, path in zip(configs, paths):
+            cfg = cli.parse_config(config.text())
+            kind = cfg["experiment"]["kind"]
+            if kind in ("mahler", "densities"):
+                cli._body(cfg)
+            elif kind != "coarse-check":
+                cli._space(cfg)
+            assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0, path
+    capsys.readouterr()
+
 
 COLD_START = """
 import contextlib, csv, io, json, os, sys
@@ -143,3 +192,13 @@ def test_readme_layout_names_resolve():
             elif not hasattr(module, name):
                 missing.append(f"{module_name}.{name}")
     assert missing == []
+
+
+def test_readme_example_config_runs(tmp_path, capsys):
+    # configparser reads a ';' after a value as part of the value, so the
+    # example keeps its comments on lines of their own
+    (block,) = re.findall(r"^```ini\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    path = tmp_path / "example.ini"
+    path.write_text(block)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert "PASS" in capsys.readouterr().out
