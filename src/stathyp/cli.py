@@ -48,6 +48,10 @@ class ConfigError(StathypError):
 # ---------------------------------------------------------------------------
 
 _SPACE_DEFAULTS = {"kind": "euclidean", "dim": 2, "p": 2.0, "q": 3}
+# the defaults and keys of one ``kind k=v ...`` token of a sup-product's
+# components (a factor is a line unless it says otherwise)
+_FACTOR_DEFAULTS = {"dim": 1, "p": 2.0, "q": 3}
+_FACTOR_KEYS = (*_FACTOR_DEFAULTS, "h")
 _BODY_DEFAULTS = {"kind": "lp", "dim": 2, "p": 2.0, "method": "exact"}
 # the keys each section may hold; [experiment] keys are checked per kind by _params
 _SECTION_KEYS = {"experiment": None, "space": (*_SPACE_DEFAULTS, "h", "components"),
@@ -151,16 +155,19 @@ def parse_config(text: str) -> dict:
     for section, items in cfg.items():
         if section not in _SECTION_KEYS:
             raise ConfigError(f"unknown section [{section}]; use [space], [experiment] or [body]")
-        unknown = [key for key in items if key not in (_SECTION_KEYS[section] or items)]
-        if unknown:
-            raise ConfigError(f"[{section}] has no key {unknown[0]!r}; "
-                              f"known keys: {' '.join(_SECTION_KEYS[section])}")
+        _check_keys(f"[{section}]", items, _SECTION_KEYS[section] or items)
     if "experiment" not in cfg or "kind" not in cfg["experiment"]:
         raise ConfigError("config needs an [experiment] section with a kind")
     kind = cfg["experiment"]["kind"]
     if kind not in CATALOG:
         raise ConfigError(f"unknown experiment kind {kind!r}; see `stathyp list`")
     return cfg
+
+
+def _check_keys(where: str, items, known) -> None:
+    unknown = [key for key in items if key not in known]
+    if unknown:
+        raise ConfigError(f"{where} has no key {unknown[0]!r}; known keys: {' '.join(known)}")
 
 
 def serialize_config(cfg: dict) -> str:
@@ -172,19 +179,23 @@ def serialize_config(cfg: dict) -> str:
     return buf.getvalue()
 
 
-def _value(section: str, key: str, raw: str | None, convert):
-    """``convert(raw)`` for the ``key`` entry of ``[section]``; a missing or
-    malformed entry is a ConfigError naming the section, the key and the text."""
+def _value(where: str, key: str, raw: str | None, convert):
+    """``convert(raw)`` for the ``key`` entry of the section ``where`` (such as
+    ``[space]``); a missing or malformed entry is a ConfigError naming the
+    section, the key and the text."""
     if raw is None:
-        raise ConfigError(f"[{section}] has no {key} entry")
+        raise ConfigError(f"{where} has no {key} entry")
     try:
         return convert(raw)
     except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not valid: {exc}") from exc
+        raise ConfigError(f"{where} {key} = {raw!r} is not valid: {exc}") from exc
 
 
 def _int(text: str) -> int:
-    value = float(text)
+    try:
+        return int(text)  # exact at any size
+    except ValueError:
+        value = float(text)  # whole-number spellings such as 1e5 or 100000.0
     if not value.is_integer():
         raise ValueError("not a whole number")
     return int(value)
@@ -201,7 +212,7 @@ def _params(cfg: dict, kind: str, seed_override: int | None) -> dict:
             continue
         if key not in out:
             raise ConfigError(f"experiment {kind!r} does not take parameter {key!r}")
-        out[key] = _value("experiment", key, raw, _int if isinstance(out[key], int) else float)
+        out[key] = _value("[experiment]", key, raw, _int if isinstance(out[key], int) else float)
     if seed_override is not None:
         out["seed"] = int(seed_override)
     if out["seed"] < 0:
@@ -213,21 +224,40 @@ def _params(cfg: dict, kind: str, seed_override: int | None) -> dict:
 
 
 def _space(cfg: dict):
-    sec = {**{k: str(v) for k, v in _SPACE_DEFAULTS.items()}, **cfg.get("space", {})}
-    kind = sec["kind"]
-    args = {"dim": _value("space", "dim", sec["dim"], _int),
-            "p": _value("space", "p", sec["p"], float),
-            "q": _value("space", "q", sec["q"], _int),
-            "h": _value("space", "h", sec["h"], float) if sec.get("h") else None}
-    components = None
     try:
-        if kind == "sup-product":
-            text = _value("space", "components", sec.get("components") or None, str)
-            components = [_value("space", "components", c.strip(), _component)
-                          for c in text.split(";") if c.strip()]
-        return make_space(kind, components=components, **args)
+        return _model("[space]", cfg.get("space", {}), _SPACE_DEFAULTS)
     except StathypError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _model(where: str, sec: dict, defaults: dict):
+    """The model space of section ``sec``: ``kind`` plus ``dim p q h``, and the
+    ``components`` of a sup-product, one ``kind k=v ...`` token per factor."""
+    sec = {**{k: str(v) for k, v in defaults.items()}, **sec}
+    args = {"dim": _value(where, "dim", sec["dim"], _int),
+            "p": _value(where, "p", sec["p"], float),
+            "q": _value(where, "q", sec["q"], _int),
+            "h": _value(where, "h", sec["h"], float) if sec.get("h") else None}
+    components = None
+    if sec["kind"] == "sup-product":
+        text = _value(where, "components", sec.get("components") or None, str)
+        components = [_factor(f"{where} components = {token!r}:", token)
+                      for token in map(str.strip, text.split(";")) if token]
+    return make_space(sec["kind"], components=components, **args)
+
+
+def _factor(where: str, token: str):
+    """The product factor of one components token, ``kind k=v ...``, read as
+    a section with the keys ``dim p q h``."""
+    kind, *pairs = token.split()
+    items = {}
+    for pair in pairs:
+        key, eq, value = pair.partition("=")
+        if not eq:
+            raise ConfigError(f"{where} {pair!r} is not key=value")
+        items[key] = value
+    _check_keys(where, items, _FACTOR_KEYS)
+    return _model(where, {"kind": kind, **items}, _FACTOR_DEFAULTS)
 
 
 def _continuous_space(cfg: dict, kind: str):
@@ -235,13 +265,6 @@ def _continuous_space(cfg: dict, kind: str):
     if space.atomic:  # geodesics only at integer times
         raise ConfigError(f"{kind} needs continuous geodesics; {space.kind} has none")
     return space
-
-
-def _component(text: str):
-    kind, *tokens = text.split()
-    kv = dict(t.split("=", 1) for t in tokens)
-    return make_space(kind, dim=_int(kv.get("dim", 1)), p=float(kv.get("p", 2.0)),
-                      q=_int(kv.get("q", 3)), h=float(kv["h"]) if "h" in kv else None)
 
 
 def _polytope_rows(text: str) -> np.ndarray:
@@ -253,12 +276,12 @@ def _body(cfg: dict) -> tuple[convex.ConvexBody, str]:
     sec = {**{k: str(v) for k, v in _BODY_DEFAULTS.items()}, **cfg.get("body", {})}
     kind, method = sec["kind"], sec["method"]
     if kind == "lp":
-        p = _value("body", "p", sec["p"], lambda t: math.inf if t == "oo" else float(t))
-        return convex.LpBall(_value("body", "dim", sec["dim"], _int), p), method
+        p = _value("[body]", "p", sec["p"], lambda t: math.inf if t == "oo" else float(t))
+        return convex.LpBall(_value("[body]", "dim", sec["dim"], _int), p), method
     if kind == "ellipsoid":
-        return convex.Ellipsoid(_value("body", "axes", sec.get("axes"), _floats)), method
+        return convex.Ellipsoid(_value("[body]", "axes", sec.get("axes"), _floats)), method
     if kind == "polytope":
-        rows = _value("body", "vertices", sec.get("vertices"), _polytope_rows)
+        rows = _value("[body]", "vertices", sec.get("vertices"), _polytope_rows)
         return convex.Polytope(rows), method
     raise ConfigError(f"unknown body kind {kind!r}")
 

@@ -182,16 +182,17 @@ def chain_inequality_holds(pairs: HoroballPair, m0: float, profile_size: int | N
 # one substream per drawn field: both length exponents, the zero-twist coin,
 # the twist exponent and the replacement exponent for doubly short pairs
 _PAIR_KEYS = tuple((0xC0A5, field_no) for field_no in range(5))
+# exponent range of the drawn lengths ([_LOG_LO, 0]) and twists
+_LOG_LO, _LOG_HI = -600.0, 600.0
 
 
-def random_pairs(n: int, seed: int, eps0: float, log_lo: float = -600.0,
-                 log_hi: float = 600.0, exclude_both_short: bool = True,
+def random_pairs(n: int, seed: int, eps0: float, exclude_both_short: bool = True,
                  start: int = 0) -> HoroballPair:
     """A batch of log-uniform horoball pairs, optionally off the doubly-short set.
 
-    Lengths are drawn log-uniform with exponent in [log_lo, 0] and the twist
+    Lengths are drawn log-uniform with exponent in [_LOG_LO, 0] and the twist
     is 0 with probability 1/4, else log-uniform with exponent in
-    [log_lo, log_hi]; when ``exclude_both_short`` is set, the larger length
+    [_LOG_LO, _LOG_HI]; when ``exclude_both_short`` is set, the larger length
     of a pair with both lengths below eps0 is redrawn in [eps0, 1], so every
     pair satisfies the hypothesis of the sandwich estimates.
 
@@ -205,9 +206,9 @@ def random_pairs(n: int, seed: int, eps0: float, log_lo: float = -600.0,
     at = 0
     for m, r_x, r_y, r_zero, r_twist, r_lift in chunked(seed, n, *_PAIR_KEYS,
                                                          first=start // CHUNK):
-        l_x = np.exp(r_x.uniform(log_lo, 0.0, m))
-        l_y = np.exp(r_y.uniform(log_lo, 0.0, m))
-        twist = np.exp(r_twist.uniform(log_lo, log_hi, m))
+        l_x = np.exp(r_x.uniform(_LOG_LO, 0.0, m))
+        l_y = np.exp(r_y.uniform(_LOG_LO, 0.0, m))
+        twist = np.exp(r_twist.uniform(_LOG_LO, _LOG_HI, m))
         d_c = np.where(r_zero.uniform(size=m) < 0.25, 0.0, twist)
         if exclude_both_short:
             lift = np.exp(r_lift.uniform(math.log(eps0), 0.0, m))

@@ -47,10 +47,6 @@ class VolumeEstimate:
     std_error: float
     n_samples: int
 
-    @property
-    def exact(self) -> bool:
-        return self.std_error == 0.0
-
 
 class ConvexBody:
     """Base class; subclasses must be centrally symmetric with 0 interior."""
@@ -254,12 +250,7 @@ class MahlerReport:
     std_error: float
     lower_bound: float
     upper_bound: float
-    lower_violated: bool
-    upper_violated: bool
-
-    @property
-    def ok(self) -> bool:
-        return not (self.lower_violated or self.upper_violated)
+    ok: bool  # no bound violated beyond three combined standard errors
 
 
 def mahler(body: ConvexBody, method: str = "exact", n: int = 200_000,
@@ -283,8 +274,7 @@ def mahler(body: ConvexBody, method: str = "exact", n: int = 200_000,
         std_error=se,
         lower_bound=lower,
         upper_bound=upper,
-        lower_violated=value < lower - 3.0 * se - _SYM_TOL,
-        upper_violated=value > upper + 3.0 * se + _SYM_TOL,
+        ok=lower - 3.0 * se - _SYM_TOL <= value <= upper + 3.0 * se + _SYM_TOL,
     )
 
 

@@ -1,12 +1,19 @@
 """Measured-metric-space abstraction shared by all model geometries.
 
 A concrete model implements only its own geometry: its points, the metric,
-batch operations on homogeneous collections of points, rays from a point
-and batch geodesics.  :class:`ModelSpace` writes the shared parts once:
-scalar geodesics read off ``geodesic_points``; one shell sampler,
+batch distances, rays from a point and batch geodesics.  :class:`ModelSpace`
+writes the shared parts once: the batch plumbing; scalar geodesics read off
+``geodesic_points``; one shell sampler,
 ``sample_shell`` (``k = 0`` sphere, ``0 < k < r`` annulus, ``k = r`` ball);
 and the thickness interface (``thick_many``, ``thick``, ``ray_walker``),
 which says "always thick" unless a model has a thin part.
+
+A batch of ``n`` points is an array with ``n`` rows or a tuple of batches
+of ``n`` rows each (a :class:`~stathyp.spaces.tree.TreeBatch`, the factors of
+a product).  ``batch_size``, ``batch_take`` (rows by index array or slice)
+and ``batch_concat`` are written here once, leaf by leaf; only the tree
+overrides ``batch_concat``, to pad label rows to one width.  A model supplies
+``singleton`` and ``batch_get``, the conversions between one point and a batch.
 
 Sampling follows the package-wide determinism contract: the direction and
 the radius of sample ``j`` come from their own substreams of ``(seed, j)``
@@ -18,12 +25,21 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from ..errors import ParameterError, UnsupportedMethodError
 from ..rng import chunked
+
+
+def _leafwise(f: Callable[[list], np.ndarray], batches: Sequence[Any]):
+    """``f`` applied to the matching leaf arrays of equally shaped batches."""
+    head = batches[0]
+    if not isinstance(head, tuple):
+        return f(batches)
+    parts = [_leafwise(f, [b[j] for b in batches]) for j in range(len(head))]
+    return head._make(parts) if hasattr(head, "_make") else tuple(parts)
 
 
 class RayBundle(ABC):
@@ -87,17 +103,21 @@ class ModelSpace(ABC):
 
     # -- batch interface ----------------------------------------------------
 
-    @abstractmethod
     def batch_size(self, batch) -> int:
-        ...
+        while isinstance(batch, tuple):
+            batch = batch[0]
+        return len(batch)
+
+    def batch_take(self, batch, idx):
+        """The rows ``idx`` (an index array or a slice) of ``batch``."""
+        return _leafwise(lambda leaves: leaves[0][idx], [batch])
+
+    def batch_concat(self, batches: Sequence[Any]):
+        return _leafwise(np.concatenate, batches)
 
     @abstractmethod
     def batch_get(self, batch, i: int):
-        ...
-
-    @abstractmethod
-    def batch_concat(self, batches: Sequence[Any]):
-        ...
+        """Point ``i`` of ``batch``."""
 
     @abstractmethod
     def distance_many(self, U, V) -> np.ndarray:
@@ -106,9 +126,6 @@ class ModelSpace(ABC):
     @abstractmethod
     def cross_distance(self, U, V) -> np.ndarray:
         """Full (len(U), len(V)) distance matrix."""
-
-    def distance_point_to(self, p, batch) -> np.ndarray:
-        return self.cross_distance(self.batch_concat([self.singleton(p)]), batch)[0]
 
     @abstractmethod
     def singleton(self, p):

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
 import numpy as np
 
 from ..errors import DomainError, ParameterError
@@ -83,14 +81,8 @@ class EuclideanSpace(ModelSpace):
 
     # -- batches: (n, dim) arrays ------------------------------------------
 
-    def batch_size(self, batch) -> int:
-        return batch.shape[0]
-
     def batch_get(self, batch, i: int) -> np.ndarray:
         return batch[i]
-
-    def batch_concat(self, batches: Sequence[np.ndarray]) -> np.ndarray:
-        return np.vstack(batches)
 
     def singleton(self, p) -> np.ndarray:
         return self._point(p)[None, :]

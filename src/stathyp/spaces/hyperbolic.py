@@ -19,8 +19,6 @@ which is algebraically equivalent and stays accurate near argument 1.
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
 import numpy as np
 
 from ..errors import DomainError, ParameterError
@@ -148,14 +146,8 @@ class HyperbolicPlane(ModelSpace):
 
     # -- batches: complex arrays ---------------------------------------------
 
-    def batch_size(self, batch) -> int:
-        return len(batch)
-
     def batch_get(self, batch, i: int) -> complex:
         return complex(batch[i])
-
-    def batch_concat(self, batches: Sequence[np.ndarray]) -> np.ndarray:
-        return np.concatenate([np.asarray(b, dtype=np.complex128) for b in batches])
 
     def singleton(self, p) -> np.ndarray:
         self.validate_point(p)

@@ -37,15 +37,15 @@ class Net:
     def size(self, space: ModelSpace) -> int:
         return space.batch_size(self.points)
 
-    def nearest(self, space: ModelSpace, p) -> tuple[int, float]:
-        d = space.distance_point_to(p, self.points)
-        i = int(np.argmin(d))
-        return i, float(d[i])
+    def nearest(self, space: ModelSpace, batch) -> tuple[np.ndarray, np.ndarray]:
+        """For each point of ``batch``, the index of its nearest net point and
+        the distance to it."""
+        d = space.cross_distance(batch, self.points)
+        idx = d.argmin(axis=1)
+        return idx, d[np.arange(len(idx)), idx]
 
 
-def _candidate_grid(space: ModelSpace, region, c: float):
-    if not isinstance(region, SegmentRegion):
-        raise ParameterError(f"unknown region descriptor {type(region).__name__}")
+def _candidate_grid(space: ModelSpace, region: SegmentRegion, c: float):
     step = c / 2.0
     space.validate_point(region.u)
     space.validate_point(region.v)
@@ -67,16 +67,14 @@ def build_net(space: ModelSpace, region, c: float) -> Net:
         raise ParameterError(f"net separation must be positive, got {c}")
     candidates = _candidate_grid(space, region, c)
     n = space.batch_size(candidates)
-    kept_idx: list[int] = []
+    kept: list[int] = []
     min_dist = np.full(n, np.inf)
     for i in range(n):
         if min_dist[i] >= c:
-            kept_idx.append(i)
-            d = space.distance_point_to(space.batch_get(candidates, i), candidates)
-            np.minimum(min_dist, d, out=min_dist)
-    points = space.batch_concat(
-        [space.singleton(space.batch_get(candidates, i)) for i in kept_idx])
-    return Net(points, float(c), region)
+            kept.append(i)
+            d = space.cross_distance(space.batch_take(candidates, slice(i, i + 1)), candidates)
+            np.minimum(min_dist, d[0], out=min_dist)
+    return Net(space.batch_take(candidates, np.array(kept)), float(c), region)
 
 
 def check_net(space: ModelSpace, net: Net) -> tuple[float, float]:

@@ -82,23 +82,15 @@ class SupProduct(ModelSpace):
         out = []
         for comp, ui, vi, di in zip(self.components, u, v, dists):
             if di == 0.0:
-                out.append(comp.batch_concat([comp.singleton(ui)] * len(ts)))
+                out.append(comp.batch_take(comp.singleton(ui), np.zeros(len(ts), dtype=int)))
             else:
                 out.append(comp.geodesic_points(ui, vi, ts * (di / total)))
         return tuple(out)
 
     # -- batches: tuples of component batches --------------------------------
 
-    def batch_size(self, batch) -> int:
-        return self.components[0].batch_size(batch[0])
-
     def batch_get(self, batch, i: int) -> tuple:
         return tuple(c.batch_get(b, i) for c, b in zip(self.components, batch))
-
-    def batch_concat(self, batches) -> tuple:
-        return tuple(
-            c.batch_concat([b[j] for b in batches])
-            for j, c in enumerate(self.components))
 
     def singleton(self, p) -> tuple:
         self.validate_point(p)

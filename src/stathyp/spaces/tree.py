@@ -10,8 +10,9 @@ last letter) and its extensions by one non-repeating letter.
 The scalar interface (``distance``, ``geodesic_point``, ``validate_point``,
 ``sphere``, ``batch_get``, ``singleton``) speaks address strings.  Batches are
 :class:`TreeBatch` arrays: one row of labels per address (0 for ``a``),
-padded with -1 past its length.  Batch distances read the longest common
-prefix off the first column where two rows differ or one of them ends.
+padded with -1 past its length.  Distances, scalar ones included, read the
+longest common prefix off the first column where two rows differ or one of
+them ends.
 
 Rays are uniform non-backtracking walks, so sphere samples are uniform over
 the sphere's points.  Distances are integers; geodesics exist only through
@@ -41,14 +42,6 @@ class TreeBatch(NamedTuple):
 
     labels: np.ndarray   # (n, W) int8
     lengths: np.ndarray  # (n,) int64
-
-
-def _lcp(u: str, v: str) -> int:
-    n = min(len(u), len(v))
-    for i in range(n):
-        if u[i] != v[i]:
-            return i
-    return n
 
 
 def _lcp_rows(a: np.ndarray, na: np.ndarray, b: np.ndarray, nb: np.ndarray) -> np.ndarray:
@@ -150,10 +143,7 @@ class RegularTree(ModelSpace):
                 raise DomainError(f"address {p!r} backtracks at position {i}")
 
     def distance(self, u, v) -> float:
-        self.validate_point(u)
-        self.validate_point(v)
-        k = _lcp(u, v)
-        return float(len(u) + len(v) - 2 * k)
+        return float(self.distance_many(self.singleton(u), self.singleton(v))[0])
 
     def _as_step(self, t: float) -> int:
         j = int(round(t))
@@ -174,7 +164,7 @@ class RegularTree(ModelSpace):
             if t < 0:
                 raise ParameterError(f"ray time must be nonnegative, got {t}")
             js.append(self._as_step(t))
-        k = _lcp(u, v)
+        k = int(_lcp_rows(_encode(u), len(u), _encode(v), len(v)))
         up, down = len(u) - k, v[k:]
         # past v: the smallest label that neither repeats the last label nor
         # steps back into the child the ray has just climbed out of
@@ -187,9 +177,6 @@ class RegularTree(ModelSpace):
                             np.asarray(js, dtype=np.int64))
 
     # -- batches: TreeBatch label arrays --------------------------------------
-
-    def batch_size(self, batch: TreeBatch) -> int:
-        return len(batch.lengths)
 
     def batch_get(self, batch: TreeBatch, i: int) -> str:
         row = batch.labels[i, :batch.lengths[i]]

@@ -361,19 +361,18 @@ def discretize_geodesic(space: ModelSpace, net: Net, tau: float,
     if d - times[-1] > _GRID_TOL:
         times = np.append(times, d)
     marks = space.geodesic_points(x, y, times)
-    snapped = []
-    for i in range(space.batch_size(marks)):
-        mark = space.batch_get(marks, i)
-        j, dist = net.nearest(space, mark)
-        if dist > 2.0 * c + _GRID_TOL:
-            raise CoverageError(
-                f"net does not cover the segment: mark at time {times[i]:.6g} "
-                f"is {dist:.6g} from the net (> 2c = {2 * c:.6g})")
-        snapped.append(space.batch_get(net.points, j))
-    pts = space.batch_concat([space.singleton(p) for p in snapped])
-    for i in range(space.batch_size(pts) - 1):
-        gap = space.distance(space.batch_get(pts, i), space.batch_get(pts, i + 1))
-        if gap > tau + _GRID_TOL:
-            raise CoverageError(
-                f"net too sparse: consecutive path points {gap:.6g} > tau = {tau:.6g}")
+    idx, dist = net.nearest(space, marks)
+    far = dist > 2.0 * c + _GRID_TOL
+    if far.any():
+        i = int(far.argmax())
+        raise CoverageError(
+            f"net does not cover the segment: mark at time {times[i]:.6g} "
+            f"is {dist[i]:.6g} from the net (> 2c = {2 * c:.6g})")
+    pts = space.batch_take(net.points, idx)
+    gaps = space.distance_many(space.batch_take(pts, slice(None, -1)),
+                               space.batch_take(pts, slice(1, None)))
+    wide = gaps > tau + _GRID_TOL
+    if wide.any():
+        raise CoverageError(f"net too sparse: consecutive path points "
+                            f"{gaps[wide.argmax()]:.6g} > tau = {tau:.6g}")
     return SamplePath(points=pts, tau=float(tau), c=float(c))

@@ -110,6 +110,12 @@ class TestRun:
         write(cfg_dir, "one.ini", ESTIMATE_CFG)
         write(cfg_dir, "two.ini", ESTIMATE_CFG.replace("seed = 42", "seed = 1"))
         write(cfg_dir, "three.ini", "[experiment]\nkind = separation\nn = 3000\n")
+        # the two kinds that build nets and draw one substream per sample
+        write(cfg_dir, "four.ini", "[space]\nkind = hyperbolic\n\n"
+              "[experiment]\nkind = discretize\nn = 12\nr = 8\n")
+        write(cfg_dir, "five.ini", "[space]\nkind = sup-product\n"
+              "components = hyperbolic ; euclidean dim=2\n\n"
+              "[experiment]\nkind = thin-triangle\nn = 6\nr = 8\nds = 0.1\n")
         outs = []
         for workers in (1, 4):
             out_dir = tmp_path / f"w{workers}"
@@ -119,7 +125,7 @@ class TestRun:
             files = sorted(p.name for p in out_dir.iterdir())
             outs.append((capsys.readouterr().out,
                          [(name, (out_dir / name).read_bytes()) for name in files]))
-        assert len(outs[0][1]) == 6
+        assert len(outs[0][1]) == 10
         assert outs[0] == outs[1]
 
     def test_run_has_no_workers_flag(self, tmp_path):
@@ -153,6 +159,13 @@ class TestRun:
         cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)])
         row = list(csv.reader(io.StringIO((tmp_path / "e.csv").read_text())))[1]
         assert row[5] == "99"
+
+    def test_seed_above_2_53_is_exact(self, tmp_path, capsys):
+        cfg_path = write(tmp_path, "e.ini", EST_TINY + "seed = 9007199254740993\n")
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path),
+                         "--format", "csv"]) == 0
+        row = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1]
+        assert row[5] == "9007199254740993"
 
     def test_csv_format_flag(self, tmp_path, capsys):
         cfg_path = write(tmp_path, "e.ini", ESTIMATE_CFG)
@@ -263,6 +276,10 @@ class TestOtherExperiments:
         ("[space]\nkind = tree\nq = 3.9\n" + EST_TINY, [], None, "[space] q = '3.9'"),
         ("[space]\nkind = sup-product\ncomponents = euclidean dim=1.5 ; euclidean\n" + EST_TINY,
          [], None, "[space] components = 'euclidean dim=1.5'"),
+        ("[space]\nkind = sup-product\ncomponents = euclidean dimm=3 ; euclidean dim=1 bogus=7\n"
+         + EST_TINY, [], None, "[space] components = 'euclidean dimm=3': has no key 'dimm'"),
+        ("[space]\nkind = sup-product\ncomponents = euclidean dim=1 ; euclidean dim=1 bogus=7\n"
+         + EST_TINY, [], None, "[space] components = 'euclidean dim=1 bogus=7': has no key 'bogus'"),
         ("[body]\nkind = lp\ndim = 2.5\n" + MAHLER_TINY, [], None, "[body] dim = '2.5'"),
         ("[spcae]\nkind = hyperbolic\n" + EST_TINY, [], None, "unknown section [spcae]"),
         ("[space]\ndimm = 3\n" + EST_TINY, [], None, "[space] has no key 'dimm'"),
@@ -272,7 +289,8 @@ class TestOtherExperiments:
             "ellipsoid-without-axes", "lp-p-x", "ellipsoid-nan-axis", "ellipsoid-empty-axes",
             "seed-negative", "seed-flag-negative", "seed-env-negative", "n-fractional",
             "seed-fractional", "tree-q-fractional", "component-dim-fractional",
-            "body-dim-fractional", "section-typo", "space-key-typo", "body-key-typo"])
+            "component-key-typo", "component-unknown-key", "body-dim-fractional",
+            "section-typo", "space-key-typo", "body-key-typo"])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, monkeypatch, text, args, env,
                                       shown):
         # each case used to end in a traceback or in a vacuous PASS

@@ -1,6 +1,7 @@
 """Metric axioms, geodesics, samplers, reduction, and nets for all models."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -493,9 +494,13 @@ class TestTreeBatches:
         vs = pts[::-1] + pts[:50] + pts[:50] + ["", "a", "ab", "", "b"]
         got = tree.distance_many(tree_batch(tree, us), tree_batch(tree, vs))
         assert got.dtype == np.float64
-        assert got.tolist() == [tree.distance(u, v) for u, v in zip(us, vs)]
+        # string reference: both lengths minus twice the common prefix
+        def ref(u, v):
+            return len(u) + len(v) - 2 * len(os.path.commonprefix([u, v]))
+        assert got.tolist() == [ref(u, v) for u, v in zip(us, vs)]
+        assert [tree.distance(u, v) for u, v in zip(us, vs)] == got.tolist()
         cross = tree.cross_distance(tree_batch(tree, us[:80]), tree_batch(tree, vs[-70:]))
-        assert cross.tolist() == [[tree.distance(u, v) for v in vs[-70:]] for u in us[:80]]
+        assert cross.tolist() == [[ref(u, v) for v in vs[-70:]] for u in us[:80]]
 
     def test_geodesic_points_match_geodesic_point(self):
         tree = RegularTree(3)
@@ -519,6 +524,33 @@ class TestTreeBatches:
             bundle.points_at(6.0)
         with pytest.raises(ParameterError):
             bundle.points_at(np.array([1.0, 2.0, 6.0, 0.0]))
+
+
+BATCH_SPACES = [EuclideanSpace(2), HyperbolicPlane(), ModularTorus(), RegularTree(3),
+                SupProduct([HyperbolicPlane(), EuclideanSpace(2)])]
+
+
+@pytest.mark.parametrize("space", BATCH_SPACES, ids=space_id)
+def test_batch_layer_agrees_with_batch_get(space):
+    pts = random_points(space, 12, seed=7)
+    if space.atomic:  # rows of different lengths, the root among them
+        assert len({len(p) for p in pts}) > 3
+        pts[4] = ""
+    parts = [space.batch_concat([space.singleton(p) for p in pts[:5]]),
+             space.batch_concat([space.singleton(p) for p in pts[5:]])]
+    batch = space.batch_concat(parts)
+    assert [space.batch_size(b) for b in (*parts, batch)] == [5, 7, 12]
+    assert all(same_point(space.batch_get(batch, i), p) for i, p in enumerate(pts))
+    for idx in (np.array([11, 0, 4, 4, 7]), np.arange(12)[::-1], np.array([], dtype=int),
+                slice(3, 9), slice(None, -1)):
+        rows = range(12)[idx] if isinstance(idx, slice) else idx.tolist()
+        taken = space.batch_take(batch, idx)
+        assert space.batch_size(taken) == len(rows)
+        assert all(same_point(space.batch_get(taken, j), pts[i]) for j, i in enumerate(rows))
+    # taken rows keep their distances
+    idx = np.array([2, 9, 5])
+    assert np.array_equal(space.cross_distance(space.batch_take(batch, idx), batch),
+                          space.cross_distance(batch, batch)[idx])
 
 
 class TestSupProduct:
@@ -566,8 +598,10 @@ class TestNets:
     def test_nearest(self):
         eu = euclid_line()
         net = Net(points=np.arange(0.0, 11.0)[:, None], c=0.5, region=None)
-        idx, dist = net.nearest(eu, np.array([3.4]))
-        assert idx == 3 and dist == pytest.approx(0.4)
+        # 5.5 ties between 5 and 6; the first net point wins
+        idx, dist = net.nearest(eu, np.array([[3.4], [9.9], [-2.0], [5.5]]))
+        assert idx.tolist() == [3, 10, 0, 5]
+        assert dist == pytest.approx([0.4, 0.1, 2.0, 0.5])
 
 
 class TestFactory:

@@ -285,8 +285,16 @@ class TestDiscretizer:
     def test_coverage_error_when_net_elsewhere(self):
         eu = EuclideanSpace(1)
         net = Net(points=np.array([[50.0], [51.0]]), c=0.5, region=None)
-        with pytest.raises(CoverageError):
+        with pytest.raises(CoverageError, match="mark at time 0 is 50 from the net"):
             stats.discretize_geodesic(eu, net, 3.0, (np.array([0.0]), np.array([5.0])))
+
+    def test_coverage_error_names_first_wide_gap(self):
+        # marks every 1.5 all lie within 2c of this net, but the snapped
+        # path jumps 3.0 and then 3.1 > tau
+        eu = EuclideanSpace(1)
+        net = Net(points=np.array([[0.9], [3.9], [7.0]]), c=0.5, region=None)
+        with pytest.raises(CoverageError, match="points 3 > tau = 2.5"):
+            stats.discretize_geodesic(eu, net, 2.5, (np.array([0.0]), np.array([7.0])))
 
     def test_tau_floor(self):
         eu = EuclideanSpace(1)
