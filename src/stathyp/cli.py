@@ -30,7 +30,7 @@ import numpy as np
 from . import coarse, convex, stats
 from .errors import StathypError
 from .rng import CHUNK, chunked, substream
-from .spaces import SegmentRegion, build_net, make_space, thin_area_fraction
+from .spaces import SegmentRegion, build_net, make_space, space_kind, thin_area_fraction
 
 SEED_ENV = "STATHYP_SEED"
 
@@ -48,10 +48,13 @@ class ConfigError(StathypError):
 # ---------------------------------------------------------------------------
 
 _SPACE_DEFAULTS = {"kind": "euclidean", "dim": 2, "p": 2.0, "q": 3}
-# the defaults and keys of one ``kind k=v ...`` token of a sup-product's
-# components (a factor is a line unless it says otherwise)
+# the defaults of one ``kind k=v ...`` token of a sup-product's components
+# (a factor is a line unless it says otherwise)
 _FACTOR_DEFAULTS = {"dim": 1, "p": 2.0, "q": 3}
-_FACTOR_KEYS = (*_FACTOR_DEFAULTS, "h")
+# the keys each space kind reads, in [space] and in a factor token alike
+_KIND_KEYS = {"euclidean-p-norm": ("dim", "p", "h"), "hyperbolic-plane": ("h",),
+              "modular-torus": ("h",), "regular-tree": ("q", "h"),
+              "sup-product": ("components", "h")}
 _BODY_DEFAULTS = {"kind": "lp", "dim": 2, "p": 2.0, "method": "exact"}
 # the keys each section may hold; [experiment] keys are checked per kind by _params
 _SECTION_KEYS = {"experiment": None, "space": (*_SPACE_DEFAULTS, "h", "components"),
@@ -164,10 +167,12 @@ def parse_config(text: str) -> dict:
     return cfg
 
 
-def _check_keys(where: str, items, known) -> None:
+def _check_keys(where: str, items, known, kind: str = "") -> None:
     unknown = [key for key in items if key not in known]
     if unknown:
-        raise ConfigError(f"{where} has no key {unknown[0]!r}; known keys: {' '.join(known)}")
+        of = f" for kind {kind!r}" if kind else ""
+        raise ConfigError(f"{where} has no key {unknown[0]!r}{of}; "
+                          f"known keys: {' '.join(known)}")
 
 
 def serialize_config(cfg: dict) -> str:
@@ -223,6 +228,9 @@ def _params(cfg: dict, kind: str, seed_override: int | None) -> dict:
     return out
 
 
+_NUMBER_KEYS = {"dim": _int, "p": float, "q": _int}
+
+
 def _space(cfg: dict):
     try:
         return _model("[space]", cfg.get("space", {}), _SPACE_DEFAULTS)
@@ -231,24 +239,27 @@ def _space(cfg: dict):
 
 
 def _model(where: str, sec: dict, defaults: dict):
-    """The model space of section ``sec``: ``kind`` plus ``dim p q h``, and the
-    ``components`` of a sup-product, one ``kind k=v ...`` token per factor."""
-    sec = {**{k: str(v) for k, v in defaults.items()}, **sec}
-    args = {"dim": _value(where, "dim", sec["dim"], _int),
-            "p": _value(where, "p", sec["p"], float),
-            "q": _value(where, "q", sec["q"], _int),
-            "h": _value(where, "h", sec["h"], float) if sec.get("h") else None}
-    components = None
-    if sec["kind"] == "sup-product":
-        text = _value(where, "components", sec.get("components") or None, str)
-        components = [_factor(f"{where} components = {token!r}:", token)
-                      for token in map(str.strip, text.split(";")) if token]
-    return make_space(sec["kind"], components=components, **args)
+    """The model space of section ``sec``: ``kind`` plus the keys that kind
+    reads (``_KIND_KEYS``), where the ``components`` of a sup-product hold one
+    ``kind k=v ...`` token per factor.  A key the kind does not read is a
+    ConfigError; ``defaults`` fill in only what ``sec`` leaves out."""
+    merged = {**{k: str(v) for k, v in defaults.items()}, **sec}
+    kind = merged["kind"]
+    known = _KIND_KEYS[space_kind(kind)]
+    _check_keys(where, [key for key in sec if key != "kind"], known, kind)
+    args = {key: _value(where, key, merged[key], convert)
+            for key, convert in _NUMBER_KEYS.items() if key in known}
+    if merged.get("h"):
+        args["h"] = _value(where, "h", merged["h"], float)
+    if "components" in known:
+        text = _value(where, "components", merged.get("components") or None, str)
+        args["components"] = [_factor(f"{where} components = {token!r}:", token)
+                              for token in map(str.strip, text.split(";")) if token]
+    return make_space(kind, **args)
 
 
 def _factor(where: str, token: str):
-    """The product factor of one components token, ``kind k=v ...``, read as
-    a section with the keys ``dim p q h``."""
+    """The product factor of one components token, ``kind k=v ...``."""
     kind, *pairs = token.split()
     items = {}
     for pair in pairs:
@@ -256,7 +267,6 @@ def _factor(where: str, token: str):
         if not eq:
             raise ConfigError(f"{where} {pair!r} is not key=value")
         items[key] = value
-    _check_keys(where, items, _FACTOR_KEYS)
     return _model(where, {"kind": kind, **items}, _FACTOR_DEFAULTS)
 
 

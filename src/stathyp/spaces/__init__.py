@@ -26,6 +26,7 @@ __all__ = [
     "check_net",
     "thin_area_fraction",
     "make_space",
+    "space_kind",
 ]
 
 _KIND_ALIASES = {
@@ -41,13 +42,18 @@ _KIND_ALIASES = {
 }
 
 
+def space_kind(kind: str) -> str:
+    """The canonical name of a space kind or of one of its aliases."""
+    try:
+        return _KIND_ALIASES[kind]
+    except KeyError:
+        raise ParameterError(f"unknown space kind {kind!r}") from None
+
+
 def make_space(kind: str, *, dim: int = 2, p: float = 2.0, q: int = 3,
                h: float | None = None, components: list[ModelSpace] | None = None) -> ModelSpace:
     """Build a model space from a flat parameter set (CLI entry point)."""
-    try:
-        canonical = _KIND_ALIASES[kind]
-    except KeyError:
-        raise ParameterError(f"unknown space kind {kind!r}") from None
+    canonical = space_kind(kind)
     if canonical == "euclidean-p-norm":
         return EuclideanSpace(dim=dim, p=p, h=0.0 if h is None else h)
     if canonical == "hyperbolic-plane":

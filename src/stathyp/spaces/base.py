@@ -5,6 +5,8 @@ batch distances, rays from a point and batch geodesics.  :class:`ModelSpace`
 writes the shared parts once: the batch plumbing; scalar geodesics read off
 ``geodesic_points``; one shell sampler,
 ``sample_shell`` (``k = 0`` sphere, ``0 < k < r`` annulus, ``k = r`` ball);
+the pair-distance kernel ``ray_pair_distances`` of the estimators that sample
+from one basepoint, by default ``distance_many`` of the two bundles' points;
 and the thickness interface (``thick_many``, ``thick``, ``ray_walker``),
 which says "always thick" unless a model has a thin part.
 
@@ -127,6 +129,11 @@ class ModelSpace(ABC):
     def cross_distance(self, U, V) -> np.ndarray:
         """Full (len(U), len(V)) distance matrix."""
 
+    def ray_pair_distances(self, by: RayBundle, ty, bz: RayBundle, tz) -> np.ndarray:
+        """Row-wise distances d(by_j(ty_j), bz_j(tz_j)) between the rays of two
+        bundles from one basepoint; each time is a scalar or one per ray."""
+        return self.distance_many(by.points_at(ty), bz.points_at(tz))
+
     @abstractmethod
     def singleton(self, p):
         """Batch holding the single point ``p``."""
@@ -157,12 +164,6 @@ class ModelSpace(ABC):
         models with discrete geodesics need it.
         """
 
-    def shell_chunk(self, x, r: float, k: float, m: int,
-                    rng_dir: np.random.Generator, rng_rad: np.random.Generator):
-        """``m`` shell points: directions from ``rng_dir``, radii from ``rng_rad``."""
-        bundle = self.rays_chunk(x, m, rng_dir, horizon=r)
-        return bundle.points_at(self.sample_radii(rng_rad, m, r, k))
-
     def sample_shell(self, x, r: float, k: float, n: int, seed: int):
         """``n`` points with distance to ``x`` in [r-k, r].
 
@@ -179,7 +180,8 @@ class ModelSpace(ABC):
             raise ParameterError(f"need at least one sample, got {n}")
         # the keys of the first sample of stats.estimate_spread
         return self.batch_concat([
-            self.shell_chunk(x, r, k, m, rng_dir, rng_rad)
+            self.rays_chunk(x, m, rng_dir, horizon=r).points_at(
+                self.sample_radii(rng_rad, m, r, k))
             for m, rng_dir, rng_rad in chunked(seed, n, (0,), (2,))])
 
     def sample_radii(self, rng: np.random.Generator, count: int, r: float, k: float) -> np.ndarray:

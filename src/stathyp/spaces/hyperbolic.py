@@ -14,6 +14,12 @@ boundary).  Distances use the asinh form of the arccosh formula,
     d(u, v) = 2 asinh( |u - v| / (2 sqrt(Im u Im v)) ),
 
 which is algebraically equivalent and stays accurate near argument 1.
+
+Pairs of rays from one basepoint need no Cartesian points at all:
+``ray_pair_distances`` takes their distances from the law of cosines in a
+form that holds at any radius.  Cartesian coordinates leave the float range
+near t = 355 (the squared height overflows), and past that ``points_at`` and
+``geodesic_points`` raise a DomainError naming the time.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from ..errors import DomainError, ParameterError
 from .base import ModelSpace, RayBundle
 
 _VERTICAL_RTOL = 1e-13
+_LN2 = math.log(2.0)
+_LOG_ASINH_TAIL = 27.0 * _LN2
 
 
 def mobius_apply(a, b, c, d, x, y):
@@ -64,19 +72,35 @@ def _ray_matrices(x: complex, phi: np.ndarray):
     return a, b, c, d
 
 
+def _uhp_points(x, y, t) -> np.ndarray:
+    """``x + iy``, or a DomainError naming the largest time ``t`` whose point
+    left the float range of upper-half-plane coordinates."""
+    bad = ~(np.isfinite(x) & np.isfinite(y) & (y > 0.0))
+    if bad.any():
+        late = float(np.broadcast_to(t, bad.shape)[bad].max())
+        raise DomainError(f"time {late!r} is past the float range of "
+                          "upper-half-plane coordinates")
+    return x + 1j * y
+
+
 class HyperbolicRays(RayBundle):
-    def __init__(self, a, b, c, d):
-        self.a, self.b, self.c, self.d = a, b, c, d
+    """Rays from ``x`` with direction parameters ``phi``; the ray matrices
+    are built only where Cartesian points are asked for."""
+
+    def __init__(self, x: complex, phi: np.ndarray):
+        self.x, self.phi = x, phi
 
     @property
     def size(self) -> int:
-        return len(self.a)
+        return len(self.phi)
 
     def points_at(self, t):
         t = np.asarray(t, dtype=np.float64)
-        e = np.exp(t)
-        x, y = mobius_apply(self.a, self.b, self.c, self.d, 0.0 * e, e)
-        return x + 1j * y
+        a, b, c, d = _ray_matrices(self.x, self.phi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(t)
+            x, y = mobius_apply(a, b, c, d, 0.0 * e, e)
+        return _uhp_points(x, y, t)
 
 
 class HyperbolicPlane(ModelSpace):
@@ -132,13 +156,14 @@ class HyperbolicPlane(ModelSpace):
             raise ParameterError("ray times must be nonnegative")
         g, hu, hv = self._axis_map(u, v)
         sgn = 1.0 if hv > hu else -1.0
-        heights = hu * np.exp(sgn * ts)
         a, b, c, d = g
         # adjugate: inverse up to the (positive) determinant, which Mobius
         # action ignores
         ia, ib, ic, id_ = d, -b, -c, a
-        x, y = mobius_apply(ia, ib, ic, id_, np.zeros_like(heights), heights)
-        out = x + 1j * y
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            heights = hu * np.exp(sgn * ts)
+            x, y = mobius_apply(ia, ib, ic, id_, np.zeros_like(heights), heights)
+        out = _uhp_points(x, y, ts)
         exact = ts == 0.0
         if np.any(exact):
             out = np.where(exact, complex(u), out)
@@ -159,9 +184,34 @@ class HyperbolicPlane(ModelSpace):
     def cross_distance(self, U, V) -> np.ndarray:
         return uhp_distance(U.real[:, None], U.imag[:, None], V.real[None, :], V.imag[None, :])
 
+    def ray_pair_distances(self, by, ty, bz, tz) -> np.ndarray:
+        """The law of cosines about the common basepoint, angle 2(phi_y - phi_z):
+
+            sinh^2(d/2) = sinh^2((ty - tz)/2) + sinh ty sinh tz sin^2(phi_y - phi_z)
+
+        With the factor e^(ty+tz)/4 taken out, the right side is e^(ty+tz) w / 4,
+        where w lies in [0, 2], so no radius overflows."""
+        if by.x != bz.x:
+            raise DomainError(f"ray pairs need one basepoint, got {by.x} and {bz.x}")
+        ty = np.asarray(ty, dtype=np.float64)
+        tz = np.asarray(tz, dtype=np.float64)
+        lo = np.minimum(ty, tz)
+        gap = np.expm1(lo - np.maximum(ty, tz))
+        # sin^2 as tan^2 / (1 + tan^2): numpy's float64 tan is several times
+        # faster than its sin, and |tan| stays below 2e16 on floats
+        tan2 = np.tan(by.phi - bz.phi)
+        tan2 *= tan2
+        sin2 = tan2 / (1.0 + tan2)
+        w = np.exp(-2.0 * lo) * gap * gap + np.expm1(-2.0 * ty) * np.expm1(-2.0 * tz) * sin2
+        with np.errstate(divide="ignore"):
+            log_w = np.log(w)  # -inf, and then d = 0, where y = z
+        log_v = 0.5 * (ty + tz + log_w) - _LN2  # v = sinh(d/2)
+        # asinh(v) = log(2v) to double precision once v > 2^27
+        near = 2.0 * np.arcsinh(np.exp(np.minimum(log_v, _LOG_ASINH_TAIL)))
+        return np.where(log_v > _LOG_ASINH_TAIL, ty + tz + log_w, near)
+
     # -- sampling -----------------------------------------------------------
 
     def rays_chunk(self, x, count, rng, horizon) -> HyperbolicRays:
         self.validate_point(x)
-        phi = rng.uniform(0.0, math.pi, size=count)
-        return HyperbolicRays(*_ray_matrices(complex(x), phi))
+        return HyperbolicRays(complex(x), rng.uniform(0.0, math.pi, size=count))

@@ -84,9 +84,11 @@ def estimate_spread(space: ModelSpace, x, r: float, k: float, n: int,
     s1_parts, s2_parts = [], []
     # keys: directions of y and z, then radii of y and z
     for m, dir_y, dir_z, rad_y, rad_z in chunked(seed, n, (0,), (1,), (2,), (3,)):
-        ys = space.shell_chunk(x, r, k, m, dir_y, rad_y)
-        zs = space.shell_chunk(x, r, k, m, dir_z, rad_z)
-        q = space.distance_many(ys, zs) / r
+        by = space.rays_chunk(x, m, dir_y, horizon=r)
+        ty = space.sample_radii(rad_y, m, r, k)
+        bz = space.rays_chunk(x, m, dir_z, horizon=r)
+        tz = space.sample_radii(rad_z, m, r, k)
+        q = space.ray_pair_distances(by, ty, bz, tz) / r
         s1_parts.append(float(q.sum()))
         s2_parts.append(float((q * q).sum()))
     s1 = deterministic_sum(s1_parts)
@@ -240,7 +242,7 @@ def separation_fraction(space: ModelSpace, x, r: float, t: float, m0: float,
     for m, rng_y, rng_z in chunked(seed, n, (0, stream), (1, stream)):
         by = space.rays_chunk(x, m, rng_y, horizon=r)
         bz = space.rays_chunk(x, m, rng_z, horizon=r)
-        d = space.distance_many(by.points_at(t), bz.points_at(t))
+        d = space.ray_pair_distances(by, t, bz, t)
         hit_parts.append(float((d < m0).sum()))
     return deterministic_sum(hit_parts) / n
 

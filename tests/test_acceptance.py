@@ -6,13 +6,14 @@ computed independently of the code paths they check.
 """
 
 import math
+import os
 import time
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from stathyp import coarse, convex, stats
+from stathyp import cli, coarse, convex, stats
 from stathyp.spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus,
                             RegularTree, SegmentRegion, SupProduct, build_net)
 
@@ -48,10 +49,15 @@ def test_01_euclidean_plane_spread():
 
 def hyperbolic_spread_oracle(r: float) -> float:
     """Quadrature of the chord formula 2 asinh(sinh r sin(theta/2)) over
-    uniformly distributed direction pairs."""
-    val, err = integrate.quad(
-        lambda th: 2.0 * math.asinh(math.sinh(r) * math.sin(0.5 * th)),
-        0.0, math.pi, limit=200)
+    uniformly distributed direction pairs, with asinh(e^L) written as
+    logaddexp(L, log sqrt(e^(2L) + 1)) so that it holds at any radius."""
+    log_sinh_r = r + math.log1p(-math.exp(-2.0 * r)) - math.log(2.0)
+
+    def chord(th):
+        lv = log_sinh_r + math.log(math.sin(0.5 * th))
+        return 2.0 * float(np.logaddexp(lv, 0.5 * np.logaddexp(2.0 * lv, 0.0)))
+
+    val, err = integrate.quad(chord, 0.0, math.pi, limit=200)
     assert err / (math.pi * r) < 1e-6  # far below the Monte Carlo tolerance
     return val / (math.pi * r)
 
@@ -81,8 +87,10 @@ def test_03_tree_exactness():
     tree = RegularTree(3)
 
     def exact(r: int) -> float:
+        # string reference: both lengths minus twice the common prefix
         sphere = tree.sphere("", r)
-        total = sum(tree.distance(y, z) for y in sphere for z in sphere)
+        total = sum(len(y) + len(z) - 2 * len(os.path.commonprefix([y, z]))
+                    for y in sphere for z in sphere)
         return total / (len(sphere) ** 2 * r)
 
     assert exact(2) == pytest.approx(1.5)
@@ -332,3 +340,25 @@ def test_12_discretizer_invariants():
     ok = violations == 0 and runs == 1000
     assert report(12, "discretizer invariants", ok,
                   f"violations={violations}/{runs}")
+
+
+# -- 13 ---------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("error")
+def test_13_spread_exact_at_any_radius(tmp_path, capsys):
+    # the Cartesian points overflow near r = 355; the pair kernel does not
+    details = []
+    ok = True
+    for kind in ("hyperbolic", "modular"):
+        for r in (356.0, 400.0, 1e3, 1e4):
+            path = tmp_path / "far.ini"
+            path.write_text(f"[space]\nkind = {kind}\n\n[experiment]\n"
+                            f"kind = estimate-e\nr = {r!r}\n")
+            code = cli.main(["run", "--config", str(path), "--out", str(tmp_path),
+                             "--format", "csv"])
+            row = capsys.readouterr().out.splitlines()[-1].split(",")
+            mean, se = float(row[-7]), float(row[-6])
+            z = (mean - hyperbolic_spread_oracle(r)) / se
+            ok = ok and code == 0 and abs(z) <= 3.0
+            details.append(f"{kind}@{r:g}: z={z:+.2f}")
+    assert report(13, "hyperbolic spread exact at any radius", ok, " ".join(details))

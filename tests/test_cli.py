@@ -210,6 +210,23 @@ class TestOtherExperiments:
         assert "needs continuous geodesics" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("space", ["hyperbolic", "modular"])
+    def test_separation_exact_past_the_cartesian_horizon(self, tmp_path, capsys, space):
+        # d <= 2t < M0 for every pair at t = 400, where the Cartesian points overflow
+        text = (f"[space]\nkind = {space}\n\n[experiment]\nkind = separation\n"
+                "r = 800\nsigma = 0.5\nM0 = 1000\nn = 1000\n")
+        cfg_path = write(tmp_path, "far.ini", text)
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        assert "separation: fraction=1.0 at t=400.0" in capsys.readouterr().out
+
+    def test_thin_triangle_past_the_float_horizon_exits_2(self, tmp_path, capsys):
+        text = "[space]\nkind = hyperbolic\n\n[experiment]\nkind = thin-triangle\nr = 400\n"
+        cfg_path = write(tmp_path, "far.ini", text)
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "past the float range of upper-half-plane coordinates" in err
+        assert "Traceback" not in err and not (tmp_path / "far.csv").exists()
+
     def test_coarse_check_config(self, tmp_path):
         text = "[experiment]\nkind = coarse-check\nn = 2000\n"
         cfg_path = write(tmp_path, "cc.ini", text)
@@ -285,12 +302,26 @@ class TestOtherExperiments:
         ("[space]\ndimm = 3\n" + EST_TINY, [], None, "[space] has no key 'dimm'"),
         ("[body]\nkind = ellipsoid\naxis = 1, 2\n" + MAHLER_TINY, [], None,
          "[body] has no key 'axis'"),
+        ("[space]\nkind = hyperbolic\ndim = 7\nq = 9\n" + EST_TINY, [], None,
+         "[space] has no key 'dim' for kind 'hyperbolic'"),
+        ("[space]\nkind = modular\ncomponents = euclidean ; euclidean\n" + EST_TINY, [], None,
+         "[space] has no key 'components' for kind 'modular'"),
+        ("[space]\nkind = tree\np = 1\n" + EST_TINY, [], None,
+         "[space] has no key 'p' for kind 'tree'"),
+        ("[space]\nq = 4\n" + EST_TINY, [], None,
+         "[space] has no key 'q' for kind 'euclidean'"),
+        ("[space]\nkind = sup-product\ndim = 2\ncomponents = euclidean ; euclidean\n"
+         + EST_TINY, [], None, "[space] has no key 'dim' for kind 'sup-product'"),
+        ("[space]\nkind = sup-product\ncomponents = hyperbolic dim=3 ; euclidean\n" + EST_TINY,
+         [], None, "'hyperbolic dim=3': has no key 'dim' for kind 'hyperbolic'"),
     ], ids=["h-abc", "dim-two", "component-without-equals", "h-nan", "h-inf", "tree-h-negative",
             "ellipsoid-without-axes", "lp-p-x", "ellipsoid-nan-axis", "ellipsoid-empty-axes",
             "seed-negative", "seed-flag-negative", "seed-env-negative", "n-fractional",
             "seed-fractional", "tree-q-fractional", "component-dim-fractional",
             "component-key-typo", "component-unknown-key", "body-dim-fractional",
-            "section-typo", "space-key-typo", "body-key-typo"])
+            "section-typo", "space-key-typo", "body-key-typo", "hyperbolic-stray-keys",
+            "modular-stray-components", "tree-stray-p", "euclidean-stray-q",
+            "product-stray-dim", "factor-stray-dim"])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, monkeypatch, text, args, env,
                                       shown):
         # each case used to end in a traceback or in a vacuous PASS

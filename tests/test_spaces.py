@@ -12,6 +12,7 @@ from scipy import stats as sps
 from stathyp.errors import (DomainError, ParameterError,
                             UnsupportedMethodError)
 from stathyp.rng import CHUNK
+from stathyp.spaces.base import ModelSpace
 from stathyp.spaces import (EuclideanSpace, HyperbolicPlane,
                             ModularTorus, Net, RegularTree, SegmentRegion,
                             SupProduct, build_net, check_net, make_space,
@@ -551,6 +552,80 @@ def test_batch_layer_agrees_with_batch_get(space):
     idx = np.array([2, 9, 5])
     assert np.array_equal(space.cross_distance(space.batch_take(batch, idx), batch),
                           space.cross_distance(batch, batch)[idx])
+
+
+H2_TYPE = [HyperbolicPlane(), ModularTorus(),
+           SupProduct([HyperbolicPlane(), HyperbolicPlane()]),
+           SupProduct([HyperbolicPlane(), euclid_line()])]
+
+
+def ray_pair(space, x, m, r, k, seed):
+    """Two bundles of ``m`` rays from ``x`` with shell radii in [r-k, r]."""
+    rngs = [np.random.default_rng([seed, j]) for j in range(4)]
+    by, bz = (space.rays_chunk(x, m, rng, horizon=r) for rng in rngs[:2])
+    ty, tz = (space.sample_radii(rng, m, r, k) for rng in rngs[2:])
+    return by, ty, bz, tz
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("space", H2_TYPE, ids=space_id)
+class TestRayPairDistances:
+    """The closed-form pair kernel against the Cartesian points it replaces."""
+
+    def basepoints(self, space):
+        if isinstance(space, SupProduct):
+            return [space.basepoint(), tuple(0.3 + 2.5j if c.kind == "hyperbolic-plane"
+                                             else c.basepoint() for c in space.components)]
+        return [1j, 0.3 + 2.5j]
+
+    @pytest.mark.parametrize("r", [0.5, 3.0, 20.0, 40.0], ids=space_id)
+    def test_agrees_with_cartesian_points(self, space, r):
+        for x in self.basepoints(space):
+            for k in (0.0, 0.25 * r, r):  # sphere, annulus, ball
+                by, ty, bz, tz = ray_pair(space, x, 4000, r, k, seed=int(8 * r))
+                got = space.ray_pair_distances(by, ty, bz, tz)
+                ref = ModelSpace.ray_pair_distances(space, by, ty, bz, tz)
+                assert np.allclose(got, ref, rtol=1e-11, atol=0.0)
+            got = space.ray_pair_distances(by, r, bz, r)  # scalar times
+            ref = ModelSpace.ray_pair_distances(space, by, r, bz, r)
+            assert np.allclose(got, ref, rtol=1e-11, atol=0.0)
+
+    def test_equal_rays_and_time_zero_are_exactly_zero(self, space):
+        by, ty, bz, _ = ray_pair(space, space.basepoint(), 200, 30.0, 30.0, seed=5)
+        assert np.all(space.ray_pair_distances(by, ty, by, ty) == 0.0)
+        assert np.all(space.ray_pair_distances(by, 1e4, by, 1e4) == 0.0)
+        assert np.all(space.ray_pair_distances(by, 0.0, bz, np.zeros(200)) == 0.0)
+
+    def test_finite_far_past_the_cartesian_horizon(self, space):
+        by, _, bz, _ = ray_pair(space, space.basepoint(), 500, 1.0, 0.0, seed=6)
+        for t in (400.0, 1e4):
+            d = space.ray_pair_distances(by, t, bz, t)
+            assert np.all(np.isfinite(d)) and np.all((d >= 0.0) & (d <= 2.0 * t))
+            if not isinstance(space, SupProduct):  # factor speeds below 1 shorten products
+                assert np.median(d) > 1.99 * t
+
+
+def test_ray_pairs_need_one_basepoint():
+    hyp = HyperbolicPlane()
+    by = hyp.rays_chunk(1j, 4, np.random.default_rng(1), horizon=1.0)
+    bz = hyp.rays_chunk(2j, 4, np.random.default_rng(2), horizon=1.0)
+    with pytest.raises(DomainError, match="one basepoint"):
+        hyp.ray_pair_distances(by, 1.0, bz, 1.0)
+
+
+class TestFloatHorizon:
+    def test_ray_points_past_the_horizon(self):
+        hyp = HyperbolicPlane()
+        bundle = hyp.rays_chunk(1j, 50, np.random.default_rng(3), horizon=400.0)
+        with pytest.raises(DomainError, match="time 400.0 is past the float range"):
+            bundle.points_at(400.0)
+        assert np.all(bundle.points_at(300.0).imag > 0)
+
+    def test_geodesic_points_past_the_horizon(self):
+        hyp = HyperbolicPlane()
+        for u, v in ((1j, 2j), (1j, 0.5j), (1j, 1.0 + 1j)):
+            with pytest.raises(DomainError, match="time 800.0 is past the float range"):
+                hyp.geodesic_points(u, v, [0.0, 5.0, 800.0])
 
 
 class TestSupProduct:

@@ -1,6 +1,7 @@
 """Estimators: spread statistics, thickness, separation, probes, discretizer."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,10 +20,9 @@ def sup_plane():
 def tree_exact_spread(tree: RegularTree, r: int) -> float:
     """Enumeration oracle: mean of d(y, z) / r over all ordered sphere pairs."""
     sphere = tree.sphere("", r)
-    total = 0.0
-    for y in sphere:
-        for z in sphere:
-            total += tree.distance(y, z)
+    # string reference: both lengths minus twice the common prefix
+    total = sum(len(y) + len(z) - 2 * len(os.path.commonprefix([y, z]))
+                for y in sphere for z in sphere)
     return total / (len(sphere) ** 2 * r)
 
 
