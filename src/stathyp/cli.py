@@ -76,8 +76,9 @@ CATALOG = {
         "positive": ("r", "n", "eps", "dt"),
     },
     "p1": {
-        "claim": "typical rays keep their running thickness fraction above "
-                 "theta beyond time sigma*r",
+        "claim": "typical rays to the shell [r-k, r] keep their running "
+                 "thickness fraction above theta from time sigma*l to their "
+                 "length l",
         "parameters": {"r": 50.0, "k": 5.0, "n": 1000, "eps": 0.1,
                        "theta": 0.5, "sigma": 0.2, "dt": 0.1, "seed": 0},
         "positive": ("r", "n", "eps", "dt"),

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import CoverageError, DomainError, ParameterError
 from .rng import chunked, deterministic_sum
 from .spaces.base import ModelSpace
+from .spaces.modular import WORK_ITEMS, block_length
 from .spaces.nets import Net
 
 _GRID_TOL = 1e-12
@@ -148,7 +149,10 @@ def ray_thick_fraction(space: ModelSpace, x, length: float, eps: float,
 
 def ray_thick_fraction_many(space: ModelSpace, x, length: float, eps: float,
                             dt: float, n: int, seed: int) -> np.ndarray:
-    """Thickness fractions of ``n`` independent random rays."""
+    """Thickness fractions of ``n`` independent random rays.
+
+    Ray ``j``'s fraction depends only on ``(seed, j, length, eps, dt)``.
+    """
     if length <= 0:
         raise ParameterError(f"ray length must be positive, got {length}")
     if dt <= 0:
@@ -161,30 +165,46 @@ def ray_thick_fraction_many(space: ModelSpace, x, length: float, eps: float,
     out = []
     for m_chunk, rng in chunked(seed, n, (0,)):
         phis = rng.uniform(0.0, math.pi, size=m_chunk)
-        flags, partial, p, _ = _walk_thick_flags(space, x, phis, length, eps, dt)
-        thick_time = dt * flags.sum(axis=1, dtype=np.float64)
-        if partial is not None:
-            thick_time += p * partial
+        lengths = np.full(m_chunk, float(length))
+        flags, partial, p, _ = _walk_thick_flags(space, x, phis, lengths, eps, dt)
+        thick_time = dt * flags.sum(axis=1, dtype=np.float64) + p * partial
         out.append(thick_time / length)
     return np.concatenate(out)
 
 
-def _walk_thick_flags(space, x, phis, total: float, eps: float, dt: float):
-    """Thickness indicators along rays at grid times 0, dt, ..., (m-1) dt,
-    plus the midpoint indicator of the final partial step of length p."""
+def _walk_thick_flags(space, x, phis, lengths: np.ndarray, eps: float, dt: float):
+    """Thickness indicators along rays of per-ray ``lengths``.
+
+    Returns ``(flags, partial, p, m)``: ray ``j`` has ``m[j]`` grid times
+    0, dt, ..., (m[j]-1) dt, whose indicators are ``flags[j, :m[j]]`` (later
+    columns belong to longer rays), and a final partial step of length
+    ``p[j]``, whose midpoint indicator is ``partial[j]`` (False when
+    ``p[j]`` is within the grid tolerance of 0).
+
+    The walker runs in blocks of ``block_length(dt)`` grid times.  A ray's
+    midpoint is read in the block that holds its grid time ``m[j]``, at its
+    own offset from the block start, so every entry depends on its own ray
+    alone and never on the other rays walked with it.
+    """
     t0 = 1.0 / (eps * eps)
     walker = space.ray_walker(x, phis)
-    m = int((total + _GRID_TOL) // dt)
-    flags = np.empty((len(phis), m), dtype=bool)
-    _, ypos = walker.position()
-    for j in range(m):
-        flags[:, j] = ypos <= t0
-        _, ypos = walker.step(dt)
-    p = total - m * dt
-    partial = None
-    if p > _GRID_TOL:
-        _, ypos = walker.step(0.5 * p)
-        partial = ypos <= t0
+    m = ((lengths + _GRID_TOL) // dt).astype(np.int64)
+    p = lengths - m * dt
+    k = block_length(dt)
+    width = int(m.max())
+    flags = np.empty((len(phis), width), dtype=bool)
+    partial = np.zeros(len(phis), dtype=bool)
+    mid_block = np.where(p > _GRID_TOL, m // k, -1)
+    blocks = max(-(-width // k), int(mid_block.max()) + 1)
+    for i in range(blocks):
+        start = i * k
+        cols = min(k, width - start)
+        here = mid_block == i
+        tail = (m - start) * dt + 0.5 * p if here.any() else None
+        _, y = walker.block(dt, cols, tail)
+        flags[:, start:start + cols] = y[:, :cols] <= t0
+        if tail is not None:
+            partial[here] = y[here, cols] <= t0
     return flags, partial, p, m
 
 
@@ -192,8 +212,12 @@ def p1_fraction(space: ModelSpace, x, r: float, k: float, eps: float,
                 theta: float, sigma: float, n: int, dt: float, seed: int) -> float:
     """Fraction of sampled shell points whose ray stays statistically thick.
 
-    A ray passes when its running thickness fraction is at least ``theta`` at
-    every grid time t in [sigma * r, r].
+    Shell point ``j`` lies at distance ``l_j`` along a uniform ray, with
+    ``l_j`` drawn from the shell [r-k, r] by ``space.sample_radii`` (so
+    ``k = 0`` is the sphere).  It passes when the running thickness fraction
+    of its ray is at least ``theta`` at every grid time t in
+    [sigma * l_j, l_j], and at ``l_j`` itself (midpoint rule on the final
+    partial step).
     """
     space.validate_point(x)
     if not (0 < sigma < 1):
@@ -208,18 +232,28 @@ def p1_fraction(space: ModelSpace, x, r: float, k: float, eps: float,
         raise ParameterError(f"need at least one sample, got {n}")
     if not space.has_thin_part:
         return 1.0
-    j_lo = max(1, int(math.ceil(sigma * r / dt - _GRID_TOL)))
-    j_hi = int((r + _GRID_TOL) // dt)
     good_parts = []
-    for m_chunk, rng in chunked(seed, n, (0,)):
+    # keys: directions, then shell radii
+    for m_chunk, rng, rng_rad in chunked(seed, n, (0,), (1,)):
         phis = rng.uniform(0.0, math.pi, size=m_chunk)
-        flags, partial, p, m = _walk_thick_flags(space, x, phis, r, eps, dt)
-        cum = np.cumsum(flags, axis=1, dtype=np.float64)
-        ratios = cum[:, j_lo - 1:j_hi] / np.arange(j_lo, j_hi + 1, dtype=np.float64)
-        ok = np.all(ratios >= theta - _GRID_TOL, axis=1)
-        if partial is not None:
-            frac_r = (cum[:, m - 1] * dt + p * partial) / r
-            ok &= frac_r >= theta - _GRID_TOL
+        lengths = space.sample_radii(rng_rad, m_chunk, r, k)
+        flags, partial, p, m = _walk_thick_flags(space, x, phis, lengths, eps, dt)
+        j_lo = np.maximum(1, np.ceil(sigma * lengths / dt - _GRID_TOL))
+        grid = np.arange(1, flags.shape[1] + 1)
+        ok = np.empty(m_chunk, dtype=bool)
+        thick_m = np.empty(m_chunk)
+        # running fraction at grid time J*dt, judged for J in [j_lo, m], a
+        # few rays at a time to keep the work arrays small
+        rows = max(1, WORK_ITEMS // max(len(grid), 1))
+        for lo in range(0, m_chunk, rows):
+            part = slice(lo, lo + rows)
+            cum = np.cumsum(flags[part], axis=1, dtype=np.float64)
+            upto_m = grid <= m[part, None]
+            judged = upto_m & (grid >= j_lo[part, None])
+            ok[part] = np.all((cum / grid >= theta - _GRID_TOL) | ~judged, axis=1)
+            thick_m[part] = np.count_nonzero(flags[part] & upto_m, axis=1)
+        frac_l = (thick_m * dt + p * partial) / lengths
+        ok &= (p <= _GRID_TOL) | (frac_l >= theta - _GRID_TOL)
         good_parts.append(float(ok.sum()))
     return deterministic_sum(good_parts) / n
 

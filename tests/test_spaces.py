@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from stathyp import stats
 from stathyp.errors import (DomainError, ParameterError,
                             UnsupportedMethodError)
 from stathyp.rng import CHUNK
@@ -18,7 +19,8 @@ from stathyp.spaces import (EuclideanSpace, HyperbolicPlane,
                             SupProduct, build_net, check_net, make_space,
                             thin_area_fraction)
 from stathyp.spaces.hyperbolic import _ray_matrices
-from stathyp.spaces.modular import _BOUND_TOL, _MAX_REDUCE, reduce_many
+from stathyp.spaces.modular import (_BOUND_TOL, _MAX_REDUCE, SPAN, block_length,
+                                    reduce_many)
 
 METRIC_TOL = 1e-9
 SPEED_TOL = 1e-8
@@ -334,20 +336,54 @@ class ReferenceWalker:
         return self._position()
 
 
+def reference_reduce(x, y):
+    """The reduction that ``reduce_many`` replaced: every pass translates and
+    tests the whole array, reduced entries included."""
+    x = np.array(x, dtype=np.float64)
+    y = np.array(y, dtype=np.float64)
+    for _ in range(_MAX_REDUCE):
+        x -= np.floor(x + 0.5)
+        m2 = x * x + y * y
+        mask = m2 < 1.0 - _BOUND_TOL
+        if not np.any(mask):
+            return x, y
+        inv = m2[mask]
+        x[mask] = -x[mask] / inv
+        y[mask] = y[mask] / inv
+    raise AssertionError("reference reduction did not converge")
+
+
+def membership_sample():
+    rng = np.random.default_rng(21)
+    return np.array([(rng.uniform(-8, 8), math.exp(rng.uniform(-6, 3)))
+                     for _ in range(10_000)])
+
+
 class TestModularReduction:
     def test_already_reduced(self):
         x, y = reduce_many([0.0, 0.1], [1.0, 10.0])
         assert x.tolist() == [0.0, 0.1] and y.tolist() == [1.0, 10.0]
 
     def test_membership(self):
-        rng = np.random.default_rng(21)
-        pts = np.array([(rng.uniform(-8, 8), math.exp(rng.uniform(-6, 3)))
-                        for _ in range(10_000)])
+        pts = membership_sample()
         x, y = reduce_many(pts[:, 0], pts[:, 1])
         assert np.all(np.abs(x) <= 0.5 + 1e-9)
         assert np.all(np.hypot(x, y) >= 1.0 - 1e-9)
         # the reduced point is the highest point of its orbit
         assert np.all(y >= pts[:, 1] * (1.0 - 1e-12))
+
+    def test_compacted_reduction_matches_full_passes(self):
+        pts = membership_sample()
+        x, y = reduce_many(pts[:, 0], pts[:, 1])
+        ref_x, ref_y = reference_reduce(pts[:, 0], pts[:, 1])
+        assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes()
+        # blocks are 2-D, in either memory order; the shape is kept and
+        # entries are reduced independently
+        for order in ("C", "F"):
+            bx, by = reduce_many(np.asarray(pts[:, 0].reshape(100, 100), order=order),
+                                 np.asarray(pts[:, 1].reshape(100, 100), order=order))
+            assert bx.shape == (100, 100)
+            assert bx.ravel().tobytes() == x.tobytes() and by.ravel().tobytes() == y.tobytes()
 
     def test_example_in_strip(self):
         x, y = reduce_many([2.3], [0.5])
@@ -366,6 +402,49 @@ class TestModularReduction:
             assert np.array_equal(pos[0], ref_pos[0]) and np.array_equal(pos[1], ref_pos[1])
             pos, ref_pos = walker.step(0.1), ref.step(0.1)
         assert np.array_equal(pos[0], ref_pos[0]) and np.array_equal(pos[1], ref_pos[1])
+
+    def test_block_of_one_is_step(self):
+        # 2100 blocks cross the renormalisations at steps 1024 and 2048
+        mt = ModularTorus()
+        phi = np.random.default_rng(4).uniform(0.0, math.pi, 8)
+        blocks, steps = mt.ray_walker(0.3 + 1.7j, phi), mt.ray_walker(0.3 + 1.7j, phi)
+        for _ in range(2100):
+            x, y = blocks.block(0.1, 1)
+            sx, sy = steps.position()
+            assert x.shape == (8, 1)
+            assert x[:, 0].tobytes() == sx.tobytes() and y[:, 0].tobytes() == sy.tobytes()
+            steps.step(0.1)
+        assert blocks._m.tobytes() == steps._m.tobytes()
+
+    def test_block_length_rule(self):
+        assert block_length(0.1) == 32
+        assert block_length(SPAN) == block_length(2 * SPAN) == block_length(100.0) == 1
+
+    def test_block_points_in_fundamental_domain(self):
+        mt = ModularTorus()
+        walker = mt.ray_walker(1j, np.random.default_rng(5).uniform(0.0, math.pi, 50))
+        for _ in range(200):
+            x, y = walker.block(0.1, block_length(0.1))
+            assert np.all(np.abs(x) <= 0.5)
+            assert np.all(x * x + y * y >= 1.0 - _BOUND_TOL)
+
+    @pytest.mark.parametrize("eps", [0.5, 0.1])
+    def test_block_flags_match_reference_until_t25(self, eps):
+        # the flow is chaotic (Lyapunov exponent 1): float walkers agree
+        # pointwise only until their ulp differences grow to O(1), near t = 30
+        mt = ModularTorus()
+        phi = np.random.default_rng(6).uniform(0.0, math.pi, 2000)
+        flags, partial, p, m = stats._walk_thick_flags(mt, 1j, phi, np.full(2000, 25.05),
+                                                       eps, 0.1)
+        assert flags.shape == (2000, 250) and np.all(m == 250)
+        ref = ReferenceWalker(*_ray_matrices(1j, phi))
+        _, y = ref._position()
+        for j in range(250):
+            assert np.array_equal(flags[:, j], y <= 1.0 / eps ** 2), j
+            _, y = ref.step(0.1)
+        # the midpoint of the final partial step
+        _, y = ref.step(0.5 * p[0])
+        assert np.array_equal(partial, y <= 1.0 / eps ** 2)
 
     def test_thickness_convention(self):
         mt = ModularTorus()

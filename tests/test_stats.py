@@ -8,6 +8,7 @@ import pytest
 
 from stathyp import stats
 from stathyp.errors import CoverageError, DomainError, ParameterError
+from stathyp.rng import substream
 from stathyp.spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus,
                             Net, RegularTree, SegmentRegion, SupProduct,
                             ball_radial_mass, build_net, thin_area_fraction)
@@ -133,6 +134,13 @@ class TestRayThickness:
         many = stats.ray_thick_fraction_many(mt, 1j, 50.0, 0.3, 0.1, 1, seed=9)
         assert many[0] == pytest.approx(single)
 
+    def test_ray_depends_only_on_its_index(self):
+        # walker blocks are fixed by dt alone, so ray j never sees the ray count
+        mt = ModularTorus()
+        few = stats.ray_thick_fraction_many(mt, 1j, 2000.0, 0.5, 0.1, 3, seed=4)
+        many = stats.ray_thick_fraction_many(mt, 1j, 2000.0, 0.5, 0.1, 8, seed=4)
+        assert few.tobytes() == many[:3].tobytes()
+
 
 class TestP1Fraction:
     def test_flat_space(self):
@@ -144,6 +152,39 @@ class TestP1Fraction:
         mt = ModularTorus()
         frac = stats.p1_fraction(mt, 1j, 50.0, 5.0, 0.1, 0.5, 0.2, 400, 0.1, seed=1)
         assert frac >= 0.9
+
+    @pytest.mark.parametrize("r", [20.0, 20.05])
+    def test_sphere_is_the_fixed_length_walk(self, r):
+        # k = 0 puts every shell point at distance r: the P1 rule applied
+        # ray by ray to one walk of length r
+        mt = ModularTorus()
+        eps, theta, sigma, dt, n, seed = 0.5, 0.75, 0.2, 0.1, 300, 7
+        phis = substream(seed, 0, 0).uniform(0.0, math.pi, size=n)
+        flags, partial, p, m = stats._walk_thick_flags(mt, 1j, phis, np.full(n, r), eps, dt)
+        j_lo = max(1, math.ceil(sigma * r / dt - 1e-12))
+        good = 0
+        for j in range(n):
+            cum = np.cumsum(flags[j, :m[j]])
+            ok = all(cum[J - 1] / J >= theta - 1e-12 for J in range(j_lo, m[j] + 1))
+            if p[j] > 1e-12:
+                ok &= (cum[-1] * dt + p[j] * partial[j]) / r >= theta - 1e-12
+            good += ok
+        assert stats.p1_fraction(mt, 1j, r, 0.0, eps, theta, sigma, n, dt, seed) == good / n
+
+    def test_shell_width_is_sampled(self):
+        # a ball holds shorter rays, which have had less time to leave the
+        # thick part around the basepoint, so more of them pass
+        mt = ModularTorus()
+        sphere = stats.p1_fraction(mt, 1j, 5.0, 0.0, 0.5, 0.9, 0.2, 1000, 0.1, seed=1)
+        ball = stats.p1_fraction(mt, 1j, 5.0, 5.0, 0.5, 0.9, 0.2, 1000, 0.1, seed=1)
+        assert ball > sphere + 0.03
+
+    def test_shell_inside_one_grid_step(self):
+        # no grid time after 0: each point is judged by its midpoint alone,
+        # within 0.025 of the thick basepoint i
+        mt = ModularTorus()
+        for k in (0.0, 0.05):
+            assert stats.p1_fraction(mt, 1j, 0.05, k, 0.5, 0.5, 0.2, 100, 0.1, seed=0) == 1.0
 
     def test_theta_near_one_with_fat_thin_part(self):
         # eps = 0.9 makes most of the domain thin, so a 0.995 running
