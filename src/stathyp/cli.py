@@ -29,10 +29,13 @@ import numpy as np
 
 from . import coarse, convex, stats
 from .errors import StathypError
-from .rng import CHUNK, chunked, substream
-from .spaces import SegmentRegion, build_net, make_space, space_kind, thin_area_fraction
+from .rng import CHUNK, chunked
+from .spaces import HyperbolicPlane, make_space, space_kind, thin_area_fraction
 
 SEED_ENV = "STATHYP_SEED"
+# triangles in the hyperbolic plane are H2_SLIM-slim: each side lies within
+# H2_SLIM of the union of the other two
+H2_SLIM = math.log(1.0 + math.sqrt(2.0))
 
 CSV_COLUMNS = ("experiment", "space", "r", "k", "n", "seed", "mean",
                "std_error", "extra1_name", "extra1_value", "extra2_name",
@@ -372,32 +375,17 @@ def _run_separation(cfg, pr, rep):
 
 def _run_thin_triangle(cfg, pr, rep):
     space = _continuous_space(cfg, "thin-triangle")
-    n, seed, r = pr["n"], pr["seed"], pr["r"]
-    hits = 0
-    worst = math.inf
-    x = space.basepoint()
-    for i in range(n):
-        rng = substream(seed, 0x7A1, i)
-        for _ in range(64):
-            bundle = space.rays_chunk(x, 2, rng, horizon=1.5 * r)
-            radii = r + 0.25 * r * rng.uniform(size=2)
-            pts = bundle.points_at(radii)
-            y = space.batch_get(pts, 0)
-            z = space.batch_get(pts, 1)
-            if space.distance(y, z) >= r:
-                break
-        else:
-            raise ConfigError("could not sample a triangle with all sides >= r")
-        d_xy = space.distance(x, y)
-        hit, mind = stats.thin_triangle_probe(space, x, y, z,
-                                              (d_xy / 3.0, 2.0 * d_xy / 3.0),
-                                              pr["C"], pr["ds"])
-        hits += int(hit)
-        worst = min(worst, mind)
-    rate = hits / n
+    n, c = pr["n"], pr["C"]
+    hits, minima = stats.thin_triangle_sample(space, space.basepoint(), pr["r"], n, c,
+                                              pr["ds"], pr["seed"])
+    misses = n - int(hits.sum())
+    rate, worst = (n - misses) / n, float(minima.min())
     rep.check("reported minima nonnegative", worst >= 0.0,
               f"hit_rate={rate:.3f} min={worst:.4f}")
-    return (space.describe(), rate, 0.0, ("C", pr["C"]), ("min_distance", worst),
+    if isinstance(space, HyperbolicPlane) and c >= H2_SLIM:
+        rep.check(f"hit_rate 1 at C >= ln(1+sqrt2) = {H2_SLIM:.4f}", misses == 0,
+                  f"{misses} of {n} triangles missed")
+    return (space.describe(), rate, 0.0, ("C", c), ("min_distance", worst),
             f"hit_rate={rate!r} min_distance={worst!r}")
 
 
@@ -458,27 +446,16 @@ def _run_coarse_check(cfg, pr, rep):
 
 def _run_discretize(cfg, pr, rep):
     space = _continuous_space(cfg, "discretize")
-    n, seed, tau, c = pr["n"], pr["seed"], pr["tau"], pr["c"]
+    n, tau, c = pr["n"], pr["tau"], pr["c"]
     if tau <= 4 * c:
         raise ConfigError(f"need tau > 4c, got tau={tau}, c={c}")
-    x = space.basepoint()
-    violations = 0
-    marks_checked = 0
-    for i in range(n):
-        rng = substream(seed, 0xD15, i)
-        bundle = space.rays_chunk(x, 1, rng, horizon=pr["r"])
-        length = pr["r"] * (0.5 + 0.5 * rng.uniform())
-        y = space.batch_get(bundle.points_at(length), 0)
-        net = build_net(space, SegmentRegion(x, y), c)
-        try:
-            path = stats.discretize_geodesic(space, net, tau, (x, y))
-            marks_checked += space.batch_size(path.points)
-        except StathypError:
-            violations += 1
+    failed, points = stats.discretize_sample(space, space.basepoint(), pr["r"], n, tau, c,
+                                             pr["seed"])
+    violations = int(failed.sum())
     rep.check("step-tau and 2c-proximity invariants", violations == 0,
               f"{violations} violations over {n} runs")
     return (space.describe(), violations, 0.0, ("tau", tau), ("c", c),
-            f"violations={violations} path_points={marks_checked}")
+            f"violations={violations} path_points={int(points.sum())}")
 
 
 _RUNNERS = {

@@ -7,8 +7,11 @@ writes the shared parts once: the batch plumbing; scalar geodesics read off
 ``sample_shell`` (``k = 0`` sphere, ``0 < k < r`` annulus, ``k = r`` ball);
 the pair-distance kernel ``ray_pair_distances`` of the estimators that sample
 from one basepoint, by default ``distance_many`` of the two bundles' points;
-and the thickness interface (``thick_many``, ``thick``, ``ray_walker``),
-which says "always thick" unless a model has a thin part.
+the exact distance from a batch to a geodesic segment,
+``distance_to_segment``, by default a golden-section search over the
+``segment_profile``; and the thickness interface (``thick_many``,
+``thick``, ``ray_walker``), which says "always thick" unless a model has a
+thin part.
 
 A batch of ``n`` points is an array with ``n`` rows or a tuple of batches
 of ``n`` rows each (a :class:`~stathyp.spaces.tree.TreeBatch`, the factors of
@@ -33,6 +36,9 @@ import numpy as np
 
 from ..errors import ParameterError, UnsupportedMethodError
 from ..rng import chunked
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SEGMENT_RTOL = 1e-9
 
 
 def _leafwise(f: Callable[[list], np.ndarray], batches: Sequence[Any]):
@@ -133,6 +139,45 @@ class ModelSpace(ABC):
         """Row-wise distances d(by_j(ty_j), bz_j(tz_j)) between the rays of two
         bundles from one basepoint; each time is a scalar or one per ray."""
         return self.distance_many(by.points_at(ty), bz.points_at(tz))
+
+    def segment_profile(self, P, u, v):
+        """``(d, f)``: the length ``d = d(u, v)`` and the profile
+        ``f(s) = d(P_i, gamma(s_i))``, row by row, of the unit-speed geodesic
+        gamma from ``u`` to ``v``, for ``s`` in [0, d].  The default reads
+        gamma off ``geodesic_points``; a segment with ``u = v`` has the
+        constant profile d(P_i, u)."""
+        d = self.distance(u, v)
+        if d == 0.0:
+            still = self.distance_many(P, self.singleton(u))
+            return d, lambda s: still
+        return d, lambda s: self.distance_many(P, self.geodesic_points(u, v, s))
+
+    def distance_to_segment(self, P, u, v) -> np.ndarray:
+        """Distance from each point of the batch ``P`` to the geodesic segment [u, v].
+
+        The default minimizes ``segment_profile`` by one vectorized
+        golden-section search to ``1e-9 * max(1, d)`` in time, plus both
+        endpoints.  This is exact up to that tolerance because the profile
+        is convex on every continuous model: normed spaces, the hyperbolic
+        plane and their sup-products.
+        """
+        d, f = self.segment_profile(P, u, v)
+        n = self.batch_size(P)
+        lo, hi = np.zeros(n), np.full(n, d)
+        a, b = hi - _GOLDEN * d, lo + _GOLDEN * d
+        fa, fb = f(a), f(b)
+        width, tol = d, _SEGMENT_RTOL * max(1.0, d)
+        while width > tol:
+            # the minimum lies in [lo, b] where f(a) <= f(b), else in [a, hi]
+            left = fa <= fb
+            lo, hi = np.where(left, lo, a), np.where(left, b, hi)
+            new = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+            f_new = f(new)
+            a, b, fa, fb = (np.where(left, new, b), np.where(left, a, new),
+                            np.where(left, f_new, fb), np.where(left, fa, f_new))
+            width *= _GOLDEN
+        ends = np.minimum(f(np.zeros(n)), f(np.full(n, d)))
+        return np.minimum(np.minimum(fa, fb), ends)
 
     @abstractmethod
     def singleton(self, p):

@@ -1,4 +1,9 @@
-"""Normed vector spaces (R^n, p-norm) with straight-line geodesics."""
+"""Normed vector spaces (R^n, p-norm) with straight-line geodesics.
+
+Where the norm is euclidean (p = 2, or any p in dimension 1) the distance to
+a segment is that to the clamped orthogonal projection; other norms take the
+golden-section search of :class:`~stathyp.spaces.base.ModelSpace`.
+"""
 
 from __future__ import annotations
 
@@ -78,6 +83,35 @@ class EuclideanSpace(ModelSpace):
         if np.any(ts < 0):
             raise ParameterError("ray times must be nonnegative")
         return u + (ts[:, None] / d) * (v - u)
+
+    def _line_frame(self, P, u, v):
+        """``(u, e, d, s0)``: the start ``u``, the unit direction ``e`` and the
+        length ``d`` of [u, v], and the projection times ``s0`` of ``P`` onto its
+        line (``e = 0`` when u = v)."""
+        u, v = self._point(u), self._point(v)
+        d = float(_pnorm(v - u, self.p))
+        e = (v - u) / d if d > 0.0 else np.zeros(self.dim)
+        return u, e, d, (P - u) @ e
+
+    def distance_to_segment(self, P, u, v) -> np.ndarray:
+        if not self._euclidean:
+            return super().distance_to_segment(P, u, v)
+        u, e, d, s0 = self._line_frame(P, u, v)
+        return _pnorm(P - u - np.clip(s0, 0.0, d)[:, None] * e, 2.0)
+
+    def segment_profile(self, P, u, v):
+        """For a euclidean norm, ``hypot(a, s - s0)`` with ``a`` the offset of
+        each point from the line and ``s0`` the time of its foot."""
+        if not self._euclidean:
+            return super().segment_profile(P, u, v)
+        u, e, d, s0 = self._line_frame(P, u, v)
+        a = _pnorm(P - u - s0[:, None] * e, 2.0)
+        return d, lambda s: np.hypot(a, s - s0)
+
+    @property
+    def _euclidean(self) -> bool:
+        """Does the norm come from an inner product (p = 2, or dimension 1)?"""
+        return self.p == 2.0 or self.dim == 1
 
     # -- batches: (n, dim) arrays ------------------------------------------
 

@@ -17,7 +17,9 @@ which is algebraically equivalent and stays accurate near argument 1.
 
 Pairs of rays from one basepoint need no Cartesian points at all:
 ``ray_pair_distances`` takes their distances from the law of cosines in a
-form that holds at any radius.  Cartesian coordinates leave the float range
+form that holds at any radius.  Distances to a geodesic segment come in
+closed form from the frame that puts the segment on the imaginary axis.
+Cartesian coordinates leave the float range
 near t = 355 (the squared height overflows), and past that ``points_at`` and
 ``geodesic_points`` raise a DomainError naming the time.
 """
@@ -168,6 +170,42 @@ class HyperbolicPlane(ModelSpace):
         if np.any(exact):
             out = np.where(exact, complex(u), out)
         return out
+
+    def _axis_frame(self, P, u, v):
+        """``(x, y, hu, hv)``: the images x + iy of the batch ``P`` under the
+        axis map of [u, v], and the axis heights of ``u`` and ``v``."""
+        self.validate_point(u)
+        self.validate_point(v)
+        g, hu, hv = self._axis_map(complex(u), complex(v))
+        x, y = mobius_apply(*g, P.real, P.imag)
+        return x, y, hu, hv
+
+    def distance_to_segment(self, P, u, v) -> np.ndarray:
+        """Closed form: the nearest point of the axis to x + iy is i|x + iy|,
+        so the nearest point of the segment is at that height clamped to the
+        heights of the endpoints."""
+        x, y, hu, hv = self._axis_frame(P, u, v)
+        h = np.clip(np.hypot(x, y), min(hu, hv), max(hu, hv))
+        return uhp_distance(x, y, 0.0, h)
+
+    def segment_profile(self, P, u, v):
+        """Closed form from the offset ``a`` of each point from the geodesic
+        and the time ``s0`` of its foot:
+
+            sinh^2(d/2) = sinh^2(a/2) + sinh^2((s-s0)/2)
+                          + 2 sinh^2(a/2) sinh^2((s-s0)/2)
+
+        (cosh d = cosh a cosh(s - s0)), with sinh^2(a/2) = |w - i|w||^2 / (4 y |w|)
+        for w = x + iy, where |w| - y = x^2 / (|w| + y)."""
+        x, y, hu, hv = self._axis_frame(P, u, v)
+        r = np.hypot(x, y)
+        a2 = (x * x + (x * x / (r + y)) ** 2) / (4.0 * y * r)
+        s0 = np.log(r / hu) if hv >= hu else np.log(hu / r)
+
+        def profile(s):
+            t2 = np.sinh(0.5 * (s - s0)) ** 2
+            return 2.0 * np.arcsinh(np.sqrt(a2 + t2 + 2.0 * a2 * t2))
+        return self.distance(u, v), profile
 
     # -- batches: complex arrays ---------------------------------------------
 

@@ -100,6 +100,7 @@ class RayWalker:
     def __init__(self, a, b, c, d):
         self._m = np.array([a, b, c, d], dtype=np.float64)
         self._steps = 0
+        self._out = np.empty((2, self._m.shape[1], 0))  # the arrays ``block`` returns
         self._reduce()
 
     def _reduce(self):
@@ -143,13 +144,19 @@ class RayWalker:
         at those offsets.  Offset 0 is the frame's own reduced point, bit for
         bit.  Rays are taken ``WORK_ITEMS // k`` at a time; every entry is
         computed on its own, so the grouping never changes a value.
+
+        The two arrays are views of one buffer that the walker keeps, so the
+        next ``block`` call overwrites them: a walk allocates its output once,
+        not once per block.
         """
         s = np.arange(k) * dt
         if tail is not None:
             s = np.column_stack([np.broadcast_to(s, (len(tail), k)), tail])
         up, down = np.exp(s), np.exp(-s)
         n, cols = self._m.shape[1], s.shape[-1]
-        x, y = np.empty((n, cols)), np.empty((n, cols))
+        if self._out.shape[2] < cols:
+            self._out = np.empty((2, n, cols))
+        x, y = self._out[:, :, :cols]
         rows = max(1, WORK_ITEMS // max(cols, 1))
         for lo in range(0, n, rows):
             part = slice(lo, lo + rows)

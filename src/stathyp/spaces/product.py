@@ -113,6 +113,23 @@ class SupProduct(ModelSpace):
                for j, (c, yj, zj) in enumerate(zip(self.components, by.bundles, bz.bundles))]
         return np.max(np.stack(per, axis=0), axis=0)
 
+    def segment_profile(self, P, u, v):
+        """The largest of the factors' profiles, factor ``j`` at time
+        ``s * d_j / d``: each factor runs its own geodesic at speed d_j / d.
+        A maximum of convex profiles is convex, so the golden-section search
+        of ``distance_to_segment`` stays exact; the hyperbolic and euclidean
+        factors supply closed-form profiles, so it never forms a point."""
+        self.validate_point(u)
+        self.validate_point(v)
+        parts = [c.segment_profile(pj, uj, vj)
+                 for c, pj, uj, vj in zip(self.components, P, u, v)]
+        d = max(dj for dj, _ in parts)
+
+        def profile(s):
+            return functools.reduce(np.maximum, [f(s * (dj / d) if d else s)
+                                                 for dj, f in parts])
+        return d, profile
+
     # -- sampling -----------------------------------------------------------
 
     def rays_chunk(self, x, count, rng, horizon) -> ProductRays:

@@ -20,13 +20,16 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, ParameterError
+from .errors import CoverageError, DomainError, ParameterError, StathypError
 from .rng import chunked, deterministic_sum
 from .spaces.base import ModelSpace
 from .spaces.modular import WORK_ITEMS, block_length
-from .spaces.nets import Net
+from .spaces.nets import Net, SegmentRegion, build_net
 
 _GRID_TOL = 1e-12
+_TRIANGLE_KEY = 0x7A1
+_TRIANGLE_ROUNDS = 64
+_DISCRETIZE_KEY = 0xD15
 
 
 def _fmt_point(p) -> str:
@@ -165,47 +168,55 @@ def ray_thick_fraction_many(space: ModelSpace, x, length: float, eps: float,
     out = []
     for m_chunk, rng in chunked(seed, n, (0,)):
         phis = rng.uniform(0.0, math.pi, size=m_chunk)
-        lengths = np.full(m_chunk, float(length))
-        flags, partial, p, _ = _walk_thick_flags(space, x, phis, lengths, eps, dt)
-        thick_time = dt * flags.sum(axis=1, dtype=np.float64) + p * partial
-        out.append(thick_time / length)
+        m, p = _grid_steps(np.full(m_chunk, float(length)), dt)
+        # thick counts per ray and block column, summed once at the end
+        counts = np.zeros((m_chunk, block_length(dt)))
+        partial = np.zeros(m_chunk, dtype=bool)
+        for _, flags, here, mid in _walk_thick_blocks(space, x, phis, m, p, eps, dt):
+            counts[:, :flags.shape[1]] += flags
+            partial[here] = mid
+        out.append((dt * counts.sum(axis=1) + p * partial) / length)
     return np.concatenate(out)
 
 
-def _walk_thick_flags(space, x, phis, lengths: np.ndarray, eps: float, dt: float):
-    """Thickness indicators along rays of per-ray ``lengths``.
+def _grid_steps(lengths: np.ndarray, dt: float):
+    """``(m, p)``: a ray of length ``lengths[j]`` has the ``m[j]`` grid times
+    0, dt, ..., (m[j]-1) dt and then a final partial step of length ``p[j]``."""
+    m = ((lengths + _GRID_TOL) // dt).astype(np.int64)
+    return m, lengths - m * dt
 
-    Returns ``(flags, partial, p, m)``: ray ``j`` has ``m[j]`` grid times
-    0, dt, ..., (m[j]-1) dt, whose indicators are ``flags[j, :m[j]]`` (later
-    columns belong to longer rays), and a final partial step of length
-    ``p[j]``, whose midpoint indicator is ``partial[j]`` (False when
-    ``p[j]`` is within the grid tolerance of 0).
 
-    The walker runs in blocks of ``block_length(dt)`` grid times.  A ray's
-    midpoint is read in the block that holds its grid time ``m[j]``, at its
-    own offset from the block start, so every entry depends on its own ray
-    alone and never on the other rays walked with it.
+def _walk_thick_blocks(space, x, phis, m: np.ndarray, p: np.ndarray, eps: float, dt: float):
+    """Thickness indicators along the rays of grid steps ``(m, p)`` (see
+    ``_grid_steps``), one walker block of ``block_length(dt)`` grid times
+    at a time, so memory is bounded by the block, not by the ray length.
+
+    Yields ``(start, flags, here, mid)`` per block: ``flags[:, i]`` are the
+    indicators at grid time ``start + i`` (columns at or past ``m[j]`` belong
+    to longer rays), and ``mid`` the indicators at the midpoints of the
+    final partial steps of the rays ``here`` (an index array): those with
+    ``p[j]`` above the grid tolerance whose grid time ``m[j]`` falls in this
+    block.  A midpoint is read at its own offset from the block start, so
+    every entry depends on its own ray alone and never on the other rays
+    walked with it.
     """
     t0 = 1.0 / (eps * eps)
     walker = space.ray_walker(x, phis)
-    m = ((lengths + _GRID_TOL) // dt).astype(np.int64)
-    p = lengths - m * dt
     k = block_length(dt)
     width = int(m.max())
-    flags = np.empty((len(phis), width), dtype=bool)
-    partial = np.zeros(len(phis), dtype=bool)
     mid_block = np.where(p > _GRID_TOL, m // k, -1)
-    blocks = max(-(-width // k), int(mid_block.max()) + 1)
-    for i in range(blocks):
+    mid_blocks = set(mid_block.tolist())
+    no_mid = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+    for i in range(max(-(-width // k), max(mid_blocks) + 1)):
         start = i * k
         cols = min(k, width - start)
-        here = mid_block == i
-        tail = (m - start) * dt + 0.5 * p if here.any() else None
-        _, y = walker.block(dt, cols, tail)
-        flags[:, start:start + cols] = y[:, :cols] <= t0
-        if tail is not None:
-            partial[here] = y[here, cols] <= t0
-    return flags, partial, p, m
+        if i in mid_blocks:
+            here = np.flatnonzero(mid_block == i)
+            # the midpoints are the last column, at offsets of their own
+            thick = walker.block(dt, cols, (m - start) * dt + 0.5 * p)[1] <= t0
+            yield start, thick[:, :cols], here, thick[here, -1]
+        else:
+            yield start, walker.block(dt, cols)[1] <= t0, *no_mid
 
 
 def p1_fraction(space: ModelSpace, x, r: float, k: float, eps: float,
@@ -237,21 +248,36 @@ def p1_fraction(space: ModelSpace, x, r: float, k: float, eps: float,
     for m_chunk, rng, rng_rad in chunked(seed, n, (0,), (1,)):
         phis = rng.uniform(0.0, math.pi, size=m_chunk)
         lengths = space.sample_radii(rng_rad, m_chunk, r, k)
-        flags, partial, p, m = _walk_thick_flags(space, x, phis, lengths, eps, dt)
+        m, p = _grid_steps(lengths, dt)
         j_lo = np.maximum(1, np.ceil(sigma * lengths / dt - _GRID_TOL))
-        grid = np.arange(1, flags.shape[1] + 1)
-        ok = np.empty(m_chunk, dtype=bool)
-        thick_m = np.empty(m_chunk)
-        # running fraction at grid time J*dt, judged for J in [j_lo, m], a
-        # few rays at a time to keep the work arrays small
-        rows = max(1, WORK_ITEMS // max(len(grid), 1))
-        for lo in range(0, m_chunk, rows):
-            part = slice(lo, lo + rows)
-            cum = np.cumsum(flags[part], axis=1, dtype=np.float64)
-            upto_m = grid <= m[part, None]
-            judged = upto_m & (grid >= j_lo[part, None])
-            ok[part] = np.all((cum / grid >= theta - _GRID_TOL) | ~judged, axis=1)
-            thick_m[part] = np.count_nonzero(flags[part] & upto_m, axis=1)
+        j_first, j_max, m_min = j_lo.min(), j_lo.max(), m.min()
+        ok = np.ones(m_chunk, dtype=bool)
+        thick_m = np.zeros(m_chunk)    # running count of thick grid times below m
+        partial = np.zeros(m_chunk, dtype=bool)
+        for start, flags, here, mid in _walk_thick_blocks(space, x, phis, m, p, eps, dt):
+            partial[here] = mid
+            cols = flags.shape[1]
+            grid = np.arange(start + 1, start + cols + 1)
+            # the masks by m and by j_lo matter only in the blocks where some
+            # ray ends, or where the judging of some ray starts
+            ends, starts = start + cols > m_min, start + 1 < j_max
+            # a few rays at a time, to keep the work arrays small
+            rows = max(1, WORK_ITEMS // max(cols, 1))
+            for lo in range(0, m_chunk, rows):
+                part = slice(lo, lo + rows)
+                thick = flags[part] & (grid <= m[part, None]) if ends else flags[part]
+                if start + cols >= j_first:
+                    # running fraction at grid time J*dt, judged for J in [j_lo, m]
+                    frac = np.cumsum(thick, axis=1, dtype=np.float64)
+                    frac += thick_m[part, None]
+                    frac /= grid
+                    low = frac < theta - _GRID_TOL
+                    if ends:
+                        low &= grid <= m[part, None]
+                    if starts:
+                        low &= grid >= j_lo[part, None]
+                    ok[part] &= ~low.any(axis=1)
+                thick_m[part] += np.count_nonzero(thick, axis=1)
         frac_l = (thick_m * dt + p * partial) / lengths
         ok &= (p <= _GRID_TOL) | (frac_l >= theta - _GRID_TOL)
         good_parts.append(float(ok.sum()))
@@ -348,9 +374,11 @@ def thin_triangle_probe(space: ModelSpace, x, y, z, interval, c: float,
                         ds: float) -> tuple[bool, float]:
     """Does the subinterval of [x, y] come within c of the other two sides?
 
-    Grids all three sides at step ``ds`` and reports the minimum grid-to-grid
-    distance, an upper bound on the true minimum with error at most ds (each
-    geodesic is 1-Lipschitz in its time parameter).
+    Grids the subinterval at step ``ds`` and reports the least exact
+    distance (``distance_to_segment``) from a grid point to the sides
+    [x, z] and [y, z].  That is at most ds / 2 above the minimum over the
+    whole subinterval, since the distance to the sides is 1-Lipschitz along
+    the unit-speed side [x, y].
     """
     s1, s2 = interval
     if ds <= 0:
@@ -360,17 +388,67 @@ def thin_triangle_probe(space: ModelSpace, x, y, z, interval, c: float,
         raise DomainError("degenerate triangle side [x, y]")
     if not (0.0 <= s1 < s2 <= d_xy + _GRID_TOL):
         raise ParameterError(f"interval ({s1}, {s2}) must sit inside [0, {d_xy}]")
-    d_xz = space.distance(x, z)
-    d_yz = space.distance(y, z)
-    if d_xz == 0.0 or d_yz == 0.0:
+    if space.distance(x, z) == 0.0 or space.distance(y, z) == 0.0:
         raise DomainError("degenerate triangle side through z")
-    pts_i = space.geodesic_points(x, y, _time_grid(s1, min(s2, d_xy), ds))
-    side_a = space.geodesic_points(x, z, _time_grid(0.0, d_xz, ds))
-    side_b = space.geodesic_points(y, z, _time_grid(0.0, d_yz, ds))
-    min_a = space.cross_distance(pts_i, side_a).min(axis=1)
-    min_b = space.cross_distance(pts_i, side_b).min(axis=1)
-    best = float(np.minimum(min_a, min_b).min())
+    pts = space.geodesic_points(x, y, _time_grid(s1, min(s2, d_xy), ds))
+    best = float(np.minimum(space.distance_to_segment(pts, x, z),
+                            space.distance_to_segment(pts, y, z)).min())
     return best <= c, best
+
+
+def _sample_triangles(space: ModelSpace, x, r: float, n: int, seed: int):
+    """Corners ``(Y, Z)``, two batches of ``n`` points, of triangles x y z
+    whose sides are all at least ``r``.
+
+    Corners lie at radii in [r, 1.25 r] along uniform rays from ``x``.
+    Rejection round ``rho`` draws every chunk afresh from its own keys, and
+    row ``j`` keeps its first round with d(y, z) >= r, so it depends on
+    ``(seed, j)`` alone.
+    """
+    rows, ys, zs = [], [], []
+    pending = np.ones(n, dtype=bool)
+    for rho in range(_TRIANGLE_ROUNDS):
+        start = 0
+        for m, rng_dir, rng_rad in chunked(seed, n, (_TRIANGLE_KEY, rho, 0),
+                                           (_TRIANGLE_KEY, rho, 1)):
+            todo = np.flatnonzero(pending[start:start + m])
+            if len(todo):
+                # rays 2j and 2j + 1 carry row j
+                pts = space.rays_chunk(x, 2 * m, rng_dir, horizon=1.5 * r).points_at(
+                    r + 0.25 * r * rng_rad.uniform(size=2 * m))
+                y = space.batch_take(pts, 2 * todo)
+                z = space.batch_take(pts, 2 * todo + 1)
+                keep = np.flatnonzero(space.distance_many(y, z) >= r)
+                rows.append(start + todo[keep])
+                ys.append(space.batch_take(y, keep))
+                zs.append(space.batch_take(z, keep))
+                pending[start + todo[keep]] = False
+            start += m
+        if not pending.any():
+            order = np.argsort(np.concatenate(rows))
+            return (space.batch_take(space.batch_concat(ys), order),
+                    space.batch_take(space.batch_concat(zs), order))
+    raise DomainError(f"could not sample a triangle with all sides >= r "
+                      f"in {_TRIANGLE_ROUNDS} rounds")
+
+
+def thin_triangle_sample(space: ModelSpace, x, r: float, n: int, c: float,
+                         ds: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(hits, minima)`` of ``thin_triangle_probe`` on ``n`` random triangles
+    x y z with all sides at least ``r``, probed on the middle third of [x, y].
+
+    Triangle ``j`` depends only on ``(seed, j)``.
+    """
+    if n < 1:
+        raise ParameterError(f"need at least one triangle, got {n}")
+    Y, Z = _sample_triangles(space, x, r, n, seed)
+    hits, minima = np.empty(n, dtype=bool), np.empty(n)
+    for j in range(n):
+        y, z = space.batch_get(Y, j), space.batch_get(Z, j)
+        d_xy = space.distance(x, y)
+        hits[j], minima[j] = thin_triangle_probe(
+            space, x, y, z, (d_xy / 3.0, 2.0 * d_xy / 3.0), c, ds)
+    return hits, minima
 
 
 # ---------------------------------------------------------------------------
@@ -412,3 +490,32 @@ def discretize_geodesic(space: ModelSpace, net: Net, tau: float,
         raise CoverageError(f"net too sparse: consecutive path points "
                             f"{gaps[wide.argmax()]:.6g} > tau = {tau:.6g}")
     return SamplePath(points=pts, tau=float(tau), c=float(c))
+
+
+def discretize_sample(space: ModelSpace, x, r: float, n: int, tau: float,
+                      c: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(failed, points)`` of ``discretize_geodesic`` on ``n`` random
+    segments from ``x``, each with its own net of separation ``c``.
+
+    Segment ``j`` runs along a uniform ray to a uniform length in
+    [r/2, r] and depends only on ``(seed, j)``.  ``failed[j]`` says its
+    discretization raised (a coverage or step violation); ``points[j]`` is
+    its path's point count, 0 where it failed.
+    """
+    if n < 1:
+        raise ParameterError(f"need at least one segment, got {n}")
+    failed, points = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
+    start = 0
+    for m, rng_dir, rng_len in chunked(seed, n, (_DISCRETIZE_KEY, 0), (_DISCRETIZE_KEY, 1)):
+        ends = space.rays_chunk(x, m, rng_dir, horizon=r).points_at(
+            r * (0.5 + 0.5 * rng_len.uniform(size=m)))
+        for j in range(m):
+            y = space.batch_get(ends, j)
+            net = build_net(space, SegmentRegion(x, y), c)
+            try:
+                path = discretize_geodesic(space, net, tau, (x, y))
+                points[start + j] = space.batch_size(path.points)
+            except StathypError:
+                failed[start + j] = True
+        start += m
+    return failed, points

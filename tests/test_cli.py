@@ -8,7 +8,7 @@ import math
 import pytest
 
 from stathyp import cli
-from stathyp.spaces import RegularTree
+from stathyp.spaces import HyperbolicPlane, RegularTree
 
 ESTIMATE_CFG = """\
 [space]
@@ -110,7 +110,7 @@ class TestRun:
         write(cfg_dir, "one.ini", ESTIMATE_CFG)
         write(cfg_dir, "two.ini", ESTIMATE_CFG.replace("seed = 42", "seed = 1"))
         write(cfg_dir, "three.ini", "[experiment]\nkind = separation\nn = 3000\n")
-        # the two kinds that build nets and draw one substream per sample
+        # the two kinds that probe or discretize one sample at a time
         write(cfg_dir, "four.ini", "[space]\nkind = hyperbolic\n\n"
               "[experiment]\nkind = discretize\nn = 12\nr = 8\n")
         write(cfg_dir, "five.ini", "[space]\nkind = sup-product\n"
@@ -196,6 +196,49 @@ class TestOtherExperiments:
                 "[experiment]\nkind = estimate-e\nr = 2.0\nn = 2000\n")
         cfg_path = write(tmp_path, "sp.ini", text)
         assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("space", ["hyperbolic", "modular"])
+    def test_slim_triangle_check_can_fail(self, tmp_path, capsys, monkeypatch, space):
+        # hyperbolic triangles are ln(1+sqrt2)-slim, so C = 1 must hit every
+        # time; a distance that is off by a factor must turn the check to FAIL
+        text = (f"[space]\nkind = {space}\n\n[experiment]\nkind = thin-triangle\n"
+                "n = 10\nr = 10\nC = 1.0\nds = 0.1\n")
+        cfg_path = write(tmp_path, "slim.ini", text)
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        assert "PASS: hit_rate 1 at C >= ln(1+sqrt2)" in capsys.readouterr().out
+        exact = HyperbolicPlane.distance_to_segment
+        monkeypatch.setattr(HyperbolicPlane, "distance_to_segment",
+                            lambda self, P, u, v: 1e3 * exact(self, P, u, v))
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL: hit_rate 1 at C >= ln(1+sqrt2)" in out
+        assert "PASS: reported minima nonnegative" in out
+
+    def test_slim_triangle_check_only_where_it_holds(self, tmp_path, capsys):
+        # below ln(1+sqrt2), and on spaces that are not hyperbolic, there is
+        # nothing to check
+        for space, c in (("hyperbolic", "0.5"), ("euclidean", "3.0")):
+            text = (f"[space]\nkind = {space}\n\n[experiment]\nkind = thin-triangle\n"
+                    f"n = 5\nr = 10\nC = {c}\nds = 0.1\n")
+            cfg_path = write(tmp_path, "c.ini", text)
+            assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+            assert "ln(1+sqrt2)" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", [
+        "[space]\nkind = sup-product\ncomponents = hyperbolic ; euclidean dim=2\n\n"
+        "[experiment]\nkind = thin-triangle\nn = 6\nr = 8\nds = 0.1\n",
+        "[space]\nkind = hyperbolic\n\n[experiment]\nkind = discretize\nn = 12\nr = 8\n",
+    ], ids=["thin-triangle", "discretize"])
+    def test_repeat_runs_write_identical_csv(self, tmp_path, text):
+        cfg_path = write(tmp_path, "again.ini", text)
+        outs = []
+        for run in range(2):
+            out_dir = tmp_path / f"run{run}"
+            assert cli.main(["run", "--config", cfg_path, "--out", str(out_dir),
+                             "--format", "csv"]) == 0
+            outs.append(((out_dir / "again.csv").read_bytes(),
+                         (out_dir / "again.summary.txt").read_bytes()))
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("kind", ["thin-triangle", "discretize"])
     def test_tree_refused_before_sampling(self, tmp_path, capsys, monkeypatch, kind):

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from stathyp import stats
 from stathyp.errors import (DomainError, ParameterError,
                             UnsupportedMethodError)
 from stathyp.rng import CHUNK
@@ -429,13 +428,12 @@ class TestModularReduction:
             assert np.all(x * x + y * y >= 1.0 - _BOUND_TOL)
 
     @pytest.mark.parametrize("eps", [0.5, 0.1])
-    def test_block_flags_match_reference_until_t25(self, eps):
+    def test_block_flags_match_reference_until_t25(self, eps, walk_flags):
         # the flow is chaotic (Lyapunov exponent 1): float walkers agree
         # pointwise only until their ulp differences grow to O(1), near t = 30
         mt = ModularTorus()
         phi = np.random.default_rng(6).uniform(0.0, math.pi, 2000)
-        flags, partial, p, m = stats._walk_thick_flags(mt, 1j, phi, np.full(2000, 25.05),
-                                                       eps, 0.1)
+        flags, partial, p, m = walk_flags(mt, 1j, phi, np.full(2000, 25.05), eps, 0.1)
         assert flags.shape == (2000, 250) and np.all(m == 250)
         ref = ReferenceWalker(*_ray_matrices(1j, phi))
         _, y = ref._position()
@@ -725,6 +723,77 @@ class TestSupProduct:
     def test_tree_factor_rejected(self):
         with pytest.raises(ParameterError):
             SupProduct([EuclideanSpace(1), RegularTree(3)])
+
+
+SEGMENT_SPACES = [
+    EuclideanSpace(2),
+    EuclideanSpace(3),
+    EuclideanSpace(2, p=1.0),
+    EuclideanSpace(1),
+    EuclideanSpace(1, p=1.0),
+    HyperbolicPlane(),
+    ModularTorus(),
+    SupProduct([HyperbolicPlane(), HyperbolicPlane()]),
+    sup_plane(),
+    SupProduct([EuclideanSpace(2), HyperbolicPlane()]),
+]
+
+
+def as_batch(space, points):
+    return space.batch_concat([space.singleton(p) for p in points])
+
+
+def brute_segment_distance(space, P, u, v, h):
+    """Least distance from each point of ``P`` to the points of [u, v] at spacing <= h."""
+    d = space.distance(u, v)
+    grid = space.geodesic_points(u, v, np.linspace(0.0, d, int(math.ceil(d / h)) + 1))
+    return space.cross_distance(P, grid).min(axis=1)
+
+
+@pytest.mark.parametrize("space", SEGMENT_SPACES, ids=space_id)
+class TestDistanceToSegment:
+    H = 1e-3
+
+    def test_against_dense_grid(self, space):
+        # the exact distance is never above the grid minimum and at most one
+        # grid spacing below it, where the grid minimum is within h/2 of the truth
+        for seed in range(4):
+            u, v = random_points(space, 2, 100 + seed)
+            P = as_batch(space, random_points(space, 40, 200 + seed))
+            exact = space.distance_to_segment(P, u, v)
+            grid = brute_segment_distance(space, P, u, v, self.H)
+            assert np.all(exact <= grid + 1e-9)
+            assert np.all(exact >= grid - self.H)
+
+    def test_zero_on_the_segment(self, space):
+        u, v = random_points(space, 2, 7)
+        d = space.distance(u, v)
+        pts = space.geodesic_points(u, v, np.linspace(0.0, d, 17))
+        assert np.all(space.distance_to_segment(pts, u, v) <= 1e-8 * max(1.0, d))
+
+    def test_feet_beyond_either_endpoint(self, space):
+        # points on the geodesic's continuation past v (or back past u) are
+        # nearest to that endpoint
+        u, v = random_points(space, 2, 8)
+        d = space.distance(u, v)
+        extra = np.array([0.25, 1.0, 2.5])
+        past_v = space.geodesic_points(u, v, d + extra)
+        past_u = space.geodesic_points(v, u, d + extra)
+        np.testing.assert_allclose(space.distance_to_segment(past_v, u, v), extra, atol=1e-8)
+        np.testing.assert_allclose(space.distance_to_segment(past_u, u, v), extra, atol=1e-8)
+
+    def test_symmetric_in_the_endpoints(self, space):
+        u, v = random_points(space, 2, 9)
+        P = as_batch(space, random_points(space, 40, 10))
+        np.testing.assert_allclose(space.distance_to_segment(P, u, v),
+                                   space.distance_to_segment(P, v, u), rtol=0, atol=1e-9)
+
+    def test_degenerate_segment_is_its_point(self, space):
+        (u,) = random_points(space, 1, 11)
+        P = as_batch(space, random_points(space, 10, 12))
+        np.testing.assert_allclose(space.distance_to_segment(P, u, u),
+                                   space.cross_distance(P, space.singleton(u))[:, 0],
+                                   rtol=0, atol=1e-9)
 
 
 class TestNets:

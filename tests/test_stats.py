@@ -2,11 +2,12 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stathyp import stats
+from stathyp import rng, stats
 from stathyp.errors import CoverageError, DomainError, ParameterError
 from stathyp.rng import substream
 from stathyp.spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus,
@@ -141,6 +142,18 @@ class TestRayThickness:
         many = stats.ray_thick_fraction_many(mt, 1j, 2000.0, 0.5, 0.1, 8, seed=4)
         assert few.tobytes() == many[:3].tobytes()
 
+    def test_memory_bounded_by_the_block(self):
+        # the walk keeps one block of flags, not a rays x length matrix
+        # (100 rays of length 10^4 at dt 0.1 held a 9.8 MB flag matrix)
+        mt = ModularTorus()
+        tracemalloc.start()
+        try:
+            stats.ray_thick_fraction_many(mt, 1j, 1e4, 0.5, 0.1, 100, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
 
 class TestP1Fraction:
     def test_flat_space(self):
@@ -154,13 +167,13 @@ class TestP1Fraction:
         assert frac >= 0.9
 
     @pytest.mark.parametrize("r", [20.0, 20.05])
-    def test_sphere_is_the_fixed_length_walk(self, r):
+    def test_sphere_is_the_fixed_length_walk(self, r, walk_flags):
         # k = 0 puts every shell point at distance r: the P1 rule applied
         # ray by ray to one walk of length r
         mt = ModularTorus()
         eps, theta, sigma, dt, n, seed = 0.5, 0.75, 0.2, 0.1, 300, 7
         phis = substream(seed, 0, 0).uniform(0.0, math.pi, size=n)
-        flags, partial, p, m = stats._walk_thick_flags(mt, 1j, phis, np.full(n, r), eps, dt)
+        flags, partial, p, m = walk_flags(mt, 1j, phis, np.full(n, r), eps, dt)
         j_lo = max(1, math.ceil(sigma * r / dt - 1e-12))
         good = 0
         for j in range(n):
@@ -232,6 +245,10 @@ class TestSeparation:
         assert slope == pytest.approx(-1.0)
 
 
+TRIANGLE_SPACES = [EuclideanSpace(2), HyperbolicPlane(), ModularTorus(),
+                   SupProduct([HyperbolicPlane(), HyperbolicPlane()]), sup_plane()]
+
+
 class TestTriangleProbes:
     def test_side_overlap(self):
         eu = EuclideanSpace(2)
@@ -276,6 +293,47 @@ class TestTriangleProbes:
         with pytest.raises(DomainError):
             stats.thin_triangle_probe(eu, u, v, u, (1.0, 2.0), 1.0, 0.1)
 
+    @pytest.mark.parametrize("space", TRIANGLE_SPACES, ids=lambda s: s.describe())
+    def test_exact_probe_against_grid_to_grid(self, space):
+        # gridding the other two sides too (the probe's former method) can
+        # only raise the minimum, and by at most ds
+        ds = 0.05
+        x = space.basepoint()
+        Y, Z = stats._sample_triangles(space, x, 8.0, 12, seed=3)
+        for j in range(12):
+            y, z = space.batch_get(Y, j), space.batch_get(Z, j)
+            d_xy = space.distance(x, y)
+            interval = (d_xy / 3.0, 2.0 * d_xy / 3.0)
+            _, exact = stats.thin_triangle_probe(space, x, y, z, interval, 1.0, ds)
+            pts = space.geodesic_points(x, y, stats._time_grid(*interval, ds))
+            grid = min(
+                space.cross_distance(pts, space.geodesic_points(
+                    a, z, stats._time_grid(0.0, space.distance(a, z), ds))).min()
+                for a in (x, y))
+            assert grid - ds <= exact <= grid + 1e-9
+
+    @pytest.mark.parametrize("space", TRIANGLE_SPACES, ids=lambda s: s.describe())
+    def test_triangle_depends_only_on_its_index(self, space, monkeypatch):
+        x = space.basepoint()
+        few = stats.thin_triangle_sample(space, x, 6.0, 3, 1.0, 0.1, seed=5)
+        many = stats.thin_triangle_sample(space, x, 6.0, 8, 1.0, 0.1, seed=5)
+        for a, b in zip(few, many):
+            assert a.tobytes() == b[:3].tobytes()
+        # across chunk boundaries: with chunks of 2, row 2 sits in a chunk of
+        # one triangle at n = 3 and of two at n = 8
+        monkeypatch.setattr(rng, "CHUNK", 2)
+        few = stats.thin_triangle_sample(space, x, 6.0, 3, 1.0, 0.1, seed=5)
+        many = stats.thin_triangle_sample(space, x, 6.0, 8, 1.0, 0.1, seed=5)
+        for a, b in zip(few, many):
+            assert a.tobytes() == b[:3].tobytes()
+
+    def test_sides_at_least_r(self):
+        hyp = HyperbolicPlane()
+        Y, Z = stats._sample_triangles(hyp, 1j, 10.0, 50, seed=2)
+        assert np.all(hyp.distance_many(Y, Z) >= 10.0)
+        radii = hyp.distance_many(np.full(100, 1j), np.concatenate([Y, Z]))
+        assert np.all((radii >= 10.0 - 1e-9) & (radii <= 12.5 + 1e-9))
+
 
 class TestDiscretizer:
     def test_short_segment_two_points(self):
@@ -290,6 +348,21 @@ class TestDiscretizer:
         net = Net(points=np.arange(0.0, 11.0)[:, None], c=0.5, region=None)
         path = stats.discretize_geodesic(eu, net, 3.0, (np.array([0.0]), np.array([10.0])))
         assert path.points.ravel().tolist() == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+
+    @pytest.mark.parametrize("space", [EuclideanSpace(2), HyperbolicPlane()],
+                             ids=lambda s: s.describe())
+    def test_segment_depends_only_on_its_index(self, space, monkeypatch):
+        x = space.basepoint()
+        few = stats.discretize_sample(space, x, 6.0, 3, 3.0, 0.5, seed=5)
+        many = stats.discretize_sample(space, x, 6.0, 8, 3.0, 0.5, seed=5)
+        for a, b in zip(few, many):
+            assert a.tobytes() == b[:3].tobytes()
+        monkeypatch.setattr(rng, "CHUNK", 2)
+        few = stats.discretize_sample(space, x, 6.0, 3, 3.0, 0.5, seed=5)
+        many = stats.discretize_sample(space, x, 6.0, 8, 3.0, 0.5, seed=5)
+        for a, b in zip(few, many):
+            assert a.tobytes() == b[:3].tobytes()
+        assert not many[0].any() and np.all(many[1] >= 2)
 
     @pytest.mark.parametrize("space_name", ["euclid", "hyperbolic"])
     def test_invariants_on_random_runs(self, space_name):
