@@ -10,16 +10,16 @@ threshold arithmetic of subsurface distance formulas.
 
 from .spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus,
                      RegularTree, SupProduct, build_net, make_space)
-from .stats import (EstimateResult, SamplePath, discretize_geodesic,
-                    estimate_spread, p1_fraction, separation_fraction,
-                    thick_stat, thin_triangle_probe)
+from .stats import (EstimateResult, discretize_geodesic, estimate_spread,
+                    p1_fraction, separation_fraction, thick_stat,
+                    thin_triangle_probe)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EuclideanSpace", "HyperbolicPlane", "ModularTorus", "RegularTree",
     "SupProduct", "make_space", "build_net",
-    "EstimateResult", "SamplePath", "estimate_spread", "thick_stat",
+    "EstimateResult", "estimate_spread", "thick_stat",
     "p1_fraction", "separation_fraction", "thin_triangle_probe",
     "discretize_geodesic",
 ]

@@ -424,11 +424,12 @@ def _run_coarse_check(cfg, pr, rep):
         d_c = np.exp(rng_twist.uniform(-5.0, 300.0, m))
         b, lp = coarse.twist_only_distance(d_c), coarse.log_plus(d_c)
         f, g, h = np.exp(rng_ident.uniform(-7.0, 20.0, (3, m)))
+        d, p = coarse.horoball_distance(pairs), coarse.log_max_proxy(pairs)
         counts += [
-            np.count_nonzero(~coarse.proxy_sandwich_holds(pairs, floor)),
+            np.count_nonzero(~coarse.proxy_sandwich_holds(d, p, floor)),
             np.count_nonzero(((b >= 3.0) | (d_c >= 3.0))
                              & ~((lp <= b + 1e-12) & (b <= 4.0 * lp + 1e-12))),
-            np.count_nonzero(~coarse.chain_inequality_holds(pairs, m0, profile_size=40)),
+            np.count_nonzero(~coarse.chain_inequality_holds(d, p, m0, profile_size=40)),
             np.count_nonzero(~coarse.max_log_identity(f, g, h, math.e ** 3)[2]),
         ]
     labels = ("proxy sandwich (factor 6) above the floor",
@@ -447,8 +448,6 @@ def _run_coarse_check(cfg, pr, rep):
 def _run_discretize(cfg, pr, rep):
     space = _continuous_space(cfg, "discretize")
     n, tau, c = pr["n"], pr["tau"], pr["c"]
-    if tau <= 4 * c:
-        raise ConfigError(f"need tau > 4c, got tau={tau}, c={c}")
     failed, points = stats.discretize_sample(space, space.basepoint(), pr["r"], n, tau, c,
                                              pr["seed"])
     violations = int(failed.sum())

@@ -143,28 +143,27 @@ def max_log_identity(f, g, h, m0: float):
     return _scalar(lhs), rhs, _scalar(ok)
 
 
-def proxy_sandwich_holds(pair: HoroballPair, floor: float = 0.0):
-    """Check 6^-1 * d <= proxy <= 6 * d, elementwise.
+def proxy_sandwich_holds(d, p, floor: float = 0.0):
+    """Check 6^-1 * d <= p <= 6 * d, elementwise, for the horoball distances
+    ``d`` and the log-max proxies ``p`` of a batch of pairs.
 
     Pairs where both the distance and the proxy lie below ``floor`` pass
     without a check.
     """
-    d = horoball_distance(pair)
-    p = log_max_proxy(pair)
     return (np.maximum(d, p) < floor) | ((d <= 6.0 * p) & (p <= 6.0 * d))
 
 
-def chain_inequality_holds(pairs: HoroballPair, m0: float, profile_size: int | None = None):
-    """Check the thresholded-sum chain over entries not short on both sides.
+def chain_inequality_holds(d, p, m0: float, profile_size: int | None = None):
+    """Check the thresholded-sum chain over the horoball distances ``d`` and
+    the log-max proxies ``p`` of pairs not short on both sides.
 
-    sum 6^-1 thr_{6 m0}(d)  <=  sum thr_{m0}(proxy)  <=  sum 6 thr_{m0/6}(d).
+    sum 6^-1 thr_{6 m0}(d)  <=  sum thr_{m0}(p)  <=  sum 6 thr_{m0/6}(d).
 
     The sums run over the whole batch, or, given ``profile_size``, over each
     run of that many consecutive pairs (the last run may be shorter), with
     one verdict per run.
     """
-    d = np.atleast_1d(horoball_distance(pairs))
-    p = np.atleast_1d(log_max_proxy(pairs))
+    d, p = np.atleast_1d(d), np.atleast_1d(p)
     terms = np.stack([threshold(d, 6.0 * m0) / 6.0, threshold(p, m0),
                       6.0 * threshold(d, m0 / 6.0)])
     if profile_size is None:

@@ -27,6 +27,8 @@ from .errors import DomainError, ParameterError, UnsupportedMethodError
 from .rng import chunked, substream
 
 _SYM_TOL = 1e-9
+# cap on the (block, rows, dim) arrays that compare every pair of rows
+_DEDUPE_BLOCK_ELEMS = 1 << 20
 
 
 def unit_ball_volume(n: int) -> float:
@@ -62,7 +64,11 @@ class ConvexBody:
         raise NotImplementedError
 
     def polar(self) -> "ConvexBody":
-        """Polar dual body."""
+        """Polar dual {xi : xi . v <= 1 for all v in the body}.
+
+        Polytopes dualize to polytopes (facets <-> vertices), so exact volume
+        survives polarity; ellipsoids and p-balls have closed-form duals.
+        """
         raise NotImplementedError
 
     def exact_volume(self) -> float:
@@ -97,9 +103,13 @@ class Polytope(ConvexBody):
             raise DomainError("the origin must be interior to the polytope")
 
     def _check_symmetry(self):
-        scale = np.abs(self.vertices).max()
-        for v in self.vertices:
-            if np.min(np.abs(self.vertices + v).max(axis=1)) > _SYM_TOL * max(scale, 1.0):
+        v = self.vertices
+        tol = _SYM_TOL * max(np.abs(v).max(), 1.0)
+        # every vertex needs a negated partner: min_j |v_i + v_j| <= tol,
+        # compared a block of vertices at a time
+        step = max(1, _DEDUPE_BLOCK_ELEMS // v.size)
+        for start in range(0, len(v), step):
+            if np.any(np.abs(v[start:start + step, None] + v).max(axis=2).min(axis=1) > tol):
                 raise DomainError("vertex list is not centrally symmetric")
 
     def contains(self, xs: np.ndarray) -> np.ndarray:
@@ -120,9 +130,6 @@ class Polytope(ConvexBody):
 
     def describe(self) -> str:
         return f"polytope(dim={self.dim},k={len(self.vertices)})"
-
-
-_DEDUPE_BLOCK_ELEMS = 1 << 20  # cap on the (block, earlier rows, dim) difference array
 
 
 def _dedupe_rows(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -209,15 +216,6 @@ def _conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def polar(body: ConvexBody) -> ConvexBody:
-    """Polar dual {xi : xi . v <= 1 for all v in the body}.
-
-    Polytopes dualize to polytopes (facets <-> vertices), so exact volume
-    survives polarity; ellipsoids and p-balls have closed-form duals.
-    """
-    return body.polar()
-
-
 def volume(body: ConvexBody, method: str = "exact", n: int = 200_000,
            seed: int = 0) -> VolumeEstimate:
     """Lebesgue volume of the body.
@@ -261,7 +259,7 @@ def mahler(body: ConvexBody, method: str = "exact", n: int = 200_000,
     exact path flags any true violation.
     """
     v1 = volume(body, method, n, seed)
-    v2 = volume(polar(body), method, n, seed + 1 if method == "monte-carlo" else seed)
+    v2 = volume(body.polar(), method, n, seed + 1 if method == "monte-carlo" else seed)
     value = v1.value * v2.value
     # first-order error propagation for the product
     se = math.hypot(v1.std_error * v2.value, v2.std_error * v1.value)
@@ -289,7 +287,7 @@ def busemann_density(body: ConvexBody, method: str = "exact", n: int = 200_000,
 def holmes_thompson_density(body: ConvexBody, method: str = "exact",
                             n: int = 200_000, seed: int = 0) -> VolumeEstimate:
     """Volume of the polar unit ball over the Euclidean-ball volume."""
-    v = volume(polar(body), method, n, seed)
+    v = volume(body.polar(), method, n, seed)
     eps_n = unit_ball_volume(body.dim)
     return VolumeEstimate(v.value / eps_n, v.std_error / eps_n, v.n_samples)
 
@@ -317,13 +315,6 @@ def densities(body: ConvexBody, method: str = "exact", n: int = 200_000,
         g.std_error / g.value if g.value else 0.0,
     )
     return DensityPair(f.value, g.value, ratio, se)
-
-
-def density_ratio(body: ConvexBody, method: str = "exact", n: int = 200_000,
-                  seed: int = 0) -> tuple[float, float]:
-    """(f/g, combined standard error) for the two densities of the body."""
-    pair = densities(body, method, n, seed)
-    return pair.ratio, pair.ratio_std_error
 
 
 def random_symmetric_polytope(dim: int, seed: int, k_min: int = 4, k_max: int = 40) -> Polytope:

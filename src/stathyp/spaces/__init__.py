@@ -7,7 +7,7 @@ from .base import ModelSpace, RayBundle, ball_radial_mass
 from .euclidean import EuclideanSpace
 from .hyperbolic import HyperbolicPlane
 from .modular import ModularTorus, thin_area_fraction
-from .nets import Net, SegmentRegion, build_net, check_net
+from .nets import Net, build_net, check_net
 from .product import SupProduct
 from .tree import RegularTree
 
@@ -20,7 +20,6 @@ __all__ = [
     "ModularTorus",
     "SupProduct",
     "RegularTree",
-    "SegmentRegion",
     "Net",
     "build_net",
     "check_net",

@@ -16,17 +16,16 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, ParameterError, StathypError
+from .errors import CoverageError, DomainError, ParameterError
 from .rng import chunked, deterministic_sum
 from .spaces.base import ModelSpace
 from .spaces.modular import WORK_ITEMS, block_length
-from .spaces.nets import Net, SegmentRegion, build_net
+from .spaces.nets import _GRID_TOL, Net, _time_grid, build_net
 
-_GRID_TOL = 1e-12
 _TRIANGLE_KEY = 0x7A1
 _TRIANGLE_ROUNDS = 64
 _DISCRETIZE_KEY = 0xD15
@@ -57,15 +56,6 @@ class EstimateResult:
     shell: float     # 0 for spheres, k for annuli, r for balls
     seed: int
     config_digest: str
-
-
-@dataclass(frozen=True)
-class SamplePath:
-    """Nearest-net discretization of a geodesic segment."""
-
-    points: Any      # model batch
-    tau: float
-    c: float
 
 
 def estimate_spread(space: ModelSpace, x, r: float, k: float, n: int,
@@ -128,9 +118,8 @@ def thick_stat(space: ModelSpace, x, y, eps: float, dt: float) -> float:
         raise DomainError("thick_stat needs a nondegenerate segment")
     if not space.has_thin_part:
         return 1.0
-    m = int((d + _GRID_TOL) // dt)
+    m, p = (v.item() for v in _grid_steps(np.asarray(d), dt))
     times = np.arange(m) * dt
-    p = d - m * dt
     if p > _GRID_TOL:
         times = np.append(times, m * dt + 0.5 * p)
     flags = space.thick_many(space.geodesic_points(x, y, times), eps)
@@ -140,21 +129,13 @@ def thick_stat(space: ModelSpace, x, y, eps: float, dt: float) -> float:
     return thick_time / d
 
 
-def ray_thick_fraction(space: ModelSpace, x, length: float, eps: float,
-                       dt: float, seed: int) -> float:
-    """Thickness fraction of a single random ray of the given length.
-
-    The ray direction is drawn uniformly from ``seed``; the walk is carried
-    in renormalized frame coordinates so the length may be arbitrarily large.
-    """
-    return float(ray_thick_fraction_many(space, x, length, eps, dt, 1, seed)[0])
-
-
 def ray_thick_fraction_many(space: ModelSpace, x, length: float, eps: float,
                             dt: float, n: int, seed: int) -> np.ndarray:
     """Thickness fractions of ``n`` independent random rays.
 
-    Ray ``j``'s fraction depends only on ``(seed, j, length, eps, dt)``.
+    Ray ``j``'s fraction depends only on ``(seed, j, length, eps, dt)``.  The
+    walk is carried in renormalized frame coordinates, so the length may be
+    arbitrarily large.
     """
     if length <= 0:
         raise ParameterError(f"ray length must be positive, got {length}")
@@ -363,13 +344,6 @@ def decay_fit_report(ts: Sequence[float], values: Sequence[float]) -> dict:
 # Thin-triangle probes
 # ---------------------------------------------------------------------------
 
-def _time_grid(a: float, b: float, ds: float) -> np.ndarray:
-    ts = np.arange(a, b, ds)
-    if len(ts) == 0 or b - ts[-1] > _GRID_TOL:
-        ts = np.append(ts, b)
-    return ts
-
-
 def thin_triangle_probe(space: ModelSpace, x, y, z, interval, c: float,
                         ds: float) -> tuple[bool, float]:
     """Does the subinterval of [x, y] come within c of the other two sides?
@@ -455,9 +429,9 @@ def thin_triangle_sample(space: ModelSpace, x, r: float, n: int, c: float,
 # Geodesic discretization
 # ---------------------------------------------------------------------------
 
-def discretize_geodesic(space: ModelSpace, net: Net, tau: float,
-                        segment: tuple) -> SamplePath:
-    """Snap marks spaced tau - 2c along the segment to nearest net points.
+def discretize_geodesic(space: ModelSpace, net: Net, tau: float, segment: tuple):
+    """Snap marks spaced tau - 2c along the segment to nearest net points;
+    the batch of those net points, one per mark, is the sample path.
 
     Requires tau > 4c.  Raises CoverageError when a mark has no net point
     within 2c or when snapping breaks the tau step bound (possible only for
@@ -470,10 +444,7 @@ def discretize_geodesic(space: ModelSpace, net: Net, tau: float,
     d = space.distance(x, y)
     if d == 0.0:
         raise DomainError("degenerate segment")
-    step = tau - 2.0 * c
-    times = np.arange(0.0, d, step)
-    if d - times[-1] > _GRID_TOL:
-        times = np.append(times, d)
+    times = _time_grid(0.0, d, tau - 2.0 * c)
     marks = space.geodesic_points(x, y, times)
     idx, dist = net.nearest(space, marks)
     far = dist > 2.0 * c + _GRID_TOL
@@ -489,7 +460,7 @@ def discretize_geodesic(space: ModelSpace, net: Net, tau: float,
     if wide.any():
         raise CoverageError(f"net too sparse: consecutive path points "
                             f"{gaps[wide.argmax()]:.6g} > tau = {tau:.6g}")
-    return SamplePath(points=pts, tau=float(tau), c=float(c))
+    return pts
 
 
 def discretize_sample(space: ModelSpace, x, r: float, n: int, tau: float,
@@ -504,6 +475,8 @@ def discretize_sample(space: ModelSpace, x, r: float, n: int, tau: float,
     """
     if n < 1:
         raise ParameterError(f"need at least one segment, got {n}")
+    if tau <= 4.0 * c:
+        raise ParameterError(f"need tau > 4c, got tau={tau}, c={c}")
     failed, points = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
     start = 0
     for m, rng_dir, rng_len in chunked(seed, n, (_DISCRETIZE_KEY, 0), (_DISCRETIZE_KEY, 1)):
@@ -511,11 +484,10 @@ def discretize_sample(space: ModelSpace, x, r: float, n: int, tau: float,
             r * (0.5 + 0.5 * rng_len.uniform(size=m)))
         for j in range(m):
             y = space.batch_get(ends, j)
-            net = build_net(space, SegmentRegion(x, y), c)
+            net = build_net(space, x, y, c)
             try:
-                path = discretize_geodesic(space, net, tau, (x, y))
-                points[start + j] = space.batch_size(path.points)
-            except StathypError:
+                points[start + j] = space.batch_size(discretize_geodesic(space, net, tau, (x, y)))
+            except CoverageError:
                 failed[start + j] = True
         start += m
     return failed, points

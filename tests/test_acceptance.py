@@ -15,7 +15,7 @@ from scipy import integrate
 
 from stathyp import cli, coarse, convex, stats
 from stathyp.spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus,
-                            RegularTree, SegmentRegion, SupProduct, build_net)
+                            RegularTree, SupProduct, build_net)
 
 
 def report(num: int, label: str, ok: bool, detail: str) -> bool:
@@ -135,16 +135,16 @@ def test_05_density_sandwich():
     for _ in range(100):
         dim = int(rng.integers(2, 5))
         axes = np.exp(rng.uniform(-2.0, 2.0, size=dim))
-        ratio, _ = convex.density_ratio(convex.Ellipsoid(axes))
+        ratio = convex.densities(convex.Ellipsoid(axes)).ratio
         worst_ellipsoid = max(worst_ellipsoid, abs(ratio - 1.0))
-    sup_ratio, _ = convex.density_ratio(convex.LpBall(2, math.inf))
+    sup_ratio = convex.densities(convex.LpBall(2, math.inf)).ratio
     sandwich_ok = True
     bodies = [convex.LpBall(2, p) for p in (1.0, 1.5, 3.0, math.inf)]
     bodies += [convex.LpBall(3, p) for p in (1.0, 2.5, math.inf)]
     bodies += [convex.random_symmetric_polytope(d, seed=s)
                for d in (2, 3) for s in range(50)]
     for body in bodies:
-        ratio, _ = convex.density_ratio(body)
+        ratio = convex.densities(body).ratio
         cap = body.dim ** (body.dim / 2.0)
         sandwich_ok = sandwich_ok and (1.0 - 1e-9 <= ratio <= cap + 1e-9)
     ok = (worst_ellipsoid <= 1e-3
@@ -163,9 +163,10 @@ def test_06_proxy_sandwich():
     eps0 = math.exp(-10.0)
     floor = coarse.threshold_floor(eps0)
     pairs = coarse.random_pairs(100_000, seed=31, eps0=eps0)
-    above = np.maximum(coarse.horoball_distance(pairs), coarse.log_max_proxy(pairs)) >= floor
+    d, p = coarse.horoball_distance(pairs), coarse.log_max_proxy(pairs)
+    above = np.maximum(d, p) >= floor
     tested = np.count_nonzero(above)
-    violations = np.count_nonzero(above & ~coarse.proxy_sandwich_holds(pairs))
+    violations = np.count_nonzero(above & ~coarse.proxy_sandwich_holds(d, p))
     rng = np.random.default_rng(37)
     d_c = np.exp(rng.uniform(-5.0, 300.0, size=100_000))
     b = coarse.twist_only_distance(d_c)
@@ -189,7 +190,8 @@ def test_07_distance_formula_arithmetic():
     n_profiles = 2500  # 40 pairs per profile: 1e5 annular terms in total
     for seed in range(n_profiles):
         pairs = coarse.random_pairs(40, seed=seed, eps0=eps0)
-        if not coarse.chain_inequality_holds(pairs, m0):
+        d, p = coarse.horoball_distance(pairs), coarse.log_max_proxy(pairs)
+        if not coarse.chain_inequality_holds(d, p, m0):
             chain_fails += 1
     rng = np.random.default_rng(41)
     f, g, h = np.exp(rng.uniform(-7.0, 20.0, size=(100_000, 3))).T
@@ -230,7 +232,7 @@ def test_09_thick_stat_ergodic_and_p1():
     area_thin = integrate.quad(lambda x: 1.0 / math.sqrt(1.0 - x * x) - 1.0 / t0_height,
                                -0.5, 0.5)[0]
     oracle = area_thin / area_total
-    frac = stats.ray_thick_fraction(mt, 1j, 10_000.0, eps, 0.1, seed=3)
+    frac = stats.ray_thick_fraction_many(mt, 1j, 10_000.0, eps, 0.1, 1, seed=3)[0]
     gap = abs(frac - oracle)
 
     p1 = stats.p1_fraction(mt, 1j, 50.0, 5.0, 0.1, 0.5, 0.2, 2000, 0.1, seed=5)
@@ -314,14 +316,13 @@ def test_12_discretizer_invariants():
             length = float(rng.uniform(3.0, 10.0))
             y = space.batch_get(space.rays_chunk(x, 1, rng, horizon=12.0)
                                 .points_at(length), 0)
-            net = build_net(space, SegmentRegion(x, y), c)
+            net = build_net(space, x, y, c)
             runs += 1
             try:
-                path = stats.discretize_geodesic(space, net, tau, (x, y))
+                pts = stats.discretize_geodesic(space, net, tau, (x, y))
             except Exception:
                 violations += 1
                 continue
-            pts = path.points
             steps_ok = all(
                 space.distance(space.batch_get(pts, j), space.batch_get(pts, j + 1))
                 <= tau + 1e-9

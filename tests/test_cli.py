@@ -270,6 +270,15 @@ class TestOtherExperiments:
         assert "past the float range of upper-half-plane coordinates" in err
         assert "Traceback" not in err and not (tmp_path / "far.csv").exists()
 
+    def test_discretize_tau_floor_exits_2(self, tmp_path, capsys):
+        text = ("[space]\nkind = hyperbolic\n\n[experiment]\nkind = discretize\n"
+                "tau = 1\nc = 0.5\nn = 3\n")
+        cfg_path = write(tmp_path, "d.ini", text)
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: parameter error in discretize: need tau > 4c")
+        assert not (tmp_path / "d.csv").exists()
+
     def test_coarse_check_config(self, tmp_path):
         text = "[experiment]\nkind = coarse-check\nn = 2000\n"
         cfg_path = write(tmp_path, "cc.ini", text)

@@ -37,6 +37,11 @@ def ref_twist_only_distance(d_c):
     return 2.0 * math.asinh(0.5 * d_c)
 
 
+def terms(pairs):
+    """The horoball distances and log-max proxies the two checks take."""
+    return coarse.horoball_distance(pairs), coarse.log_max_proxy(pairs)
+
+
 class TestLogPlus:
     def test_examples(self):
         assert coarse.log_plus(0.5) == 0.0
@@ -143,10 +148,11 @@ class TestSandwiches:
         floor = coarse.threshold_floor(eps0)
         assert floor == pytest.approx(360.0)
         pairs = coarse.random_pairs(20000, seed=3, eps0=eps0)
-        above = np.maximum(coarse.horoball_distance(pairs), coarse.log_max_proxy(pairs)) >= floor
+        d, p = terms(pairs)
+        above = np.maximum(d, p) >= floor
         tested = np.count_nonzero(above)
-        assert np.all(coarse.proxy_sandwich_holds(pairs)[above])
-        assert np.all(coarse.proxy_sandwich_holds(pairs, floor))
+        assert np.all(coarse.proxy_sandwich_holds(d, p)[above])
+        assert np.all(coarse.proxy_sandwich_holds(d, p, floor))
         assert tested > 1000  # the generator must actually reach the regime
 
     def test_twist_log_bounds(self):
@@ -165,7 +171,7 @@ class TestSandwiches:
         assert m0 >= coarse.threshold_floor(eps0)
         for seed in range(300):
             pairs = coarse.random_pairs(40, seed=seed, eps0=eps0)
-            assert coarse.chain_inequality_holds(pairs, m0)
+            assert coarse.chain_inequality_holds(*terms(pairs), m0)
 
 
 class TestArrayForms:
@@ -243,12 +249,12 @@ class TestArrayForms:
         l_x[80:120], l_y[80:120], d_c[80:120] = 1e-5, 1e-5, 0.0
         pairs = coarse.HoroballPair(l_x, l_y, d_c, eps0)
         for m0, expected in ((400.0, [True] * 5), (1.0, [True, True, False, True, True])):
-            verdicts = coarse.chain_inequality_holds(pairs, m0, profile_size=40)
+            verdicts = coarse.chain_inequality_holds(*terms(pairs), m0, profile_size=40)
             assert verdicts.tolist() == expected
             for k, verdict in enumerate(verdicts):
                 part = slice(40 * k, 40 * (k + 1))
                 one = coarse.HoroballPair(l_x[part], l_y[part], d_c[part], eps0)
-                assert verdict == coarse.chain_inequality_holds(one, m0)
+                assert verdict == coarse.chain_inequality_holds(*terms(one), m0)
 
 
 class TestRandomPairs:

@@ -43,27 +43,38 @@ class TestVolume:
         with pytest.raises(DomainError):
             convex.Polytope([[1, 0], [0, 1], [-1, -1], [2, 2]])
 
+    def test_symmetry_check_spans_blocks(self, monkeypatch):
+        # a block bound of 120 elements compares two of the 20 vertices at a
+        # time, so the vertex without an antipode sits in the last block
+        monkeypatch.setattr(convex, "_DEDUPE_BLOCK_ELEMS", 120)
+        g = np.random.default_rng(5).normal(size=(10, 3))
+        verts = np.vstack([g, -g])
+        assert len(convex.Polytope(verts).vertices) == 20
+        verts[19] *= 1.01
+        with pytest.raises(DomainError, match="centrally symmetric"):
+            convex.Polytope(verts)
+
 
 class TestPolar:
     def test_disk_self_polar(self):
         disk = convex.Ellipsoid([1.0, 1.0])
-        pol = convex.polar(disk)
+        pol = disk.polar()
         assert np.allclose(pol.semi_axes, [1.0, 1.0])
 
     def test_square_to_diamond(self):
-        pol = convex.polar(square())
+        pol = square().polar()
         got = sorted(map(tuple, np.round(pol.vertices, 9)))
         assert got == [(-1.0, -0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
         assert convex.volume(pol).value == pytest.approx(2.0, abs=1e-12)
 
     def test_ellipse_axes_reciprocal(self):
-        pol = convex.polar(convex.Ellipsoid([2.0, 0.5]))
+        pol = convex.Ellipsoid([2.0, 0.5]).polar()
         assert np.allclose(pol.semi_axes, [0.5, 2.0])
 
     def test_lp_duality(self):
-        assert convex.polar(convex.LpBall(2, 1.0)).p == math.inf
-        assert convex.polar(convex.LpBall(2, math.inf)).p == 1.0
-        assert convex.polar(convex.LpBall(3, 3.0)).p == pytest.approx(1.5)
+        assert convex.LpBall(2, 1.0).polar().p == math.inf
+        assert convex.LpBall(2, math.inf).polar().p == 1.0
+        assert convex.LpBall(3, 3.0).polar().p == pytest.approx(1.5)
 
     @pytest.mark.parametrize("body", [
         square(),
@@ -72,7 +83,7 @@ class TestPolar:
         convex.random_symmetric_polytope(3, seed=12),
     ])
     def test_bipolar_membership(self, body):
-        back = convex.polar(convex.polar(body))
+        back = body.polar().polar()
         rng = np.random.default_rng(1)
         xs = rng.uniform(-1.5, 1.5, size=(10_000, body.dim))
         a = body.contains(xs)
@@ -87,13 +98,13 @@ class TestPolar:
         # same polar vertex, which must be kept once
         cube = convex.Polytope(scale * np.array(list(itertools.product([-1.0, 1.0], repeat=3))))
         assert len(cube.hull.equations) == 12
-        pol = convex.polar(cube)
+        pol = cube.polar()
         assert len(pol.vertices) == 6
         assert convex.mahler(cube).value == pytest.approx(32.0 / 3.0, rel=1e-12)
 
     def test_octahedron_polar_is_cube(self):
         octa = convex.Polytope(np.vstack([np.eye(3), -np.eye(3)]))
-        assert len(convex.polar(octa).vertices) == 8
+        assert len(octa.polar().vertices) == 8
         assert convex.mahler(octa).value == pytest.approx(32.0 / 3.0, rel=1e-12)
 
     def test_dedupe_keeps_first_of_near_rows(self):
@@ -126,7 +137,7 @@ class TestPolar:
         rng = np.random.default_rng(3)
         xs = rng.uniform(-3, 3, size=(5000, 2))
         # polar reverses inclusion
-        ps, pl = convex.polar(small), convex.polar(large)
+        ps, pl = small.polar(), large.polar()
         inside_pl = pl.contains(xs)
         assert np.all(ps.contains(xs[inside_pl]))
 
@@ -171,7 +182,7 @@ class TestDensities:
         body = convex.LpBall(2, math.inf)
         assert convex.busemann_density(body).value == pytest.approx(math.pi / 4.0)
         assert convex.holmes_thompson_density(body).value == pytest.approx(2.0 / math.pi)
-        assert convex.density_ratio(body)[0] == pytest.approx(math.pi ** 2 / 8.0)
+        assert convex.densities(body).ratio == pytest.approx(math.pi ** 2 / 8.0)
 
     def test_l1_plane(self):
         body = convex.LpBall(2, 1.0)
@@ -192,6 +203,6 @@ class TestDensities:
         bodies += [convex.random_symmetric_polytope(2, seed=s) for s in range(20)]
         bodies += [convex.random_symmetric_polytope(3, seed=s) for s in range(20)]
         for body in bodies:
-            ratio, _ = convex.density_ratio(body)
+            ratio = convex.densities(body).ratio
             cap = body.dim ** (body.dim / 2.0)
             assert 1.0 - 1e-9 <= ratio <= cap + 1e-9

@@ -13,10 +13,9 @@ from stathyp.errors import (DomainError, ParameterError,
                             UnsupportedMethodError)
 from stathyp.rng import CHUNK
 from stathyp.spaces.base import ModelSpace
-from stathyp.spaces import (EuclideanSpace, HyperbolicPlane,
-                            ModularTorus, Net, RegularTree, SegmentRegion,
-                            SupProduct, build_net, check_net, make_space,
-                            thin_area_fraction)
+from stathyp.spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus,
+                            Net, RegularTree, SupProduct, build_net,
+                            check_net, make_space, thin_area_fraction)
 from stathyp.spaces.hyperbolic import _ray_matrices
 from stathyp.spaces.modular import (_BOUND_TOL, _MAX_REDUCE, SPAN, block_length,
                                     reduce_many)
@@ -799,28 +798,30 @@ class TestDistanceToSegment:
 class TestNets:
     def test_interval_net_size(self):
         eu = euclid_line()
-        region = SegmentRegion(np.array([0.0]), np.array([10.0]))
-        net = build_net(eu, region, 1.0)
-        assert 6 <= net.size(eu) <= 11
+        net = build_net(eu, np.array([0.0]), np.array([10.0]), 1.0)
+        # the candidates 0, 0.5, ..., 10 hold the endpoint once, and the
+        # greedy pass keeps every other one
+        assert eu.batch_size(net.points) == 11
+        assert net.points.ravel().tolist() == [float(i) for i in range(11)]
 
     def test_invariants(self):
         eu = EuclideanSpace(2)
-        region = SegmentRegion(np.array([0.0, 0.0]), np.array([4.0, 3.0]))
-        net = build_net(eu, region, 0.7)
-        sep, cover = check_net(eu, net)
+        u, v = np.array([0.0, 0.0]), np.array([4.0, 3.0])
+        net = build_net(eu, u, v, 0.7)
+        sep, cover = check_net(eu, net, u, v)
         assert sep >= 0.7 - 1e-12
         assert cover <= 1.4 + 1e-12
 
     def test_hyperbolic_segment_net(self):
         hyp = HyperbolicPlane()
-        net = build_net(hyp, SegmentRegion(1j, 2.0 + 5.0j), 0.4)
-        sep, cover = check_net(hyp, net)
+        net = build_net(hyp, 1j, 2.0 + 5.0j, 0.4)
+        sep, cover = check_net(hyp, net, 1j, 2.0 + 5.0j)
         assert sep >= 0.4 - 1e-9
         assert cover <= 0.8 + 1e-9
 
     def test_nearest(self):
         eu = euclid_line()
-        net = Net(points=np.arange(0.0, 11.0)[:, None], c=0.5, region=None)
+        net = Net(points=np.arange(0.0, 11.0)[:, None], c=0.5)
         # 5.5 ties between 5 and 6; the first net point wins
         idx, dist = net.nearest(eu, np.array([[3.4], [9.9], [-2.0], [5.5]]))
         assert idx.tolist() == [3, 10, 0, 5]

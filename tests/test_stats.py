@@ -11,8 +11,8 @@ from stathyp import rng, stats
 from stathyp.errors import CoverageError, DomainError, ParameterError
 from stathyp.rng import substream
 from stathyp.spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus,
-                            Net, RegularTree, SegmentRegion, SupProduct,
-                            ball_radial_mass, build_net, thin_area_fraction)
+                            Net, RegularTree, SupProduct, ball_radial_mass,
+                            build_net, thin_area_fraction)
 
 
 def sup_plane():
@@ -122,17 +122,18 @@ class TestThickStat:
 class TestRayThickness:
     def test_flat_space(self):
         eu = EuclideanSpace(2)
-        assert stats.ray_thick_fraction(eu, eu.basepoint(), 100.0, 0.5, 0.1, seed=0) == 1.0
+        frac = stats.ray_thick_fraction_many(eu, eu.basepoint(), 100.0, 0.5, 0.1, 1, seed=0)[0]
+        assert frac == 1.0
 
     def test_moderate_ray_matches_area_fraction(self):
         mt = ModularTorus()
-        frac = stats.ray_thick_fraction(mt, 1j, 3000.0, 0.5, 0.1, seed=3)
+        frac = stats.ray_thick_fraction_many(mt, 1j, 3000.0, 0.5, 0.1, 1, seed=3)[0]
         assert abs(frac - (1.0 - thin_area_fraction(0.5))) <= 0.04
 
     def test_many_matches_single(self):
         mt = ModularTorus()
-        single = stats.ray_thick_fraction(mt, 1j, 50.0, 0.3, 0.1, seed=9)
-        many = stats.ray_thick_fraction_many(mt, 1j, 50.0, 0.3, 0.1, 1, seed=9)
+        single = stats.ray_thick_fraction_many(mt, 1j, 50.0, 0.3, 0.1, 1, seed=9)[0]
+        many = stats.ray_thick_fraction_many(mt, 1j, 50.0, 0.3, 0.1, 4, seed=9)
         assert many[0] == pytest.approx(single)
 
     def test_ray_depends_only_on_its_index(self):
@@ -339,15 +340,15 @@ class TestDiscretizer:
     def test_short_segment_two_points(self):
         eu = EuclideanSpace(1)
         u, v = np.array([0.0]), np.array([1.2])
-        net = build_net(eu, SegmentRegion(u, v), 0.4)
+        net = build_net(eu, u, v, 0.4)
         path = stats.discretize_geodesic(eu, net, 2.0, (u, v))
-        assert eu.batch_size(path.points) == 2
+        assert eu.batch_size(path) == 2
 
     def test_integer_net_example(self):
         eu = EuclideanSpace(1)
-        net = Net(points=np.arange(0.0, 11.0)[:, None], c=0.5, region=None)
+        net = Net(points=np.arange(0.0, 11.0)[:, None], c=0.5)
         path = stats.discretize_geodesic(eu, net, 3.0, (np.array([0.0]), np.array([10.0])))
-        assert path.points.ravel().tolist() == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+        assert path.ravel().tolist() == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
 
     @pytest.mark.parametrize("space", [EuclideanSpace(2), HyperbolicPlane()],
                              ids=lambda s: s.describe())
@@ -377,9 +378,8 @@ class TestDiscretizer:
             tau = 4.0 * c + rng.uniform(0.5, 2.0)
             bundle = space.rays_chunk(x, 1, np.random.default_rng(i), horizon=12.0)
             y = space.batch_get(bundle.points_at(rng.uniform(3.0, 10.0)), 0)
-            net = build_net(space, SegmentRegion(x, y), c)
-            path = stats.discretize_geodesic(space, net, tau, (x, y))
-            pts = path.points
+            net = build_net(space, x, y, c)
+            pts = stats.discretize_geodesic(space, net, tau, (x, y))
             # step bound
             for j in range(space.batch_size(pts) - 1):
                 a = space.batch_get(pts, j)
@@ -398,7 +398,7 @@ class TestDiscretizer:
 
     def test_coverage_error_when_net_elsewhere(self):
         eu = EuclideanSpace(1)
-        net = Net(points=np.array([[50.0], [51.0]]), c=0.5, region=None)
+        net = Net(points=np.array([[50.0], [51.0]]), c=0.5)
         with pytest.raises(CoverageError, match="mark at time 0 is 50 from the net"):
             stats.discretize_geodesic(eu, net, 3.0, (np.array([0.0]), np.array([5.0])))
 
@@ -406,13 +406,18 @@ class TestDiscretizer:
         # marks every 1.5 all lie within 2c of this net, but the snapped
         # path jumps 3.0 and then 3.1 > tau
         eu = EuclideanSpace(1)
-        net = Net(points=np.array([[0.9], [3.9], [7.0]]), c=0.5, region=None)
+        net = Net(points=np.array([[0.9], [3.9], [7.0]]), c=0.5)
         with pytest.raises(CoverageError, match="points 3 > tau = 2.5"):
             stats.discretize_geodesic(eu, net, 2.5, (np.array([0.0]), np.array([7.0])))
 
+    def test_sample_rejects_tau_floor(self):
+        # a bad tau is the caller's error, not a violation on every segment
+        with pytest.raises(ParameterError, match="need tau > 4c"):
+            stats.discretize_sample(HyperbolicPlane(), 1j, 10.0, 3, 1.0, 0.5, 1)
+
     def test_tau_floor(self):
         eu = EuclideanSpace(1)
-        net = Net(points=np.arange(0.0, 6.0)[:, None], c=0.5, region=None)
+        net = Net(points=np.arange(0.0, 6.0)[:, None], c=0.5)
         with pytest.raises(ParameterError):
             stats.discretize_geodesic(eu, net, 2.0 - 1e-9, (np.array([0.0]), np.array([5.0])))
 

@@ -172,6 +172,16 @@ def test_cold_start_loads_scipy_only_for_polytopes(tmp_path):
     assert "scipy.spatial" in result["scipy"]["cube"]
 
 
+@pytest.mark.parametrize("module_name", ["stathyp", "stathyp.spaces"])
+def test_star_import_resolves_every_public_name(module_name):
+    # a name left in __all__ after its definition is gone breaks the star
+    # import, so a deletion that misses an export fails here
+    namespace = {}
+    exec(f"from {module_name} import *", namespace)
+    public = importlib.import_module(module_name).__all__
+    assert [name for name in public if name not in namespace] == []
+
+
 def test_readme_layout_names_resolve():
     # each row reads "| `stathyp.<module>` | contents |"; a backticked dotted
     # name in the contents is a module of the package or an attribute path
