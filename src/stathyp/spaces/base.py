@@ -6,10 +6,10 @@ writes the shared parts once: the batch plumbing; scalar geodesics read off
 ``geodesic_points``; one shell sampler,
 ``sample_shell`` (``k = 0`` sphere, ``0 < k < r`` annulus, ``k = r`` ball);
 the pair-distance kernel ``ray_pair_distances`` of the estimators that sample
-from one basepoint, by default ``distance_many`` of the two bundles' points;
-the exact distance from a batch to a geodesic segment,
-``distance_to_segment``, by default a golden-section search over the
-``segment_profile``; and the thickness interface (``thick_many``,
+from one basepoint, by default ``distance_many`` of the two bundles' points,
+which only the tree keeps; the exact distance from a batch to a geodesic
+segment, ``distance_to_segment``, by default a golden-section search over
+the ``segment_profile``; and the thickness interface (``thick_many``,
 ``thick``, ``ray_walker``), which says "always thick" unless a model has a
 thin part.
 

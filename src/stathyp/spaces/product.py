@@ -99,11 +99,11 @@ class SupProduct(ModelSpace):
 
     def distance_many(self, U, V) -> np.ndarray:
         per = [c.distance_many(ui, vi) for c, ui, vi in zip(self.components, U, V)]
-        return np.max(np.stack(per, axis=0), axis=0)
+        return functools.reduce(np.maximum, per)
 
     def cross_distance(self, U, V) -> np.ndarray:
         per = [c.cross_distance(ui, vi) for c, ui, vi in zip(self.components, U, V)]
-        return np.max(np.stack(per, axis=0), axis=0)
+        return functools.reduce(np.maximum, per)
 
     def ray_pair_distances(self, by, ty, bz, tz) -> np.ndarray:
         """The largest of the factors' kernels, each at the times ``t * speeds[:, j]``."""
@@ -111,7 +111,7 @@ class SupProduct(ModelSpace):
         tz = np.asarray(tz, dtype=np.float64)
         per = [c.ray_pair_distances(yj, ty * by.speeds[:, j], zj, tz * bz.speeds[:, j])
                for j, (c, yj, zj) in enumerate(zip(self.components, by.bundles, bz.bundles))]
-        return np.max(np.stack(per, axis=0), axis=0)
+        return functools.reduce(np.maximum, per)
 
     def segment_profile(self, P, u, v):
         """The largest of the factors' profiles, factor ``j`` at time
@@ -135,14 +135,15 @@ class SupProduct(ModelSpace):
     def rays_chunk(self, x, count, rng, horizon) -> ProductRays:
         self.validate_point(x)
         m = len(self.components)
-        g = np.abs(rng.normal(size=(count, m)))
-        # column by column: numpy reduces short rows (axis=1) far more slowly
-        top = functools.reduce(np.maximum, g.T)
+        speeds = np.abs(rng.normal(size=(count, m)))
+        # column by column, the rule euclidean._pnorm follows too: numpy
+        # reduces short rows (axis=1) far more slowly
+        top = functools.reduce(np.maximum, speeds.T)
         fix = top == 0.0
         if np.any(fix):
-            g[fix] = 1.0
+            speeds[fix] = 1.0
             top[fix] = 1.0
-        speeds = g / top[:, None]
+        speeds /= top[:, None]
         # each component draws from its own child stream, so ray j depends
         # only on row j of every draw
         bundles = [

@@ -197,6 +197,15 @@ class TestOtherExperiments:
         cfg_path = write(tmp_path, "sp.ini", text)
         assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_large_p_norm_estimate_passes(self, tmp_path, capsys):
+        # a ** p overflowed at p = 1000 and turned every distance to inf
+        text = ("[space]\nkind = euclidean\np = 1000\n\n"
+                "[experiment]\nkind = estimate-e\nr = 5\nn = 2000\n")
+        cfg_path = write(tmp_path, "p1000.ini", text)
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        assert "PASS" in capsys.readouterr().out
+
     @pytest.mark.parametrize("space", ["hyperbolic", "modular"])
     def test_slim_triangle_check_can_fail(self, tmp_path, capsys, monkeypatch, space):
         # hyperbolic triangles are ln(1+sqrt2)-slim, so C = 1 must hit every

@@ -16,6 +16,7 @@ from stathyp.spaces.base import ModelSpace
 from stathyp.spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus,
                             Net, RegularTree, SupProduct, build_net,
                             check_net, make_space, thin_area_fraction)
+from stathyp.spaces.euclidean import _pnorm
 from stathyp.spaces.hyperbolic import _ray_matrices
 from stathyp.spaces.modular import (_BOUND_TOL, _MAX_REDUCE, SPAN, block_length,
                                     reduce_many)
@@ -687,6 +688,82 @@ def test_ray_pairs_need_one_basepoint():
     bz = hyp.rays_chunk(2j, 4, np.random.default_rng(2), horizon=1.0)
     with pytest.raises(DomainError, match="one basepoint"):
         hyp.ray_pair_distances(by, 1.0, bz, 1.0)
+
+
+NORMED = ([EuclideanSpace(dim, p=p) for dim in (1, 2, 3, 7) for p in (1.0, 1.5, 2.0, math.inf)]
+          + [sup_plane(), SupProduct([EuclideanSpace(2), HyperbolicPlane()])])
+
+
+def cartesian_pairs(space, by, ty, bz, tz):
+    """The pair kernel with every normed factor measured on its points:
+    ``distance_many`` of the bundles' points, the largest over factors taken
+    with ``np.max`` of the stacked factor distances."""
+    if isinstance(space, SupProduct):
+        ty, tz = np.asarray(ty, dtype=np.float64), np.asarray(tz, dtype=np.float64)
+        per = [cartesian_pairs(c, yj, ty * by.speeds[:, j], zj, tz * bz.speeds[:, j])
+               for j, (c, yj, zj) in enumerate(zip(space.components, by.bundles, bz.bundles))]
+        return np.max(np.stack(per, axis=0), axis=0)
+    if isinstance(space, EuclideanSpace):
+        return ModelSpace.ray_pair_distances(space, by, ty, bz, tz)
+    return space.ray_pair_distances(by, ty, bz, tz)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("space", NORMED, ids=space_id)
+class TestNormedRayPairDistances:
+    """The coordinate-column pair kernel against the Cartesian points it
+    replaces: the arithmetic is the same, so the bits are too."""
+
+    def basepoints(self, space):
+        def shifted(c):
+            return 0.3 + 2.5j if c.kind == "hyperbolic-plane" else np.linspace(-1.5, 2.0, c.dim)
+        if isinstance(space, SupProduct):
+            return [space.basepoint(), tuple(shifted(c) for c in space.components)]
+        return [space.basepoint(), shifted(space)]
+
+    @pytest.mark.parametrize("r", [0.5, 20.0], ids=space_id)
+    def test_equals_cartesian_points(self, space, r):
+        for x in self.basepoints(space):
+            for k in (0.0, 0.25 * r, r):  # sphere, annulus, ball
+                by, ty, bz, tz = ray_pair(space, x, 3000, r, k, seed=int(4 * r))
+                assert np.array_equal(space.ray_pair_distances(by, ty, bz, tz),
+                                      cartesian_pairs(space, by, ty, bz, tz))
+            assert np.array_equal(space.ray_pair_distances(by, r, bz, r),  # scalar times
+                                  cartesian_pairs(space, by, r, bz, r))
+
+    def test_equal_rays_and_time_zero_are_exactly_zero(self, space):
+        by, ty, bz, _ = ray_pair(space, self.basepoints(space)[1], 200, 30.0, 30.0, seed=5)
+        assert np.all(space.ray_pair_distances(by, ty, by, ty) == 0.0)
+        assert np.all(space.ray_pair_distances(by, 1e4, by, 1e4) == 0.0)
+        assert np.all(space.ray_pair_distances(by, 0.0, bz, np.zeros(200)) == 0.0)
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_pnorm_matches_row_reductions(dim):
+    # below 8 coordinates numpy's row sum adds in coordinate order, as _pnorm does
+    rng = np.random.default_rng(dim)
+    deltas = rng.normal(size=(4000, dim)) * np.exp(rng.uniform(-30.0, 30.0, size=(4000, dim)))
+    for shaped in (deltas, deltas.reshape(40, 100, dim), deltas[0]):
+        a = np.abs(shaped)
+        assert np.array_equal(_pnorm(shaped, 1.0), a.sum(axis=-1))
+        assert np.array_equal(_pnorm(shaped, 2.0), np.sqrt((a * a).sum(axis=-1)))
+        assert np.array_equal(_pnorm(shaped, math.inf), a.max(axis=-1))
+
+
+@pytest.mark.filterwarnings("error")
+def test_large_p_neither_overflows_nor_underflows():
+    space = EuclideanSpace(2, p=1000)
+    assert space.distance((0, 0), (3, 0)) == 3.0
+    assert space.distance((0, 0), (0.1, 0)) == 0.1
+    assert space.distance((0, 0), (1e-3, 1e-3)) == pytest.approx(1e-3 * 2 ** (1 / 1000),
+                                                               rel=0.0, abs=1e-12)
+    U = np.array([[1.0, 2.0], [0.0, 0.0], [-7.0, 7.0]])
+    assert np.array_equal(space.distance_many(U, U), np.zeros(3))
+    assert np.allclose(space.distance_many(U, np.zeros((3, 2))),
+                       [2.0, 0.0, 7.0 * 2 ** (1 / 1000)], rtol=1e-15, atol=0.0)
+    # an infinite coordinate gap is an infinite distance, as at p = 1, 2 and inf
+    assert np.array_equal(_pnorm(np.array([[math.inf, 1.0], [0.0, -math.inf]]), 1000.0),
+                          [math.inf, math.inf])
 
 
 class TestFloatHorizon:

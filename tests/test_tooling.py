@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stathyp import cli, coarse, rng, stats
@@ -44,6 +45,9 @@ def test_tracer_install_and_restore():
         cfg = cli.parse_config("[experiment]\nkind = estimate-e\nn = 100\n")
         cli.run_config(cfg)
         assert tracer.calls["cli.run.estimate-e"] == 1
+        # estimate-e measures normed pairs with ray_pair_distances, which the
+        # tracer does not wrap, so the wrapped method is called directly
+        EuclideanSpace().distance_many(np.zeros((3, 2)), np.ones((3, 2)))
         assert tracer.calls["spaces.euclidean.distance_many"] == 1
     finally:
         restore()
