@@ -195,8 +195,9 @@ class ModelSpace(ABC):
             raise ParameterError(f"eps must be positive, got {eps}")
         return np.ones(self.batch_size(batch), dtype=bool)
 
-    def ray_walker(self, x, phi: np.ndarray):
-        """Long-ray walker for the rays from ``x`` with direction parameters ``phi``."""
+    def ray_walker(self, x, phi: np.ndarray, eps: float):
+        """Walker for the eps-thin excursions of the rays from ``x`` with
+        direction parameters ``phi``."""
         raise UnsupportedMethodError(f"the {self.kind} model has no ray walker")
 
     # -- sampling -----------------------------------------------------------

@@ -7,31 +7,30 @@ The convention is that the systole of the unit-area flat torus with reduced
 modulus z' equals 1/sqrt(Im z'), so the point is eps-thick exactly when
 Im z' <= 1/eps^2.
 
-Long geodesics cannot be followed in raw coordinates (the imaginary part
-decays like exp(-t) and underflows near t = 700), so :class:`RayWalker`
-carries rays as unit-determinant frame matrices M, kept reduced (M.i in the
-fundamental domain).  It walks in blocks: :meth:`RayWalker.block` builds
-the raw points M.diag(e^{s/2}, e^{-s/2}).i at the offsets s = j*dt, j < K,
-of all rays in one broadcast, reduces them with one :func:`reduce_many`
-call, and then advances the frame once, by ``step(K*dt)``.  The block
-length is fixed by flow time alone, K = max(1, round(SPAN / dt)), so it
-never depends on how many rays are walked; with dt >= SPAN a block is one
-grid time and the walk is the plain ``step`` sequence.
+Long rays are not walked point by point: :class:`RayWalker` reads their cusp
+excursions off the continued-fraction coding of the geodesic flow (C. Series,
+"The modular surface and continued fractions", 1985), one Gauss-map step per
+excursion.  It needs eps <= 1, so that T = 1/eps^2 >= 1 and the thin part is
+a union of disjoint horoballs, one per cusp.
 
-SPAN bounds the error.  The flow expands errors like e^s, so a raw point
-at offset s carries about e^s ulps of hyperbolic error: about 25 ulps at
-s = 3.2.  The frame itself is advanced by step(K*dt) instead of K steps of
-dt, so its rounding differs from the one-step walk by a few ulps per block.
-The geodesic flow on the modular surface is chaotic with Lyapunov exponent
-1, so any such change of float arithmetic shows in the thickness flags
-only after the ulps have grown to O(1):
+* A frame of a ray puts one cusp at infinity, where the ray is the
+  semicircle run from u to w.  It is reduced when, up to an integer
+  translation, -1 < u < 0 and w > 1; every cusp the ray passes at radius
+  R = (w - u)/2 > 1 has a reduced frame.  The first one is the cusp at
+  infinity seen from the basepoint reduced into the fundamental domain.
+* The next reduced frame is the image under z -> 1/(conj z - a), a = floor w,
+  a map in PGL(2, Z), so reduced heights are kept.  From one semicircle top
+  to the next the ray takes the flow time log((a - u)/(w - a)).
+* A frame with its top at flow time tau and R > T gives the thin interval
+  (tau - acosh(R/T), tau + acosh(R/T)).  The estimators count the grid
+  times j*dt inside these intervals (``stats._thin_runs``).
 
-* up to flow time t ~ 25 the flags of a ray are pointwise those of the
-  one-step walk (and of the exact ray);
-* past t ~ 30 every float walker follows a shadow orbit of the flow, not
-  the ray named by its direction parameter (Anosov shadowing), so the
-  agreement is statistical only: thickness fractions of long walks, up to
-  length 10^4 and beyond, are accurate in distribution, not pointwise.
+The Gauss map is chaotic like the flow it codes (Lyapunov exponent 1), so
+rounding shows only after it has grown to O(1): up to flow time t ~ 25 the
+thickness of a ray at each grid time is that of the exact ray, while past
+t ~ 30 every float walk follows a shadow orbit of the flow (Anosov
+shadowing), so thickness fractions of long rays, up to length 10^4 and
+beyond, are accurate in distribution, not pointwise.
 """
 
 from __future__ import annotations
@@ -45,16 +44,17 @@ from .hyperbolic import HyperbolicPlane, _ray_matrices
 
 _BOUND_TOL = 1e-12
 _MAX_REDUCE = 4000
-_S_SIGNS = np.array([[-1.0], [-1.0], [1.0], [1.0]])
-SPAN = 3.2  # flow time covered by one walker block
-# entries per work array of a block: numpy temporaries above 256 KB are fresh
-# mappings whose page faults cost more than the arithmetic on them
-WORK_ITEMS = 1 << 15
-
-
-def block_length(dt: float) -> int:
-    """Grid times per walker block at step ``dt``: fixed by flow time alone."""
-    return max(1, round(SPAN / dt))
+# for T >= 1, every excursion after the frame with top time tau starts after
+# tau - acosh((1 + sqrt 2) / 2): at that top the ray is at most at height
+# (1 + sqrt 2) / 2 in the next frame
+_LEAD = math.acosh((1.0 + math.sqrt(2.0)) / 2.0)
+# the fixed point of the coding step, the inert state of rays lost in a cusp
+_GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
+_OUT_OF_CUSP = 1e-150
+# coding steps per batch of ``RayWalker.excursions``: batches hold at most
+# 2^16 entries, and at most 64 steps are taken past the longest ray
+_BATCH_ENTRIES = 1 << 16
+_MAX_BATCH = 64
 
 
 def reduce_many(x: np.ndarray, y: np.ndarray):
@@ -86,92 +86,125 @@ def reduce_many(x: np.ndarray, y: np.ndarray):
     raise DomainError("reduction did not converge")
 
 
-class RayWalker:
-    """Unit tangent frames flowed along their rays, kept reduced.
+def _reducing_matrix(z: complex):
+    """Integer det-1 matrix ``(a, b, c, d)`` taking ``z`` into the fundamental
+    domain by the passes of ``reduce_many``."""
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    x, y = z.real, z.imag
+    for _ in range(_MAX_REDUCE):
+        n = math.floor(x + 0.5)
+        x -= n
+        a, b = a - n * c, b - n * d
+        m2 = x * x + y * y
+        if m2 >= 1.0 - _BOUND_TOL:
+            return a, b, c, d
+        x, y = -x / m2, y / m2
+        a, b, c, d = -c, -d, a, b
+    raise DomainError("reduction did not converge")
 
-    State is one det-1 matrix per ray, stored as the rows a, b, c, d of a
-    (4, n) array; the current point is M.i, kept inside the fundamental
-    domain by integer translations and inversions applied on the left.
-    ``step`` advances all rays and returns the reduced coordinates;
-    ``block`` reads the reduced coordinates at a block of grid times ahead
-    of the frames and then advances them past it.
+
+def _frame_interval(c, d, t0):
+    """Thin interval ``(lo, hi)`` of the det-1 frames ``N = [[a, b], [c, d]]``
+    whose rays are ``N.(i e^t)``: the times where the frame height
+    e^t / (c^2 e^2t + d^2) exceeds ``t0``.  ``c = 0`` (a ray into the cusp)
+    gives ``hi = inf``; frames that stay below ``t0`` give ``(-inf, -inf)``."""
+    c2, d2 = c * c, d * d
+    g = 1.0 - 4.0 * t0 * t0 * c2 * d2
+    s = 1.0 + np.sqrt(np.maximum(g, 0.0))
+    with np.errstate(divide="ignore"):
+        lo = np.log(2.0 * t0 * d2 / s)
+        hi = np.log(s / (2.0 * t0 * c2))
+    thin = g > 0.0
+    return np.where(thin, lo, -np.inf), np.where(thin, hi, -np.inf)
+
+
+class RayWalker:
+    """Cusp excursions of rays from one basepoint, one coding step at a time.
+
+    State per ray: the endpoints ``-v`` and ``w`` of its current reduced
+    frame and the flow time ``tau`` of the frame's semicircle top, measured
+    from the basepoint.  ``step`` moves every ray to its next frame and
+    returns the frame's thin interval; ``excursions`` yields all thin
+    intervals of the rays, in time order, until a given length.  A walker
+    walks once.
     """
 
-    def __init__(self, a, b, c, d):
-        self._m = np.array([a, b, c, d], dtype=np.float64)
-        self._steps = 0
-        self._out = np.empty((2, self._m.shape[1], 0))  # the arrays ``block`` returns
-        self._reduce()
+    def __init__(self, a, b, c, d, eps: float):
+        if not 0.0 < eps <= 1.0:
+            raise ParameterError(
+                f"the torus model's ray walker needs 0 < eps <= 1, where the thin "
+                f"part is a union of disjoint cusp horoballs; got eps={eps}")
+        t0 = self._t0 = 1.0 / (eps * eps)
+        a, b, c, d = (np.array(e, dtype=np.float64) for e in (a, b, c, d))
+        # a ray out of the cusp at infinity (d = 0: from 0.5i straight up, the
+        # basepoint reduces to 2i and the ray runs down to 0) is replaced by
+        # the ray with d = 1e-150, which parts from it only near t = 345
+        d[d == 0.0] = _OUT_OF_CUSP
+        # run every ray from u = b/d up to w = a/c: reflect by z -> -conj z
+        flip = c * d < 0.0
+        b[flip] *= -1.0
+        c[flip] *= -1.0
+        # The basepoint p lies in the fundamental domain F, so its frame is
+        # reduced: a semicircle with both ends within one of an integer m lies
+        # inside |z - m| < 1, which misses F.  And no earlier frame has an
+        # excursion after time 0: translated so that -1 < u < 0, their cusps
+        # lie in [-1, 0], their horoballs inside |z| < 1 or |z + 1| < 1, and
+        # |z|^2 and |z + 1|^2 grow along the semicircle past p, where both
+        # are at least 1.
+        lo, hi = _frame_interval(c, d, t0)
+        self._first = lo[None], hi[None]
+        lost = c == 0.0
+        c[lost] = 1.0  # a placeholder, replaced by the inert state
+        self._v, self._w, self._tau = -b / d, a / c, np.log(np.abs(d / c))
+        self._retire(np.flatnonzero(lost))
 
-    def _reduce(self):
-        """Reduce every frame; return the reduced (x, y) coordinates."""
-        m = self._m
-        for _ in range(_MAX_REDUCE):
-            a, b, c, d = m
-            den = c * c + d * d
-            y = 1.0 / den
-            n = np.floor((a * c + b * d) / den + 0.5)
-            # left-multiply by T^{-n}; exact on the rays with n == 0, and
-            # c, d (hence den and y) are unchanged
-            a -= n * c
-            b -= n * d
-            x = (a * c + b * d) / den
-            mask = x * x + y * y < 1.0 - _BOUND_TOL
-            if not mask.any():
-                return x, y
-            # left-multiply by S on the unreduced rays: (a, b, c, d) -> (-c, -d, a, b)
-            m = self._m = np.where(mask, m[[2, 3, 0, 1]] * _S_SIGNS, m)
-        raise DomainError("walker reduction did not converge")
+    def _retire(self, rays):
+        """Put ``rays``, which never leave their cusp again, in an inert state:
+        the golden fixed point of the step, with the top time at infinity."""
+        self._v[rays], self._w[rays], self._tau[rays] = 1.0 / _GOLDEN, _GOLDEN, np.inf
 
-    def step(self, dt: float):
-        """Advance every ray by ``dt``; return reduced (x, y) coordinates."""
-        e = math.exp(0.5 * dt)
-        m = self._m
-        m[0::2] *= e  # a, c
-        m[1::2] /= e  # b, d
-        self._steps += 1
-        if self._steps % 1024 == 0:
-            a, b, c, d = m
-            m /= np.sqrt(a * d - b * c)
-        return self._reduce()
+    def step(self):
+        """Advance every ray to its next reduced frame; return the frame's
+        thin interval ``(lo, hi)`` per ray, empty (``lo == hi``) where the
+        frame stays below the thin height."""
+        v, w, tau = self._v, self._w, self._tau
+        a = np.floor(w)
+        w -= a
+        lost = None
+        if not w.all():
+            # the forward endpoint is the cusp a: thin from the entry time on
+            lost = np.flatnonzero(w == 0.0)
+            entry = tau[lost] + np.log((a[lost] + v[lost]) * self._t0)
+            w[lost] = 1.0
+        v += a
+        tau += np.log(v / w)
+        np.reciprocal(v, out=v)
+        np.reciprocal(w, out=w)
+        h = np.arccosh(np.maximum((v + w) * (0.5 / self._t0), 1.0))
+        lo, hi = tau - h, tau + h
+        if lost is not None:
+            lo[lost], hi[lost] = entry, np.inf
+            self._retire(lost)
+        return lo, hi
 
-    def block(self, dt: float, k: int, tail=None):
-        """Reduced ``(n, k)`` coordinates of every ray at the grid times j*dt,
-        j < k, past its frame; then advance the frames by k*dt with one
-        ``step``.
+    def excursions(self, until):
+        """Yield the thin intervals ``(lo, hi)`` of the rays, as arrays of
+        shape ``(k, n)`` whose rows are in time order per ray; every interval
+        that meets [0, until[j]] of ray ``j`` is among them.
 
-        ``tail``, a vector of per-ray offsets, appends one more column, read
-        at those offsets.  Offset 0 is the frame's own reduced point, bit for
-        bit.  Rays are taken ``WORK_ITEMS // k`` at a time; every entry is
-        computed on its own, so the grouping never changes a value.
-
-        The two arrays are views of one buffer that the walker keeps, so the
-        next ``block`` call overwrites them: a walk allocates its output once,
-        not once per block.
+        Rays are stepped together; a ray stepped past its own length adds
+        intervals that start after it.  The arrays of one batch are
+        overwritten by the next.
         """
-        s = np.arange(k) * dt
-        if tail is not None:
-            s = np.column_stack([np.broadcast_to(s, (len(tail), k)), tail])
-        up, down = np.exp(s), np.exp(-s)
-        n, cols = self._m.shape[1], s.shape[-1]
-        if self._out.shape[2] < cols:
-            self._out = np.empty((2, n, cols))
-        x, y = self._out[:, :, :cols]
-        rows = max(1, WORK_ITEMS // max(cols, 1))
-        for lo in range(0, n, rows):
-            part = slice(lo, lo + rows)
-            a, b, c, d = self._m[:, part, None]
-            u, v = (up, down) if tail is None else (up[part], down[part])
-            # M.diag(e^{s/2}, e^{-s/2}).i = (ac e^s + bd e^-s + i) / (cc e^s + dd e^-s)
-            den = (c * c) * u + (d * d) * v
-            x[part], y[part] = reduce_many(((a * c) * u + (b * d) * v) / den, 1.0 / den)
-        self.step(k * dt)
-        return x, y
-
-    def position(self):
-        a, b, c, d = self._m
-        den = c * c + d * d
-        return (a * c + b * d) / den, 1.0 / den
+        yield self._first
+        n = len(self._tau)
+        rows = max(1, min(_MAX_BATCH, _BATCH_ENTRIES // max(n, 1)))
+        lo, hi = np.empty((2, rows, n))
+        until = np.asarray(until, dtype=np.float64) + _LEAD
+        while not np.all(self._tau > until):
+            for i in range(rows):
+                lo[i], hi[i] = self.step()
+            yield lo, hi
 
 
 class ModularTorus(HyperbolicPlane):
@@ -188,10 +221,14 @@ class ModularTorus(HyperbolicPlane):
         _, y = reduce_many(z.real, z.imag)
         return y <= 1.0 / (eps * eps)
 
-    def ray_walker(self, x, phi: np.ndarray) -> RayWalker:
-        """Walker for the rays from ``x`` with direction parameters ``phi``."""
+    def ray_walker(self, x, phi: np.ndarray, eps: float) -> RayWalker:
+        """Walker for the eps-thin excursions of the rays from ``x`` with
+        direction parameters ``phi``; needs 0 < eps <= 1."""
         self.validate_point(x)
-        return RayWalker(*_ray_matrices(complex(x), np.asarray(phi, dtype=np.float64)))
+        ga, gb, gc, gd = _reducing_matrix(complex(x))
+        a, b, c, d = _ray_matrices(complex(x), np.asarray(phi, dtype=np.float64))
+        return RayWalker(ga * a + gb * c, ga * b + gb * d, gc * a + gd * c,
+                         gc * b + gd * d, eps)
 
 
 def thin_area_fraction(eps: float) -> float:

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import CoverageError, DomainError, ParameterError
 from .rng import chunked, deterministic_sum
 from .spaces.base import ModelSpace
-from .spaces.modular import WORK_ITEMS, block_length
 from .spaces.nets import _GRID_TOL, Net, _time_grid, build_net
 
 _TRIANGLE_KEY = 0x7A1
@@ -133,9 +132,11 @@ def ray_thick_fraction_many(space: ModelSpace, x, length: float, eps: float,
                             dt: float, n: int, seed: int) -> np.ndarray:
     """Thickness fractions of ``n`` independent random rays.
 
-    Ray ``j``'s fraction depends only on ``(seed, j, length, eps, dt)``.  The
-    walk is carried in renormalized frame coordinates, so the length may be
-    arbitrarily large.
+    Quadrature on the grid {0, dt, 2 dt, ...} with a midpoint rule on the
+    final partial step, as in ``thick_stat``.  The thin grid times are counted
+    per cusp excursion (``RayWalker.excursions``), so the length may be
+    arbitrarily large.  Ray ``j``'s fraction depends only on
+    ``(seed, j, length, eps, dt)``.
     """
     if length <= 0:
         raise ParameterError(f"ray length must be positive, got {length}")
@@ -149,14 +150,14 @@ def ray_thick_fraction_many(space: ModelSpace, x, length: float, eps: float,
     out = []
     for m_chunk, rng in chunked(seed, n, (0,)):
         phis = rng.uniform(0.0, math.pi, size=m_chunk)
-        m, p = _grid_steps(np.full(m_chunk, float(length)), dt)
-        # thick counts per ray and block column, summed once at the end
-        counts = np.zeros((m_chunk, block_length(dt)))
-        partial = np.zeros(m_chunk, dtype=bool)
-        for _, flags, here, mid in _walk_thick_blocks(space, x, phis, m, p, eps, dt):
-            counts[:, :flags.shape[1]] += flags
-            partial[here] = mid
-        out.append((dt * counts.sum(axis=1) + p * partial) / length)
+        lengths = np.full(m_chunk, float(length))
+        m, p = _grid_steps(lengths, dt)
+        thin = np.zeros(m_chunk)
+        mid = _Midpoints(m, p, dt)
+        for first, last, lo, hi in _thin_runs(space, x, phis, lengths, m, eps, dt):
+            thin += np.maximum(last - first + 1.0, 0.0).sum(axis=0)
+            mid.update(lo, hi)
+        out.append((dt * (m - thin) + p * mid.thick()) / length)
     return np.concatenate(out)
 
 
@@ -167,37 +168,39 @@ def _grid_steps(lengths: np.ndarray, dt: float):
     return m, lengths - m * dt
 
 
-def _walk_thick_blocks(space, x, phis, m: np.ndarray, p: np.ndarray, eps: float, dt: float):
-    """Thickness indicators along the rays of grid steps ``(m, p)`` (see
-    ``_grid_steps``), one walker block of ``block_length(dt)`` grid times
-    at a time, so memory is bounded by the block, not by the ray length.
+def _thin_runs(space, x, phis, lengths, m: np.ndarray, eps: float, dt: float):
+    """Thin grid times of the rays of ``lengths``, one run per cusp excursion.
 
-    Yields ``(start, flags, here, mid)`` per block: ``flags[:, i]`` are the
-    indicators at grid time ``start + i`` (columns at or past ``m[j]`` belong
-    to longer rays), and ``mid`` the indicators at the midpoints of the
-    final partial steps of the rays ``here`` (an index array): those with
-    ``p[j]`` above the grid tolerance whose grid time ``m[j]`` falls in this
-    block.  A midpoint is read at its own offset from the block start, so
-    every entry depends on its own ray alone and never on the other rays
-    walked with it.
+    Yields ``(first, last, lo, hi)`` per batch of ``RayWalker.excursions``:
+    the excursion ``(lo, hi)`` of ray ``j`` holds its grid times ``i*dt``,
+    ``i < m[j]``, with ``first <= i <= last`` (none where ``last < first``).
+    Rows are in time order per ray, and the arrays are overwritten by the
+    next batch.  Grid time 0 is the basepoint, thin by its own reduced height
+    alone: at eps = 1 the basepoint i touches two horoballs, and rounding
+    can put 0 inside either interval.
     """
-    t0 = 1.0 / (eps * eps)
-    walker = space.ray_walker(x, phis)
-    k = block_length(dt)
-    width = int(m.max())
-    mid_block = np.where(p > _GRID_TOL, m // k, -1)
-    mid_blocks = set(mid_block.tolist())
-    no_mid = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
-    for i in range(max(-(-width // k), max(mid_blocks) + 1)):
-        start = i * k
-        cols = min(k, width - start)
-        if i in mid_blocks:
-            here = np.flatnonzero(mid_block == i)
-            # the midpoints are the last column, at offsets of their own
-            thick = walker.block(dt, cols, (m - start) * dt + 0.5 * p)[1] <= t0
-            yield start, thick[:, :cols], here, thick[here, -1]
-        else:
-            yield start, walker.block(dt, cols)[1] <= t0, *no_mid
+    walker = space.ray_walker(x, phis, eps)
+    first_thin = 1.0 if space.thick(x, eps) else 0.0  # the first grid time a run may hold
+    for lo, hi in walker.excursions(lengths):
+        first = np.maximum(np.floor(lo / dt) + 1.0, first_thin)
+        last = np.minimum(np.ceil(hi / dt) - 1.0, m - 1)
+        yield first, last, lo, hi
+
+
+class _Midpoints:
+    """Thickness at the midpoints of the final partial steps ``(m, p)``."""
+
+    def __init__(self, m, p, dt):
+        self.here = p > _GRID_TOL
+        self.t = m * dt + 0.5 * p
+        self.thin = np.zeros(len(m), dtype=bool)
+
+    def update(self, lo, hi):
+        self.thin |= ((lo < self.t) & (self.t < hi)).any(axis=0)
+
+    def thick(self):
+        """Midpoint thick flags; False for rays with no partial step."""
+        return self.here & ~self.thin
 
 
 def p1_fraction(space: ModelSpace, x, r: float, k: float, eps: float,
@@ -210,6 +213,11 @@ def p1_fraction(space: ModelSpace, x, r: float, k: float, eps: float,
     of its ray is at least ``theta`` at every grid time t in
     [sigma * l_j, l_j], and at ``l_j`` itself (midpoint rule on the final
     partial step).
+
+    The running fraction at grid time J*dt counts the thick grid times below
+    J.  It rises on thick stretches and falls only on thin ones, so its
+    minimum over J in [j_lo, m] is read at J = j_lo, at J = m and just past
+    each run of thin grid times.
     """
     space.validate_point(x)
     if not (0 < sigma < 1):
@@ -224,6 +232,7 @@ def p1_fraction(space: ModelSpace, x, r: float, k: float, eps: float,
         raise ParameterError(f"need at least one sample, got {n}")
     if not space.has_thin_part:
         return 1.0
+    low = theta - _GRID_TOL
     good_parts = []
     # keys: directions, then shell radii
     for m_chunk, rng, rng_rad in chunked(seed, n, (0,), (1,)):
@@ -231,36 +240,28 @@ def p1_fraction(space: ModelSpace, x, r: float, k: float, eps: float,
         lengths = space.sample_radii(rng_rad, m_chunk, r, k)
         m, p = _grid_steps(lengths, dt)
         j_lo = np.maximum(1, np.ceil(sigma * lengths / dt - _GRID_TOL))
-        j_first, j_max, m_min = j_lo.min(), j_lo.max(), m.min()
         ok = np.ones(m_chunk, dtype=bool)
-        thick_m = np.zeros(m_chunk)    # running count of thick grid times below m
-        partial = np.zeros(m_chunk, dtype=bool)
-        for start, flags, here, mid in _walk_thick_blocks(space, x, phis, m, p, eps, dt):
-            partial[here] = mid
-            cols = flags.shape[1]
-            grid = np.arange(start + 1, start + cols + 1)
-            # the masks by m and by j_lo matter only in the blocks where some
-            # ray ends, or where the judging of some ray starts
-            ends, starts = start + cols > m_min, start + 1 < j_max
-            # a few rays at a time, to keep the work arrays small
-            rows = max(1, WORK_ITEMS // max(cols, 1))
-            for lo in range(0, m_chunk, rows):
-                part = slice(lo, lo + rows)
-                thick = flags[part] & (grid <= m[part, None]) if ends else flags[part]
-                if start + cols >= j_first:
-                    # running fraction at grid time J*dt, judged for J in [j_lo, m]
-                    frac = np.cumsum(thick, axis=1, dtype=np.float64)
-                    frac += thick_m[part, None]
-                    frac /= grid
-                    low = frac < theta - _GRID_TOL
-                    if ends:
-                        low &= grid <= m[part, None]
-                    if starts:
-                        low &= grid >= j_lo[part, None]
-                    ok[part] &= ~low.any(axis=1)
-                thick_m[part] += np.count_nonzero(thick, axis=1)
-        frac_l = (thick_m * dt + p * partial) / lengths
-        ok &= (p <= _GRID_TOL) | (frac_l >= theta - _GRID_TOL)
+        thin = np.zeros(m_chunk)      # thin grid times below m, so far
+        thin_lo = np.zeros(m_chunk)   # thin grid times below j_lo
+        mid = _Midpoints(m, p, dt)
+        for first, last, lo, hi in _thin_runs(space, x, phis, lengths, m, eps, dt):
+            runs = np.maximum(last - first + 1.0, 0.0)
+            cum = np.cumsum(runs, axis=0)
+            cum += thin
+            # the running fraction just past each run, judged from j_lo on
+            past = last + 1.0
+            with np.errstate(invalid="ignore", divide="ignore"):
+                fall = (past - cum) / past < low
+            ok &= ~((runs > 0.0) & (past >= j_lo) & fall).any(axis=0)
+            thin_lo += np.maximum(np.minimum(last, j_lo - 1.0) - first + 1.0, 0.0).sum(axis=0)
+            thin = cum[-1]
+            mid.update(lo, hi)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            judged = j_lo <= m
+            ok &= ~(judged & ((j_lo - thin_lo) / j_lo < low))
+            ok &= ~(judged & ((m - thin) / m < low))
+        frac_l = (dt * (m - thin) + p * mid.thick()) / lengths
+        ok &= ~mid.here | (frac_l >= low)
         good_parts.append(float(ok.sum()))
     return deterministic_sum(good_parts) / n
 
@@ -345,19 +346,21 @@ def decay_fit_report(ts: Sequence[float], values: Sequence[float]) -> dict:
 # ---------------------------------------------------------------------------
 
 def thin_triangle_probe(space: ModelSpace, x, y, z, interval, c: float,
-                        ds: float) -> tuple[bool, float]:
+                        ds: float, d_xy: float | None = None) -> tuple[bool, float]:
     """Does the subinterval of [x, y] come within c of the other two sides?
 
     Grids the subinterval at step ``ds`` and reports the least exact
     distance (``distance_to_segment``) from a grid point to the sides
     [x, z] and [y, z].  That is at most ds / 2 above the minimum over the
     whole subinterval, since the distance to the sides is 1-Lipschitz along
-    the unit-speed side [x, y].
+    the unit-speed side [x, y].  ``d_xy``, the side length d(x, y), is
+    computed when not given.
     """
     s1, s2 = interval
     if ds <= 0:
         raise ParameterError(f"grid step must be positive, got {ds}")
-    d_xy = space.distance(x, y)
+    if d_xy is None:
+        d_xy = space.distance(x, y)
     if d_xy == 0.0:
         raise DomainError("degenerate triangle side [x, y]")
     if not (0.0 <= s1 < s2 <= d_xy + _GRID_TOL):
@@ -421,7 +424,7 @@ def thin_triangle_sample(space: ModelSpace, x, r: float, n: int, c: float,
         y, z = space.batch_get(Y, j), space.batch_get(Z, j)
         d_xy = space.distance(x, y)
         hits[j], minima[j] = thin_triangle_probe(
-            space, x, y, z, (d_xy / 3.0, 2.0 * d_xy / 3.0), c, ds)
+            space, x, y, z, (d_xy / 3.0, 2.0 * d_xy / 3.0), c, ds, d_xy)
     return hits, minima
 
 

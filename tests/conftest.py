@@ -7,16 +7,22 @@ from stathyp import stats
 
 
 def _walk_flags(space, x, phis, lengths, eps, dt):
-    """``(flags, partial, p, m)``: the blocks of ``stats._walk_thick_blocks``
-    written into the full ``(n, max m)`` flag matrix, with the midpoint flags
-    of the final partial steps and the grid steps ``(m, p)`` of ``lengths``."""
+    """``(flags, partial, p, m)``: the thin runs of ``stats._thin_runs``
+    written into the full ``(n, max m)`` thickness flag matrix (columns at or
+    past ``m[j]`` belong to longer rays and read thick), with the midpoint
+    flags of the final partial steps and the grid steps ``(m, p)`` of
+    ``lengths``."""
     m, p = stats._grid_steps(lengths, dt)
-    flags = np.zeros((len(phis), int(m.max())), dtype=bool)
-    partial = np.zeros(len(phis), dtype=bool)
-    for start, block, here, mid in stats._walk_thick_blocks(space, x, phis, m, p, eps, dt):
-        flags[:, start:start + block.shape[1]] = block
-        partial[here] = mid
-    return flags, partial, p, m
+    flags = np.ones((len(phis), int(m.max())), dtype=bool)
+    mid = stats._Midpoints(m, p, dt)
+    for first, last, lo, hi in stats._thin_runs(space, x, phis, lengths, m, eps, dt):
+        for row, ray in zip(*np.nonzero(last >= first)):
+            run = slice(int(first[row, ray]), int(last[row, ray]) + 1)
+            # the estimators add up run lengths, so runs must not overlap
+            assert flags[ray, run].all()
+            flags[ray, run] = False
+        mid.update(lo, hi)
+    return flags, mid.thick(), p, m
 
 
 @pytest.fixture

@@ -317,6 +317,8 @@ class TestOtherExperiments:
         ("thick-stat", "modular", "dt", "nan", "dt=nan"),
         ("p1", "modular", "dt", "nan", "dt=nan"),
         ("p1", "modular", "eps", "-1", "eps=-1.0"),
+        ("thick-stat", "modular", "eps", "1.5", "0 < eps <= 1"),
+        ("p1", "modular", "eps", "1.5", "0 < eps <= 1"),
         ("separation", "euclidean", "M0", "nan", "M0=nan"),
         ("thin-triangle", "hyperbolic", "n", "0", "n=0"),
         ("thin-triangle", "hyperbolic", "ds", "nan", "ds=nan"),

@@ -18,8 +18,8 @@ from stathyp.spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus,
                             check_net, make_space, thin_area_fraction)
 from stathyp.spaces.euclidean import _pnorm
 from stathyp.spaces.hyperbolic import _ray_matrices
-from stathyp.spaces.modular import (_BOUND_TOL, _MAX_REDUCE, SPAN, block_length,
-                                    reduce_many)
+from stathyp.spaces import modular
+from stathyp.spaces.modular import _BOUND_TOL, _MAX_REDUCE, reduce_many
 
 METRIC_TOL = 1e-9
 SPEED_TOL = 1e-8
@@ -286,10 +286,9 @@ class TestAnnulusSampling:
 
 
 class ReferenceWalker:
-    """The masked, one-array-per-entry walker that ``RayWalker`` replaced.
-
-    ``RayWalker`` must keep every float operation this walker applies to
-    each ray, so their positions agree bit for bit after every step.
+    """Frame matrices flowed by one grid step at a time and kept reduced:
+    the thickness of each ray at each grid time, read off its reduced point.
+    The oracle of the coding walker's flags up to t = 25.
     """
 
     def __init__(self, a, b, c, d):
@@ -333,6 +332,25 @@ class ReferenceWalker:
             self.d /= s
         self._reduce()
         return self._position()
+
+
+def assert_flags_match_reference(walk_flags, x, eps):
+    """The walk's thickness flags on 2000 rays from ``x``, at every grid time
+    up to t = 25 and at the midpoint of the final partial step, are those of
+    ``ReferenceWalker``.  The flow is chaotic (Lyapunov exponent 1): float
+    walkers agree pointwise only until their ulp differences grow to O(1),
+    near t = 30."""
+    mt = ModularTorus()
+    phi = np.random.default_rng(6).uniform(0.0, math.pi, 2000)
+    flags, partial, p, m = walk_flags(mt, x, phi, np.full(2000, 25.05), eps, 0.1)
+    assert flags.shape == (2000, 250) and np.all(m == 250)
+    ref = ReferenceWalker(*_ray_matrices(x, phi))
+    _, y = ref._position()
+    for j in range(250):
+        assert np.array_equal(flags[:, j], y <= 1.0 / eps ** 2), j
+        _, y = ref.step(0.1)
+    _, y = ref.step(0.5 * p[0])
+    assert np.array_equal(partial, y <= 1.0 / eps ** 2)
 
 
 def reference_reduce(x, y):
@@ -388,61 +406,54 @@ class TestModularReduction:
         x, y = reduce_many([2.3], [0.5])
         assert abs(x[0]) <= 0.5 and math.hypot(x[0], y[0]) >= 1.0 - 1e-12
 
-    @pytest.mark.parametrize("rays, steps", [(8, 2100), (1, 5000)])
-    def test_walker_matches_reference_bit_for_bit(self, rays, steps):
-        # 2100 steps cross the renormalisations at steps 1024 and 2048
+    @pytest.mark.parametrize("x", [1j, 0.3 + 1.7j])
+    @pytest.mark.parametrize("eps", [0.5, 0.1, 0.9])
+    def test_coding_flags_match_reference_until_t25(self, eps, x, walk_flags):
+        assert_flags_match_reference(walk_flags, x, eps)
+
+    def test_walk_stops_after_the_last_excursion(self, walk_flags, monkeypatch):
+        # a ray walked alone, one coding step per batch, stops as soon as no
+        # later excursion can start before its length; at eps = 1 an
+        # excursion can start up to acosh((1 + sqrt 2) / 2) before the top
+        # of the frame ahead of it
+        monkeypatch.setattr(modular, "_MAX_BATCH", 1)
         mt = ModularTorus()
-        x = 0.3 + 1.7j
-        phi = np.random.default_rng(rays).uniform(0.0, math.pi, rays)
-        walker = mt.ray_walker(x, phi)
+        x, eps, n = 0.3 + 1.7j, 1.0, 500
+        phi = np.random.default_rng(6).uniform(0.0, math.pi, n)
         ref = ReferenceWalker(*_ray_matrices(x, phi))
-        pos, ref_pos = walker.position(), ref._position()
-        for _ in range(steps):
-            assert np.array_equal(pos[0], ref_pos[0]) and np.array_equal(pos[1], ref_pos[1])
-            pos, ref_pos = walker.step(0.1), ref.step(0.1)
-        assert np.array_equal(pos[0], ref_pos[0]) and np.array_equal(pos[1], ref_pos[1])
+        thick = []
+        for _ in range(100):
+            thick.append(ref._position()[1] <= 1.0 / eps ** 2)
+            ref.step(0.1)
+        thick = np.array(thick).T
+        for k in range(n):
+            flags = walk_flags(mt, x, phi[k:k + 1], np.array([10.05]), eps, 0.1)[0]
+            assert np.array_equal(flags[0], thick[k]), k
 
-    def test_block_of_one_is_step(self):
-        # 2100 blocks cross the renormalisations at steps 1024 and 2048
+    @pytest.mark.parametrize("x, phi", [(1j, 0.0), (1j, math.pi / 2), (0.5j, 0.0),
+                                        (0.5j, math.pi / 2), (0.3 + 1.7j, 0.0)])
+    @pytest.mark.parametrize("eps", [0.5, 0.9, 1.0])
+    def test_rays_into_a_cusp(self, eps, phi, x, walk_flags):
+        # phi = 0 runs straight up and phi = pi/2 straight down, into a cusp
+        # either way (from 0.5i straight up, the reduced frame comes out of
+        # the cusp at infinity).  At height y the reduced height is
+        # max(y, 1/y) on the imaginary axis, and y above 1.7 at real part
+        # 0.3, so the ray is thick exactly where |ln y| <= ln(1/eps^2)
         mt = ModularTorus()
-        phi = np.random.default_rng(4).uniform(0.0, math.pi, 8)
-        blocks, steps = mt.ray_walker(0.3 + 1.7j, phi), mt.ray_walker(0.3 + 1.7j, phi)
-        for _ in range(2100):
-            x, y = blocks.block(0.1, 1)
-            sx, sy = steps.position()
-            assert x.shape == (8, 1)
-            assert x[:, 0].tobytes() == sx.tobytes() and y[:, 0].tobytes() == sy.tobytes()
-            steps.step(0.1)
-        assert blocks._m.tobytes() == steps._m.tobytes()
+        flags, partial, p, m = walk_flags(mt, x, np.array([phi]), np.array([20.05]), eps, 0.1)
+        t = np.arange(m[0]) * 0.1
+        log_y = math.log(x.imag) + (t if phi == 0.0 else -t)
+        assert np.array_equal(flags[0], np.abs(log_y) <= math.log(eps ** -2))
+        assert not partial[0]
 
-    def test_block_length_rule(self):
-        assert block_length(0.1) == 32
-        assert block_length(SPAN) == block_length(2 * SPAN) == block_length(100.0) == 1
-
-    def test_block_points_in_fundamental_domain(self):
-        mt = ModularTorus()
-        walker = mt.ray_walker(1j, np.random.default_rng(5).uniform(0.0, math.pi, 50))
-        for _ in range(200):
-            x, y = walker.block(0.1, block_length(0.1))
-            assert np.all(np.abs(x) <= 0.5)
-            assert np.all(x * x + y * y >= 1.0 - _BOUND_TOL)
-
-    @pytest.mark.parametrize("eps", [0.5, 0.1])
-    def test_block_flags_match_reference_until_t25(self, eps, walk_flags):
-        # the flow is chaotic (Lyapunov exponent 1): float walkers agree
-        # pointwise only until their ulp differences grow to O(1), near t = 30
+    def test_basepoint_on_the_thin_boundary_is_thick(self, walk_flags):
+        # at eps = 1, i is on the boundary of the horoballs at infinity and
+        # at 0: time 0 is thick on every ray, whichever interval rounding
+        # would put it in
         mt = ModularTorus()
         phi = np.random.default_rng(6).uniform(0.0, math.pi, 2000)
-        flags, partial, p, m = walk_flags(mt, 1j, phi, np.full(2000, 25.05), eps, 0.1)
-        assert flags.shape == (2000, 250) and np.all(m == 250)
-        ref = ReferenceWalker(*_ray_matrices(1j, phi))
-        _, y = ref._position()
-        for j in range(250):
-            assert np.array_equal(flags[:, j], y <= 1.0 / eps ** 2), j
-            _, y = ref.step(0.1)
-        # the midpoint of the final partial step
-        _, y = ref.step(0.5 * p[0])
-        assert np.array_equal(partial, y <= 1.0 / eps ** 2)
+        flags, _, _, _ = walk_flags(mt, 1j, phi, np.full(2000, 1.05), 1.0, 0.1)
+        assert flags[:, 0].all()
 
     def test_thickness_convention(self):
         mt = ModularTorus()
@@ -462,7 +473,7 @@ class TestModularReduction:
             with pytest.raises(ParameterError):
                 space.thick_many(batch, 0.0)
             with pytest.raises(UnsupportedMethodError):
-                space.ray_walker(space.basepoint(), np.zeros(3))
+                space.ray_walker(space.basepoint(), np.zeros(3), 0.5)
 
     def test_thin_area_fraction(self):
         # numeric integral of dx dy / y^2 over the thin part of the domain

@@ -156,6 +156,22 @@ class TestRayThickness:
         assert peak < 2e6
 
 
+def p1_by_grid_times(walk, lengths, theta, sigma, dt):
+    """Number of rays of ``walk`` (a ``walk_flags`` result) passing the P1
+    rule grid time by grid time: running thickness at least theta at every
+    grid time J*dt with J >= sigma*l/dt, and at the length l itself."""
+    flags, partial, p, m = walk
+    good = 0
+    for j, length in enumerate(lengths):
+        j_lo = max(1, math.ceil(sigma * length / dt - 1e-12))
+        cum = np.cumsum(flags[j, :m[j]])
+        ok = all(cum[J - 1] / J >= theta - 1e-12 for J in range(j_lo, m[j] + 1))
+        if p[j] > 1e-12:
+            ok &= (cum[-1] * dt + p[j] * partial[j]) / length >= theta - 1e-12
+        good += ok
+    return good
+
+
 class TestP1Fraction:
     def test_flat_space(self):
         eu = EuclideanSpace(2)
@@ -174,16 +190,22 @@ class TestP1Fraction:
         mt = ModularTorus()
         eps, theta, sigma, dt, n, seed = 0.5, 0.75, 0.2, 0.1, 300, 7
         phis = substream(seed, 0, 0).uniform(0.0, math.pi, size=n)
-        flags, partial, p, m = walk_flags(mt, 1j, phis, np.full(n, r), eps, dt)
-        j_lo = max(1, math.ceil(sigma * r / dt - 1e-12))
-        good = 0
-        for j in range(n):
-            cum = np.cumsum(flags[j, :m[j]])
-            ok = all(cum[J - 1] / J >= theta - 1e-12 for J in range(j_lo, m[j] + 1))
-            if p[j] > 1e-12:
-                ok &= (cum[-1] * dt + p[j] * partial[j]) / r >= theta - 1e-12
-            good += ok
+        good = p1_by_grid_times(walk_flags(mt, 1j, phis, np.full(n, r), eps, dt),
+                                np.full(n, r), theta, sigma, dt)
         assert stats.p1_fraction(mt, 1j, r, 0.0, eps, theta, sigma, n, dt, seed) == good / n
+
+    def test_shell_is_the_walk_of_each_length(self, walk_flags):
+        # k > 0 gives every ray its own length, off the grid: the P1 rule
+        # applied ray by ray to walks of those lengths
+        mt = ModularTorus()
+        r, k, eps, theta, sigma, dt, n, seed = 20.0, 5.0, 0.5, 0.75, 0.2, 0.1, 300, 7
+        phis = substream(seed, 0, 0).uniform(0.0, math.pi, size=n)
+        lengths = mt.sample_radii(substream(seed, 1, 0), n, r, k)
+        assert len(np.unique(lengths)) == n
+        good = p1_by_grid_times(walk_flags(mt, 1j, phis, lengths, eps, dt),
+                                lengths, theta, sigma, dt)
+        assert 0 < good < n
+        assert stats.p1_fraction(mt, 1j, r, k, eps, theta, sigma, n, dt, seed) == good / n
 
     def test_shell_width_is_sampled(self):
         # a ball holds shorter rays, which have had less time to leave the

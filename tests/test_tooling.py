@@ -56,6 +56,24 @@ def test_tracer_install_and_restore():
             stats.estimate_spread, rng.substream) == patched
 
 
+@pytest.mark.parametrize("experiment", [
+    "kind = thick-stat\nr = 20\nn = 2\n",
+    "kind = p1\nr = 10\nk = 2\nn = 20\n",
+], ids=["thick-stat", "p1"])
+def test_tracer_counts_coding_steps(experiment):
+    # the smoke gate reads the walker's step counter on geodesic-probes; an
+    # estimator that stops calling RayWalker.step leaves it at 0
+    tracing = load_perfbench("tracing")
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        cfg = cli.parse_config(f"[space]\nkind = modular\n[experiment]\n{experiment}")
+        assert cli.run_config(cfg).ok
+        assert tracer.calls["spaces.modular.RayWalker.step"] > 0
+    finally:
+        restore()
+
+
 COARSE_HOOKS = ("random_pairs", "chain_inequality_holds", "horoball_distance", "log_max_proxy",
                 "proxy_sandwich_holds", "max_log_identity", "log_plus")
 
