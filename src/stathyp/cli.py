@@ -564,6 +564,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "list":
         print(json.dumps(list_experiments(), indent=2, sort_keys=True))
         return 0
+    if args.command == "sweep" and args.workers < 1:
+        print(f"error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
+        return 2
 
     try:
         if args.command == "run":
@@ -578,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
         if not paths:
             print(f"error: no .ini configs in {args.config}", file=sys.stderr)
             return 2
-        with ThreadPoolExecutor(max_workers=max(args.workers, 1)) as pool:
+        with ThreadPoolExecutor(max_workers=args.workers) as pool:
             futures = [pool.submit(_run_one, p, args.out, seed_override, args.format)
                        for p in paths]
         code = 0

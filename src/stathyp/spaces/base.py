@@ -7,9 +7,10 @@ writes the shared parts once: the batch plumbing; scalar geodesics read off
 ``sample_shell`` (``k = 0`` sphere, ``0 < k < r`` annulus, ``k = r`` ball);
 the pair-distance kernel ``ray_pair_distances`` of the estimators that sample
 from one basepoint, by default ``distance_many`` of the two bundles' points,
-which only the tree keeps; the exact distance from a batch to a geodesic
-segment, ``distance_to_segment``, by default a golden-section search over
-the ``segment_profile``; and the thickness interface (``thick_many``,
+which only the tree keeps; the exact distance from each point of a batch to
+its own geodesic segment, ``distance_to_segment``, by default a
+golden-section search over the ``segment_profile`` that each continuous
+model supplies; and the thickness interface (``thick_many``,
 ``thick``, ``ray_walker``), which says "always thick" unless a model has a
 thin part.
 
@@ -140,34 +141,36 @@ class ModelSpace(ABC):
         bundles from one basepoint; each time is a scalar or one per ray."""
         return self.distance_many(by.points_at(ty), bz.points_at(tz))
 
-    def segment_profile(self, P, u, v):
-        """``(d, f)``: the length ``d = d(u, v)`` and the profile
-        ``f(s) = d(P_i, gamma(s_i))``, row by row, of the unit-speed geodesic
-        gamma from ``u`` to ``v``, for ``s`` in [0, d].  The default reads
-        gamma off ``geodesic_points``; a segment with ``u = v`` has the
-        constant profile d(P_i, u)."""
-        d = self.distance(u, v)
-        if d == 0.0:
-            still = self.distance_many(P, self.singleton(u))
-            return d, lambda s: still
-        return d, lambda s: self.distance_many(P, self.geodesic_points(u, v, s))
+    def segment_profile(self, P, U, V):
+        """``(d, f)``: the lengths ``d_j = d(U_j, V_j)`` and the profile
+        ``f(s) = d(P_j, gamma_j(s_j))``, row by row, where gamma_j is the
+        unit-speed geodesic from ``U_j`` to ``V_j`` and ``s_j`` lies in
+        [0, d_j].  ``U`` and ``V`` are batches of one row, shared by every row
+        of ``P``, or of one row per row of ``P``; a row with U_j = V_j has the
+        constant profile d(P_j, U_j).  Continuous models supply it."""
+        raise UnsupportedMethodError(f"the {self.kind} model has no segment profile")
 
-    def distance_to_segment(self, P, u, v) -> np.ndarray:
-        """Distance from each point of the batch ``P`` to the geodesic segment [u, v].
+    def distance_to_segment(self, P, U, V) -> np.ndarray:
+        """Distance from each point ``P_j`` to the geodesic segment [U_j, V_j],
+        with ``U`` and ``V`` as in ``segment_profile``.
 
         The default minimizes ``segment_profile`` by one vectorized
-        golden-section search to ``1e-9 * max(1, d)`` in time, plus both
-        endpoints.  This is exact up to that tolerance because the profile
-        is convex on every continuous model: normed spaces, the hyperbolic
-        plane and their sup-products.
+        golden-section search, plus both endpoints.  Row ``j`` stops once its
+        bracket is at most ``1e-9 * max(1, d_j)`` wide, so its value depends
+        on that row alone.  This is exact up to that tolerance because the
+        profile is convex on every continuous model: normed spaces, the
+        hyperbolic plane and their sup-products.
         """
-        d, f = self.segment_profile(P, u, v)
+        d, f = self.segment_profile(P, U, V)
         n = self.batch_size(P)
-        lo, hi = np.zeros(n), np.full(n, d)
+        d = np.broadcast_to(d, n)
+        lo, hi = np.zeros(n), d
         a, b = hi - _GOLDEN * d, lo + _GOLDEN * d
         fa, fb = f(a), f(b)
-        width, tol = d, _SEGMENT_RTOL * max(1.0, d)
-        while width > tol:
+        width, tol = d, _SEGMENT_RTOL * np.maximum(1.0, d)
+        live = width > tol
+        best = np.minimum(fa, fb)
+        while live.any():
             # the minimum lies in [lo, b] where f(a) <= f(b), else in [a, hi]
             left = fa <= fb
             lo, hi = np.where(left, lo, a), np.where(left, b, hi)
@@ -175,9 +178,11 @@ class ModelSpace(ABC):
             f_new = f(new)
             a, b, fa, fb = (np.where(left, new, b), np.where(left, a, new),
                             np.where(left, f_new, fb), np.where(left, fa, f_new))
-            width *= _GOLDEN
-        ends = np.minimum(f(np.zeros(n)), f(np.full(n, d)))
-        return np.minimum(np.minimum(fa, fb), ends)
+            width = width * _GOLDEN
+            done = live & (width <= tol)
+            best = np.where(done, np.minimum(fa, fb), best)
+            live &= ~done
+        return np.minimum(best, np.minimum(f(np.zeros(n)), f(d)))
 
     @abstractmethod
     def singleton(self, p):

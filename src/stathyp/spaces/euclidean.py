@@ -106,29 +106,38 @@ class EuclideanSpace(ModelSpace):
             raise ParameterError("ray times must be nonnegative")
         return u + (ts[:, None] / d) * (v - u)
 
-    def _line_frame(self, P, u, v):
-        """``(u, e, d, s0)``: the start ``u``, the unit direction ``e`` and the
-        length ``d`` of [u, v], and the projection times ``s0`` of ``P`` onto its
-        line (``e = 0`` when u = v)."""
-        u, v = self._point(u), self._point(v)
-        d = float(_pnorm(v - u, self.p))
-        e = (v - u) / d if d > 0.0 else np.zeros(self.dim)
-        return u, e, d, (P - u) @ e
+    def _line_frame(self, P, U, V):
+        """``(e, d, s0)``: row by row, the unit direction ``e`` and the length
+        ``d`` of [U_j, V_j], and the projection time ``s0`` of ``P_j`` onto its
+        line (``e = 0`` where U_j = V_j); the dot products go column by column."""
+        w = V - U
+        d = _pnorm(w, self.p)
+        e = w / np.where(d > 0.0, d, 1.0)[:, None]
+        q = P - U
+        s0 = q[:, 0] * e[:, 0]
+        for j in range(1, self.dim):
+            s0 += q[:, j] * e[:, j]
+        return e, d, s0
 
-    def distance_to_segment(self, P, u, v) -> np.ndarray:
+    def distance_to_segment(self, P, U, V) -> np.ndarray:
         if not self._euclidean:
-            return super().distance_to_segment(P, u, v)
-        u, e, d, s0 = self._line_frame(P, u, v)
-        return _pnorm(P - u - np.clip(s0, 0.0, d)[:, None] * e, 2.0)
+            return super().distance_to_segment(P, U, V)
+        e, d, s0 = self._line_frame(P, U, V)
+        return _pnorm(P - U - np.clip(s0, 0.0, d)[:, None] * e, 2.0)
 
-    def segment_profile(self, P, u, v):
+    def segment_profile(self, P, U, V):
         """For a euclidean norm, ``hypot(a, s - s0)`` with ``a`` the offset of
-        each point from the line and ``s0`` the time of its foot."""
-        if not self._euclidean:
-            return super().segment_profile(P, u, v)
-        u, e, d, s0 = self._line_frame(P, u, v)
-        a = _pnorm(P - u - s0[:, None] * e, 2.0)
-        return d, lambda s: np.hypot(a, s - s0)
+        each point from its line and ``s0`` the time of its foot; for other
+        norms, the norm of ``P_j`` minus the point at time ``s`` of the
+        straight segment [U_j, V_j]."""
+        if self._euclidean:
+            e, d, s0 = self._line_frame(P, U, V)
+            a = _pnorm(P - U - s0[:, None] * e, 2.0)
+            return d, lambda s: np.hypot(a, s - s0)
+        w = V - U
+        d = _pnorm(w, self.p)
+        length = np.where(d > 0.0, d, 1.0)
+        return d, lambda s: _pnorm(P - (U + (s / length)[:, None] * w), self.p)
 
     @property
     def _euclidean(self) -> bool:

@@ -17,8 +17,9 @@ which is algebraically equivalent and stays accurate near argument 1.
 
 Pairs of rays from one basepoint need no Cartesian points at all:
 ``ray_pair_distances`` takes their distances from the law of cosines in a
-form that holds at any radius.  Distances to a geodesic segment come in
-closed form from the frame that puts the segment on the imaginary axis.
+form that holds at any radius.  Distances to geodesic segments, one per
+row, come in closed form from the frames that put each segment on the
+imaginary axis.
 Cartesian coordinates leave the float range
 near t = 355 (the squared height overflows), and past that ``points_at`` and
 ``geodesic_points`` raise a DomainError naming the time.
@@ -132,19 +133,24 @@ class HyperbolicPlane(ModelSpace):
 
     # -- geodesics ----------------------------------------------------------
 
-    def _axis_map(self, u: complex, v: complex):
-        """Matrix g with g(u), g(v) on the positive imaginary axis, plus the
-        axis heights of the two points."""
-        if abs(u.real - v.real) <= _VERTICAL_RTOL * max(1.0, abs(u), abs(v)):
-            # vertical line: translate to the imaginary axis
-            g = (1.0, -u.real, 0.0, 1.0)
-            return g, u.imag, v.imag
-        m = (abs(v) ** 2 - abs(u) ** 2) / (2.0 * (v.real - u.real))
-        rad = math.hypot(u.real - m, u.imag)
-        fa, fb = m - rad, m + rad  # ideal feet, fa < fb
-        g = (1.0, -fb, 1.0, -fa)   # det = fb - fa > 0; sends the geodesic to the axis
-        _, hu = mobius_apply(*g, u.real, u.imag)
-        _, hv = mobius_apply(*g, v.real, v.imag)
+    def _axis_map(self, U, V):
+        """Row by row, the matrix ``g = (a, b, c, d)`` with g(U_j), g(V_j) on the
+        positive imaginary axis, plus the axis heights of the two points."""
+        ur, ui, vr, vi = U.real, U.imag, V.real, V.imag
+        nu, nv = np.hypot(ur, ui), np.hypot(vr, vi)
+        # vertical lines are translated to the imaginary axis
+        vertical = np.abs(ur - vr) <= _VERTICAL_RTOL * np.maximum(np.maximum(1.0, nu), nv)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = (nv * nv - nu * nu) / (2.0 * (vr - ur))
+            rad = np.hypot(ur - m, ui)
+            fa, fb = m - rad, m + rad  # ideal feet, fa < fb
+        # det = fb - fa > 0; sends the geodesic to the axis.  ``[()]`` turns
+        # where's 0-d results back into scalars, so that a one-segment caller
+        # such as ``geodesic_points`` stays on scalar arithmetic
+        g = (1.0, np.where(vertical, -ur, -fb)[()], np.where(vertical, 0.0, 1.0)[()],
+             np.where(vertical, 1.0, -fa)[()])
+        _, hu = mobius_apply(*g, ur, ui)
+        _, hv = mobius_apply(*g, vr, vi)
         return g, hu, hv
 
     def geodesic_points(self, u, v, ts: np.ndarray):
@@ -156,7 +162,7 @@ class HyperbolicPlane(ModelSpace):
         ts = np.asarray(ts, dtype=np.float64)
         if np.any(ts < 0):
             raise ParameterError("ray times must be nonnegative")
-        g, hu, hv = self._axis_map(u, v)
+        g, hu, hv = self._axis_map(np.complex128(u), np.complex128(v))
         sgn = 1.0 if hv > hu else -1.0
         a, b, c, d = g
         # adjugate: inverse up to the (positive) determinant, which Mobius
@@ -171,25 +177,24 @@ class HyperbolicPlane(ModelSpace):
             out = np.where(exact, complex(u), out)
         return out
 
-    def _axis_frame(self, P, u, v):
-        """``(x, y, hu, hv)``: the images x + iy of the batch ``P`` under the
-        axis map of [u, v], and the axis heights of ``u`` and ``v``."""
-        self.validate_point(u)
-        self.validate_point(v)
-        g, hu, hv = self._axis_map(complex(u), complex(v))
+    def _axis_frame(self, P, U, V):
+        """``(x, y, hu, hv)``: the images x + iy of the points ``P_j`` under
+        the axis maps of their segments [U_j, V_j], and the axis heights of
+        ``U_j`` and ``V_j``."""
+        g, hu, hv = self._axis_map(U, V)
         x, y = mobius_apply(*g, P.real, P.imag)
         return x, y, hu, hv
 
-    def distance_to_segment(self, P, u, v) -> np.ndarray:
+    def distance_to_segment(self, P, U, V) -> np.ndarray:
         """Closed form: the nearest point of the axis to x + iy is i|x + iy|,
         so the nearest point of the segment is at that height clamped to the
         heights of the endpoints."""
-        x, y, hu, hv = self._axis_frame(P, u, v)
-        h = np.clip(np.hypot(x, y), min(hu, hv), max(hu, hv))
+        x, y, hu, hv = self._axis_frame(P, U, V)
+        h = np.clip(np.hypot(x, y), np.minimum(hu, hv), np.maximum(hu, hv))
         return uhp_distance(x, y, 0.0, h)
 
-    def segment_profile(self, P, u, v):
-        """Closed form from the offset ``a`` of each point from the geodesic
+    def segment_profile(self, P, U, V):
+        """Closed form from the offset ``a`` of each point from its geodesic
         and the time ``s0`` of its foot:
 
             sinh^2(d/2) = sinh^2(a/2) + sinh^2((s-s0)/2)
@@ -197,15 +202,15 @@ class HyperbolicPlane(ModelSpace):
 
         (cosh d = cosh a cosh(s - s0)), with sinh^2(a/2) = |w - i|w||^2 / (4 y |w|)
         for w = x + iy, where |w| - y = x^2 / (|w| + y)."""
-        x, y, hu, hv = self._axis_frame(P, u, v)
+        x, y, hu, hv = self._axis_frame(P, U, V)
         r = np.hypot(x, y)
         a2 = (x * x + (x * x / (r + y)) ** 2) / (4.0 * y * r)
-        s0 = np.log(r / hu) if hv >= hu else np.log(hu / r)
+        s0 = np.log(np.where(hv >= hu, r / hu, hu / r))
 
         def profile(s):
             t2 = np.sinh(0.5 * (s - s0)) ** 2
             return 2.0 * np.arcsinh(np.sqrt(a2 + t2 + 2.0 * a2 * t2))
-        return self.distance(u, v), profile
+        return self.distance_many(U, V), profile
 
     # -- batches: complex arrays ---------------------------------------------
 

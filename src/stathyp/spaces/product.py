@@ -113,21 +113,22 @@ class SupProduct(ModelSpace):
                for j, (c, yj, zj) in enumerate(zip(self.components, by.bundles, bz.bundles))]
         return functools.reduce(np.maximum, per)
 
-    def segment_profile(self, P, u, v):
+    def segment_profile(self, P, U, V):
         """The largest of the factors' profiles, factor ``j`` at time
-        ``s * d_j / d``: each factor runs its own geodesic at speed d_j / d.
-        A maximum of convex profiles is convex, so the golden-section search
-        of ``distance_to_segment`` stays exact; the hyperbolic and euclidean
-        factors supply closed-form profiles, so it never forms a point."""
-        self.validate_point(u)
-        self.validate_point(v)
+        ``s * d_j / d`` of each row: each factor runs its own geodesic at
+        speed d_j / d.  A maximum of convex profiles is convex, so the
+        golden-section search of ``distance_to_segment`` stays exact; the
+        hyperbolic and euclidean factors supply closed-form profiles, so it
+        never forms a point."""
         parts = [c.segment_profile(pj, uj, vj)
-                 for c, pj, uj, vj in zip(self.components, P, u, v)]
-        d = max(dj for dj, _ in parts)
+                 for c, pj, uj, vj in zip(self.components, P, U, V)]
+        d = functools.reduce(np.maximum, [dj for dj, _ in parts])
+        length = np.where(d > 0.0, d, 1.0)
+        speeds = [dj / length for dj, _ in parts]
 
         def profile(s):
-            return functools.reduce(np.maximum, [f(s * (dj / d) if d else s)
-                                                 for dj, f in parts])
+            return functools.reduce(np.maximum, [f(s * speed)
+                                                 for speed, (_, f) in zip(speeds, parts)])
         return d, profile
 
     # -- sampling -----------------------------------------------------------

@@ -27,6 +27,8 @@ from .spaces.nets import _GRID_TOL, Net, _time_grid, build_net
 
 _TRIANGLE_KEY = 0x7A1
 _TRIANGLE_ROUNDS = 64
+# grid points per distance_to_segment call of thin_triangle_sample
+_PROBE_BLOCK = 1 << 11
 _DISCRETIZE_KEY = 0xD15
 
 
@@ -346,21 +348,20 @@ def decay_fit_report(ts: Sequence[float], values: Sequence[float]) -> dict:
 # ---------------------------------------------------------------------------
 
 def thin_triangle_probe(space: ModelSpace, x, y, z, interval, c: float,
-                        ds: float, d_xy: float | None = None) -> tuple[bool, float]:
+                        ds: float) -> tuple[bool, float]:
     """Does the subinterval of [x, y] come within c of the other two sides?
 
     Grids the subinterval at step ``ds`` and reports the least exact
     distance (``distance_to_segment``) from a grid point to the sides
     [x, z] and [y, z].  That is at most ds / 2 above the minimum over the
     whole subinterval, since the distance to the sides is 1-Lipschitz along
-    the unit-speed side [x, y].  ``d_xy``, the side length d(x, y), is
-    computed when not given.
+    the unit-speed side [x, y].  ``thin_triangle_sample`` takes the same
+    measurement on the middle thirds of many triangles, a block at a time.
     """
     s1, s2 = interval
     if ds <= 0:
         raise ParameterError(f"grid step must be positive, got {ds}")
-    if d_xy is None:
-        d_xy = space.distance(x, y)
+    d_xy = space.distance(x, y)
     if d_xy == 0.0:
         raise DomainError("degenerate triangle side [x, y]")
     if not (0.0 <= s1 < s2 <= d_xy + _GRID_TOL):
@@ -368,8 +369,9 @@ def thin_triangle_probe(space: ModelSpace, x, y, z, interval, c: float,
     if space.distance(x, z) == 0.0 or space.distance(y, z) == 0.0:
         raise DomainError("degenerate triangle side through z")
     pts = space.geodesic_points(x, y, _time_grid(s1, min(s2, d_xy), ds))
-    best = float(np.minimum(space.distance_to_segment(pts, x, z),
-                            space.distance_to_segment(pts, y, z)).min())
+    X, Y, Z = space.singleton(x), space.singleton(y), space.singleton(z)
+    best = float(np.minimum(space.distance_to_segment(pts, X, Z),
+                            space.distance_to_segment(pts, Y, Z)).min())
     return best <= c, best
 
 
@@ -409,23 +411,59 @@ def _sample_triangles(space: ModelSpace, x, r: float, n: int, seed: int):
                       f"in {_TRIANGLE_ROUNDS} rounds")
 
 
+def _probe_blocks(space: ModelSpace, x, Y, d_xy: np.ndarray, ds: float):
+    """``(rows, points)`` for each block of at most ``_PROBE_BLOCK`` grid
+    points of the middle thirds of the sides [x, Y_j]: the probe grid of
+    ``thin_triangle_probe``, triangle after triangle, cut wherever a block
+    fills up; ``rows[i]`` is the triangle of point ``i``."""
+    rows, parts, size = [], [], 0
+    for j, d in enumerate(d_xy):
+        y = space.batch_get(Y, j)
+        ts = _time_grid(d / 3.0, 2.0 * d / 3.0, ds)
+        while len(ts):
+            piece, ts = ts[:_PROBE_BLOCK - size], ts[_PROBE_BLOCK - size:]
+            rows.append(np.full(len(piece), j))
+            parts.append(space.geodesic_points(x, y, piece))
+            size += len(piece)
+            if size == _PROBE_BLOCK:
+                yield np.concatenate(rows), space.batch_concat(parts)
+                rows, parts, size = [], [], 0
+    if size:
+        yield np.concatenate(rows), space.batch_concat(parts)
+
+
 def thin_triangle_sample(space: ModelSpace, x, r: float, n: int, c: float,
                          ds: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """``(hits, minima)`` of ``thin_triangle_probe`` on ``n`` random triangles
     x y z with all sides at least ``r``, probed on the middle third of [x, y].
 
-    Triangle ``j`` depends only on ``(seed, j)``.
+    The probe grids are measured a block at a time: one
+    ``distance_to_segment`` call per block takes every grid point's distance
+    to its own triangle's sides [x, z] and [y, z], so the kernel's memory is
+    bounded by the block, not by ``n`` or ``ds``.  Triangle ``j`` depends
+    only on ``(seed, j)``.
     """
     if n < 1:
         raise ParameterError(f"need at least one triangle, got {n}")
+    if ds <= 0:
+        raise ParameterError(f"grid step must be positive, got {ds}")
     Y, Z = _sample_triangles(space, x, r, n, seed)
-    hits, minima = np.empty(n, dtype=bool), np.empty(n)
-    for j in range(n):
-        y, z = space.batch_get(Y, j), space.batch_get(Z, j)
-        d_xy = space.distance(x, y)
-        hits[j], minima[j] = thin_triangle_probe(
-            space, x, y, z, (d_xy / 3.0, 2.0 * d_xy / 3.0), c, ds, d_xy)
-    return hits, minima
+    X = space.singleton(x)
+    minima = np.full(n, np.inf)
+    for rows, pts in _probe_blocks(space, x, Y, space.distance_many(X, Y), ds):
+        m = len(rows)
+        z = space.batch_take(Z, rows)
+        both = space.distance_to_segment(
+            space.batch_concat([pts, pts]),
+            space.batch_concat([space.batch_take(X, np.zeros(m, dtype=np.intp)),
+                                space.batch_take(Y, rows)]),
+            space.batch_concat([z, z]))
+        near = np.minimum(both[:m], both[m:])
+        # rows run in order, so each triangle's points are one run
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        tri = rows[starts]
+        minima[tri] = np.minimum(minima[tri], np.minimum.reduceat(near, starts))
+    return minima <= c, minima
 
 
 # ---------------------------------------------------------------------------

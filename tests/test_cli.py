@@ -419,6 +419,16 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(tmp_path),
                          "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_exits_2(self, tmp_path, capsys, workers):
+        # a count below 1 once ran the sweep on one worker and exited 0
+        write(tmp_path, "one.ini", ESTIMATE_CFG)
+        out_dir = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(tmp_path), "--out", str(out_dir),
+                         "--workers", workers]) == 2
+        assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestListCommand:
     def test_list_is_json(self, capsys):

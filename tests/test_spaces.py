@@ -837,6 +837,11 @@ def brute_segment_distance(space, P, u, v, h):
     return space.cross_distance(P, grid).min(axis=1)
 
 
+def to_segment(space, P, u, v):
+    """``distance_to_segment`` to the one segment [u, v], shared by every row of ``P``."""
+    return space.distance_to_segment(P, space.singleton(u), space.singleton(v))
+
+
 @pytest.mark.parametrize("space", SEGMENT_SPACES, ids=space_id)
 class TestDistanceToSegment:
     H = 1e-3
@@ -847,7 +852,7 @@ class TestDistanceToSegment:
         for seed in range(4):
             u, v = random_points(space, 2, 100 + seed)
             P = as_batch(space, random_points(space, 40, 200 + seed))
-            exact = space.distance_to_segment(P, u, v)
+            exact = to_segment(space, P, u, v)
             grid = brute_segment_distance(space, P, u, v, self.H)
             assert np.all(exact <= grid + 1e-9)
             assert np.all(exact >= grid - self.H)
@@ -856,7 +861,7 @@ class TestDistanceToSegment:
         u, v = random_points(space, 2, 7)
         d = space.distance(u, v)
         pts = space.geodesic_points(u, v, np.linspace(0.0, d, 17))
-        assert np.all(space.distance_to_segment(pts, u, v) <= 1e-8 * max(1.0, d))
+        assert np.all(to_segment(space, pts, u, v) <= 1e-8 * max(1.0, d))
 
     def test_feet_beyond_either_endpoint(self, space):
         # points on the geodesic's continuation past v (or back past u) are
@@ -866,21 +871,61 @@ class TestDistanceToSegment:
         extra = np.array([0.25, 1.0, 2.5])
         past_v = space.geodesic_points(u, v, d + extra)
         past_u = space.geodesic_points(v, u, d + extra)
-        np.testing.assert_allclose(space.distance_to_segment(past_v, u, v), extra, atol=1e-8)
-        np.testing.assert_allclose(space.distance_to_segment(past_u, u, v), extra, atol=1e-8)
+        np.testing.assert_allclose(to_segment(space, past_v, u, v), extra, atol=1e-8)
+        np.testing.assert_allclose(to_segment(space, past_u, u, v), extra, atol=1e-8)
 
     def test_symmetric_in_the_endpoints(self, space):
         u, v = random_points(space, 2, 9)
         P = as_batch(space, random_points(space, 40, 10))
-        np.testing.assert_allclose(space.distance_to_segment(P, u, v),
-                                   space.distance_to_segment(P, v, u), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(to_segment(space, P, u, v),
+                                   to_segment(space, P, v, u), rtol=0, atol=1e-9)
 
     def test_degenerate_segment_is_its_point(self, space):
         (u,) = random_points(space, 1, 11)
         P = as_batch(space, random_points(space, 10, 12))
-        np.testing.assert_allclose(space.distance_to_segment(P, u, u),
+        np.testing.assert_allclose(to_segment(space, P, u, u),
                                    space.cross_distance(P, space.singleton(u))[:, 0],
                                    rtol=0, atol=1e-9)
+
+    def test_rows_match_one_segment_calls(self, space):
+        # one call with a segment per row gives each row what the call for
+        # its segment alone gives: short and long segments (the search stops
+        # each row at its own tolerance), a degenerate one, vertical ones on
+        # H^2-type models, and points whose feet lie past either endpoint
+        ends, aims = random_points(space, 8, 14), random_points(space, 8, 15)
+        segments = [(u, space.geodesic_point(u, w, length))
+                    for u, w, length in zip(ends, aims, [0.3, 0.7, 3.0, 8.0] * 2)]
+        segments.append((ends[0], ends[0]))
+        if space.kind in ("hyperbolic-plane", "modular-torus"):
+            segments += [(0.5 + 0.2j, 0.5 + 4.0j), (-1.0 + 3.0j, -1.0 + 0.4j)]
+        P, U, V, alone = [], [], [], []
+        for k, (u, v) in enumerate(segments):
+            pts = random_points(space, 3, 300 + k)
+            d = space.distance(u, v)
+            if d > 0.0:
+                # feet past either end, and feet inside, near the middle
+                mid = space.geodesic_point(u, v, d / 2.0)
+                pts += [space.geodesic_point(u, v, d + 0.5), space.geodesic_point(v, u, d + 1.5)]
+                pts += [space.geodesic_point(mid, w, 0.1) for w in random_points(space, 2, 500 + k)]
+            batch = as_batch(space, pts)
+            alone.append(to_segment(space, batch, u, v))
+            if d > 0.0:
+                grid = brute_segment_distance(space, batch, u, v, self.H)
+                assert np.all((alone[-1] <= grid + 1e-9) & (alone[-1] >= grid - self.H))
+            P.append(batch)
+            U += [u] * len(pts)
+            V += [v] * len(pts)
+        rows = space.distance_to_segment(space.batch_concat(P), as_batch(space, U),
+                                         as_batch(space, V))
+        np.testing.assert_allclose(rows, np.concatenate(alone), rtol=1e-12, atol=0.0,
+                                   equal_nan=False)
+
+
+def test_tree_has_no_segment_profile():
+    tree = RegularTree(3)
+    P = tree.batch_concat([tree.singleton("a"), tree.singleton("b")])
+    with pytest.raises(UnsupportedMethodError):
+        tree.distance_to_segment(P, tree.singleton(""), tree.singleton("ab"))
 
 
 class TestNets:

@@ -350,6 +350,40 @@ class TestTriangleProbes:
         for a, b in zip(few, many):
             assert a.tobytes() == b[:3].tobytes()
 
+    @pytest.mark.parametrize("space", TRIANGLE_SPACES, ids=lambda s: s.describe())
+    @pytest.mark.parametrize("chunk", [rng.CHUNK, 2])
+    def test_blocks_do_not_change_the_result(self, space, chunk, monkeypatch):
+        # a block may end anywhere, inside a triangle's grid too, and a
+        # sampling chunk may end inside a block; each triangle's minimum is
+        # what the one-triangle probe reports
+        monkeypatch.setattr(rng, "CHUNK", chunk)
+        x = space.basepoint()
+        ref = stats.thin_triangle_sample(space, x, 6.0, 5, 1.0, 0.1, seed=5)
+        Y, Z = stats._sample_triangles(space, x, 6.0, 5, seed=5)
+        for j in range(5):
+            y, z = space.batch_get(Y, j), space.batch_get(Z, j)
+            d_xy = space.distance(x, y)
+            _, alone = stats.thin_triangle_probe(
+                space, x, y, z, (d_xy / 3.0, 2.0 * d_xy / 3.0), 1.0, 0.1)
+            assert alone == ref[1][j]
+        for block in (1, 7):
+            monkeypatch.setattr(stats, "_PROBE_BLOCK", block)
+            got = stats.thin_triangle_sample(space, x, 6.0, 5, 1.0, 0.1, seed=5)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+
+    def test_memory_bounded_by_the_probe_block(self):
+        # 4000 triangles with about 150 grid points each: one (n, G) array
+        # of distances would take 4.8 MB, and of complex points 9.6 MB
+        hyp = HyperbolicPlane()
+        tracemalloc.start()
+        try:
+            hits, minima = stats.thin_triangle_sample(hyp, 1j, 20.0, 4000, 3.0, 0.05, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hits.all()
+        assert peak < 3e6
+
     def test_sides_at_least_r(self):
         hyp = HyperbolicPlane()
         Y, Z = stats._sample_triangles(hyp, 1j, 10.0, 50, seed=2)

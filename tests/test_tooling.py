@@ -114,6 +114,27 @@ TINY_CONFIGS = {
 
 
 @pytest.mark.parametrize("kind", sorted(cli.CATALOG))
+def test_every_kind_runs_traced(kind):
+    # the benchmark's traced passes run every kind through the wrappers; a
+    # refactor that breaks a wrapped call for one kind shows up here
+    tracing = load_perfbench("tracing")
+    runners = dict(cli._RUNNERS)
+    patched = (EuclideanSpace.__dict__["distance_many"], stats.thin_triangle_probe,
+               coarse.log_plus, rng.substream)
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        assert cli.run_config(cli.parse_config(TINY_CONFIGS[kind])).ok
+        assert tracer.calls[f"cli.run.{kind}"] == 1
+        assert tracing.layer_metrics(tracer, 1)
+    finally:
+        restore()
+    assert cli._RUNNERS == runners
+    assert (EuclideanSpace.__dict__["distance_many"], stats.thin_triangle_probe,
+            coarse.log_plus, rng.substream) == patched
+
+
+@pytest.mark.parametrize("kind", sorted(cli.CATALOG))
 def test_row_and_head_follow_the_parameters(tmp_path, capsys, kind):
     # run_config writes every kind's row and head line: r and k from the
     # parameters (0.0 where the kind has none), n and seed as parsed, and
