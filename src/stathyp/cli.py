@@ -120,7 +120,8 @@ CATALOG = {
     },
     "discretize": {
         "claim": "snapping marks spaced tau-2c to a c-separated, 2c-dense net "
-                 "yields paths with steps at most tau and marks within 2c",
+                 "yields paths with steps at most tau and marks within 2c; "
+                 "checks the net builder in arc length, the same on every model",
         "parameters": {"r": 10.0, "tau": 3.0, "c": 0.5, "n": 200, "seed": 0},
         "positive": ("r", "n", "tau", "c"),
     },

@@ -33,14 +33,20 @@ _DEDUPE_BLOCK_ELEMS = 1 << 20
 
 def unit_ball_volume(n: int) -> float:
     """Lebesgue volume of the Euclidean unit ball in R^n."""
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    try:
+        return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    except OverflowError:
+        raise DomainError(f"unit-ball volume overflows in dimension {n}") from None
 
 
 def lp_ball_volume(n: int, p: float) -> float:
     """Closed form 2^n Gamma(1 + 1/p)^n / Gamma(1 + n/p); p may be inf."""
-    if math.isinf(p):
-        return 2.0 ** n
-    return 2.0 ** n * math.gamma(1.0 + 1.0 / p) ** n / math.gamma(1.0 + n / p)
+    try:
+        if math.isinf(p):
+            return 2.0 ** n
+        return 2.0 ** n * math.gamma(1.0 + 1.0 / p) ** n / math.gamma(1.0 + n / p)
+    except OverflowError:
+        raise DomainError(f"l{p}-ball volume overflows in dimension {n}") from None
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,11 @@ class VolumeEstimate:
     value: float
     std_error: float
     n_samples: int
+
+    def __post_init__(self):
+        if not 0.0 < self.value < math.inf:
+            raise DomainError(f"volume estimate {self.value!r} is outside the positive "
+                              f"float range")
 
 
 class ConvexBody:
@@ -166,7 +177,8 @@ class Ellipsoid(ConvexBody):
         return float(np.sqrt(((xi * self.semi_axes) ** 2).sum()))
 
     def exact_volume(self) -> float:
-        return unit_ball_volume(self.dim) * float(np.prod(self.semi_axes))
+        with np.errstate(over="ignore", under="ignore"):  # volume() refuses 0 and inf
+            return unit_ball_volume(self.dim) * float(np.prod(self.semi_axes))
 
     def polar(self) -> "Ellipsoid":
         return Ellipsoid(1.0 / self.semi_axes)
@@ -299,10 +311,6 @@ class DensityPair:
     ratio: float
     ratio_std_error: float
 
-    def __post_init__(self):
-        if not (self.busemann > 0 and self.holmes_thompson > 0):
-            raise DomainError("densities must be positive")
-
 
 def densities(body: ConvexBody, method: str = "exact", n: int = 200_000,
               seed: int = 0) -> DensityPair:
@@ -310,10 +318,7 @@ def densities(body: ConvexBody, method: str = "exact", n: int = 200_000,
     f = busemann_density(body, method, n, seed)
     g = holmes_thompson_density(body, method, n, seed + 1 if method == "monte-carlo" else seed)
     ratio = f.value / g.value
-    se = ratio * math.hypot(
-        f.std_error / f.value if f.value else 0.0,
-        g.std_error / g.value if g.value else 0.0,
-    )
+    se = ratio * math.hypot(f.std_error / f.value, g.std_error / g.value)
     return DensityPair(f.value, g.value, ratio, se)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CoverageError, DomainError, ParameterError
 from .rng import chunked, deterministic_sum
-from .spaces.base import ModelSpace
+from .spaces import EuclideanSpace, ModelSpace
 from .spaces.nets import _GRID_TOL, Net, _time_grid, build_net
 
 _TRIANGLE_KEY = 0x7A1
@@ -482,10 +482,7 @@ def discretize_geodesic(space: ModelSpace, net: Net, tau: float, segment: tuple)
     c = net.c
     if tau <= 4.0 * c:
         raise ParameterError(f"need tau > 4c, got tau={tau}, c={c}")
-    d = space.distance(x, y)
-    if d == 0.0:
-        raise DomainError("degenerate segment")
-    times = _time_grid(0.0, d, tau - 2.0 * c)
+    times = _time_grid(0.0, space.distance(x, y), tau - 2.0 * c)
     marks = space.geodesic_points(x, y, times)
     idx, dist = net.nearest(space, marks)
     far = dist > 2.0 * c + _GRID_TOL
@@ -509,25 +506,26 @@ def discretize_sample(space: ModelSpace, x, r: float, n: int, tau: float,
     """``(failed, points)`` of ``discretize_geodesic`` on ``n`` random
     segments from ``x``, each with its own net of separation ``c``.
 
-    Segment ``j`` runs along a uniform ray to a uniform length in
-    [r/2, r] and depends only on ``(seed, j)``.  ``failed[j]`` says its
-    discretization raised (a coverage or step violation); ``points[j]`` is
-    its path's point count, 0 where it failed.
+    Segment ``j`` has a uniform length L in [r/2, r] and depends only on
+    ``(seed, j)``.  Its net points and marks lie on a geodesic, an isometric
+    copy of [0, L], so it is discretized as [0, L] on the line, whatever the
+    model.  ``failed[j]`` says its discretization raised (a coverage or step
+    violation); ``points[j]`` is its path's point count, 0 where it failed.
     """
     if n < 1:
         raise ParameterError(f"need at least one segment, got {n}")
     if tau <= 4.0 * c:
         raise ParameterError(f"need tau > 4c, got tau={tau}, c={c}")
+    space.validate_point(x)
+    line = EuclideanSpace(1)
+    origin = line.basepoint()
     failed, points = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
     start = 0
-    for m, rng_dir, rng_len in chunked(seed, n, (_DISCRETIZE_KEY, 0), (_DISCRETIZE_KEY, 1)):
-        ends = space.rays_chunk(x, m, rng_dir, horizon=r).points_at(
-            r * (0.5 + 0.5 * rng_len.uniform(size=m)))
-        for j in range(m):
-            y = space.batch_get(ends, j)
-            net = build_net(space, x, y, c)
+    for m, rng_len in chunked(seed, n, (_DISCRETIZE_KEY, 1)):
+        for j, end in enumerate(r * (0.5 + 0.5 * rng_len.uniform(size=(m, 1)))):
+            net = build_net(line, origin, end, c)
             try:
-                points[start + j] = space.batch_size(discretize_geodesic(space, net, tau, (x, y)))
+                points[start + j] = len(discretize_geodesic(line, net, tau, (origin, end)))
             except CoverageError:
                 failed[start + j] = True
         start += m

@@ -191,6 +191,24 @@ class TestOtherExperiments:
         row = list(csv.reader(io.StringIO((tmp_path / "d.csv").read_text())))[1]
         assert float(row[6]) == pytest.approx(math.pi ** 2 / 8.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind,body,shown", [
+        ("densities", "kind = ellipsoid\naxes = 1e-200, 1e-200\n",
+         "volume estimate 0.0 is outside the positive float range"),
+        ("mahler", "kind = lp\ndim = 400\n", "l2.0-ball volume overflows in dimension 400"),
+        ("densities", "kind = lp\ndim = 400\n", "l2.0-ball volume overflows in dimension 400"),
+        ("mahler", "kind = ellipsoid\naxes = 1e300, 1e300\n",
+         "volume estimate inf is outside the positive float range"),
+    ], ids=["tiny-ellipsoid", "lp-400-mahler", "lp-400-densities", "huge-ellipsoid"])
+    def test_volume_outside_the_float_range_exits_2(self, tmp_path, capsys, kind, body,
+                                                     shown):
+        # these ended in a ZeroDivisionError, an OverflowError or value=nan
+        cfg_path = write(tmp_path, "v.ini", f"[body]\n{body}\n[experiment]\nkind = {kind}\n")
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: parameter error in {kind}: {shown}\n"
+        assert not (tmp_path / "v.csv").exists()
+
     def test_sup_product_space(self, tmp_path):
         text = ("[space]\nkind = sup-product\ncomponents = euclidean dim=1 ; euclidean dim=1\n\n"
                 "[experiment]\nkind = estimate-e\nr = 2.0\nn = 2000\n")
@@ -287,6 +305,21 @@ class TestOtherExperiments:
         err = capsys.readouterr().err
         assert err.startswith("error: parameter error in discretize: need tau > 4c")
         assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("kind,key,step", [("discretize", "c", "5e-301"),
+                                               ("thin-triangle", "ds", "1e-300")])
+    def test_oversized_time_grid_exits_2(self, tmp_path, capsys, kind, key, step):
+        # the grid's size is checked before it is allocated; the net's
+        # candidate step is c/2
+        text = (f"[space]\nkind = hyperbolic\n\n[experiment]\nkind = {kind}\n"
+                f"n = 2\n{key} = 1e-300\n")
+        cfg_path = write(tmp_path, "g.ini", text)
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: parameter error in {kind}: time grid on [")
+        assert err.endswith(f" with step {step} exceeds 400000 points; increase the step\n")
+        assert "np.float64" not in err and err.count("\n") == 1
+        assert not (tmp_path / "g.csv").exists()
 
     def test_coarse_check_config(self, tmp_path):
         text = "[experiment]\nkind = coarse-check\nn = 2000\n"

@@ -20,6 +20,7 @@ from stathyp.spaces.euclidean import _pnorm
 from stathyp.spaces.hyperbolic import _ray_matrices
 from stathyp.spaces import modular
 from stathyp.spaces.modular import _BOUND_TOL, _MAX_REDUCE, reduce_many
+from stathyp.spaces.nets import _GRID_TOL, _time_grid
 
 METRIC_TOL = 1e-9
 SPEED_TOL = 1e-8
@@ -928,6 +929,26 @@ def test_tree_has_no_segment_profile():
         tree.distance_to_segment(P, tree.singleton(""), tree.singleton("ab"))
 
 
+def metric_greedy_net(space, u, v, c):
+    """Reference net: the greedy pass measured in the model.  Of the
+    candidates spaced c/2 along [u, v], each at least c from every kept one
+    is kept; in exact arithmetic every other candidate lies exactly c from
+    the last kept one, so ties within ``_GRID_TOL`` count as c, as in
+    ``build_net``."""
+    d = space.distance(u, v)
+    candidates = space.geodesic_points(u, v, _time_grid(0.0, d, c / 2.0))
+    n = space.batch_size(candidates)
+    kept: list[int] = []
+    min_dist = np.full(n, np.inf)
+    for i in range(n):
+        if min_dist[i] >= c - _GRID_TOL:
+            kept.append(i)
+            row = space.cross_distance(space.batch_take(candidates, slice(i, i + 1)),
+                                       candidates)
+            np.minimum(min_dist, row[0], out=min_dist)
+    return space.batch_take(candidates, np.array(kept))
+
+
 class TestNets:
     def test_interval_net_size(self):
         eu = euclid_line()
@@ -951,6 +972,26 @@ class TestNets:
         sep, cover = check_net(hyp, net, 1j, 2.0 + 5.0j)
         assert sep >= 0.4 - 1e-9
         assert cover <= 0.8 + 1e-9
+
+    @pytest.mark.parametrize("space", [
+        EuclideanSpace(2), EuclideanSpace(2, p=1.0), HyperbolicPlane(),
+        SupProduct([HyperbolicPlane(), EuclideanSpace(2)]),
+    ], ids=lambda s: s.describe())
+    def test_keeps_the_points_of_the_metric_greedy(self, space):
+        # build_net compares times; the reference measures in the model
+        x = space.basepoint()
+        rng = np.random.default_rng(3)
+        for length in np.linspace(3.0, 10.0, 8):
+            for c in (0.3, 0.5, 0.7):
+                y = space.batch_get(space.rays_chunk(x, 1, rng, horizon=12.0)
+                                    .points_at(length), 0)
+                assert same_point(build_net(space, x, y, c).points,
+                                  metric_greedy_net(space, x, y, c))
+
+    def test_single_point_segment(self):
+        eu = EuclideanSpace(2)
+        net = build_net(eu, np.ones(2), np.ones(2), 0.5)
+        assert net.points.tolist() == [[1.0, 1.0]]
 
     def test_nearest(self):
         eu = euclid_line()

@@ -421,6 +421,25 @@ class TestDiscretizer:
             assert a.tobytes() == b[:3].tobytes()
         assert not many[0].any() and np.all(many[1] >= 2)
 
+    @pytest.mark.parametrize("r", [10.0, 60.0])
+    def test_sample_does_not_depend_on_the_model(self, r):
+        # every net point and mark lies on the segment, so only the sampled
+        # lengths count; at r = 60 the Cartesian H^2 points used to fail
+        spaces = [EuclideanSpace(2), EuclideanSpace(2, p=1.0), HyperbolicPlane(),
+                  ModularTorus(), SupProduct([HyperbolicPlane(), EuclideanSpace(2)])]
+        runs = [stats.discretize_sample(s, s.basepoint(), r, 200, 3.0, 0.5, seed=0)
+                for s in spaces]
+        for failed, points in runs:
+            assert failed.tobytes() == runs[0][0].tobytes()
+            assert points.tobytes() == runs[0][1].tobytes()
+        assert not runs[0][0].any()
+
+    def test_sample_past_the_cartesian_horizon(self):
+        failed, points = stats.discretize_sample(HyperbolicPlane(), 1j, 1000.0, 20, 3.0, 0.5,
+                                                 seed=0)
+        # lengths of at least r/2, marks spaced tau - 2c
+        assert not failed.any() and np.all(points >= 500.0 / (3.0 - 2 * 0.5))
+
     @pytest.mark.parametrize("space_name", ["euclid", "hyperbolic"])
     def test_invariants_on_random_runs(self, space_name):
         if space_name == "euclid":

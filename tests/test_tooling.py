@@ -134,6 +134,20 @@ def test_every_kind_runs_traced(kind):
             coarse.log_plus, rng.substream) == patched
 
 
+def test_traced_discretize_reaches_the_net_builder():
+    # discretize measures on the line, but through the library: the
+    # benchmark's per-layer net metrics would read 0 if a rewrite bypassed it
+    tracing = load_perfbench("tracing")
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        assert cli.run_config(cli.parse_config(TINY_CONFIGS["discretize"])).ok
+    finally:
+        restore()
+    for name in ("stats.discretize_geodesic", "spaces.build_net", "spaces.Net.nearest"):
+        assert tracer.calls[name] == 2, name
+
+
 @pytest.mark.parametrize("kind", sorted(cli.CATALOG))
 def test_row_and_head_follow_the_parameters(tmp_path, capsys, kind):
     # run_config writes every kind's row and head line: r and k from the
