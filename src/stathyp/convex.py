@@ -184,7 +184,7 @@ class Ellipsoid(ConvexBody):
         return Ellipsoid(1.0 / self.semi_axes)
 
     def describe(self) -> str:
-        return f"ellipsoid(axes={tuple(self.semi_axes)})"
+        return f"ellipsoid(axes={tuple(self.semi_axes.tolist())})"
 
 
 class LpBall(ConvexBody):

@@ -143,6 +143,11 @@ class TestPolar:
 
 
 class TestMahler:
+    def test_ellipsoid_describes_plain_floats(self):
+        # numpy 2 scalars print as np.float64(2.0), which went into the CSV
+        assert convex.Ellipsoid([2.0, 0.5]).describe() == "ellipsoid(axes=(2.0, 0.5))"
+        assert convex.Ellipsoid([3]).describe() == "ellipsoid(axes=(3.0,))"
+
     def test_disk(self):
         report = convex.mahler(convex.Ellipsoid([1.0, 1.0]))
         assert report.value == pytest.approx(math.pi ** 2, abs=1e-6)
