@@ -103,15 +103,23 @@ def _reducing_matrix(z: complex):
     raise DomainError("reduction did not converge")
 
 
+def _thin_height(eps: float) -> float:
+    """The height 1/eps^2 above which reduced moduli are eps-thin; infinite
+    where eps^2 underflows, and then no float height is thin."""
+    eps2 = eps * eps
+    return 1.0 / eps2 if eps2 > 0.0 else math.inf
+
+
 def _frame_interval(c, d, t0):
     """Thin interval ``(lo, hi)`` of the det-1 frames ``N = [[a, b], [c, d]]``
     whose rays are ``N.(i e^t)``: the times where the frame height
     e^t / (c^2 e^2t + d^2) exceeds ``t0``.  ``c = 0`` (a ray into the cusp)
-    gives ``hi = inf``; frames that stay below ``t0`` give ``(-inf, -inf)``."""
+    gives ``hi = inf``; frames that stay below ``t0`` give ``(-inf, -inf)``,
+    and so do all frames at ``t0 = inf`` (g is nan where c = 0)."""
     c2, d2 = c * c, d * d
-    g = 1.0 - 4.0 * t0 * t0 * c2 * d2
-    s = 1.0 + np.sqrt(np.maximum(g, 0.0))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = 1.0 - 4.0 * t0 * t0 * c2 * d2
+        s = 1.0 + np.sqrt(np.maximum(g, 0.0))
         lo = np.log(2.0 * t0 * d2 / s)
         hi = np.log(s / (2.0 * t0 * c2))
     thin = g > 0.0
@@ -134,7 +142,7 @@ class RayWalker:
             raise ParameterError(
                 f"the torus model's ray walker needs 0 < eps <= 1, where the thin "
                 f"part is a union of disjoint cusp horoballs; got eps={eps}")
-        t0 = self._t0 = 1.0 / (eps * eps)
+        t0 = self._t0 = _thin_height(eps)
         a, b, c, d = (np.array(e, dtype=np.float64) for e in (a, b, c, d))
         # a ray out of the cusp at infinity (d = 0: from 0.5i straight up, the
         # basepoint reduces to 2i and the ray runs down to 0) is replaced by
@@ -219,7 +227,7 @@ class ModularTorus(HyperbolicPlane):
             raise ParameterError(f"eps must be positive, got {eps}")
         z = np.asarray(batch, dtype=np.complex128)
         _, y = reduce_many(z.real, z.imag)
-        return y <= 1.0 / (eps * eps)
+        return y <= _thin_height(eps)
 
     def ray_walker(self, x, phi: np.ndarray, eps: float) -> RayWalker:
         """Walker for the eps-thin excursions of the rays from ``x`` with

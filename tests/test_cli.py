@@ -369,6 +369,21 @@ class TestOtherExperiments:
         assert err.startswith("error:") and shown in err
         assert not (tmp_path / "bad.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind,eps", [("thick-stat", "1e-170"), ("p1", "1e-200")])
+    def test_torus_eps_below_every_float_height_is_all_thick(self, tmp_path, capsys, kind,
+                                                             eps):
+        # eps^2 underflows to 0 below about 1.5e-162, and 1 / eps^2 ended in
+        # a ZeroDivisionError; the thin height is then past every float
+        # height, so the thin part is empty
+        text = f"[space]\nkind = modular\n[experiment]\nkind = {kind}\neps = {eps}\nn = 20\n"
+        cfg_path = write(tmp_path, "tiny.ini", text)
+        argv = ["run", "--config", cfg_path, "--out", str(tmp_path), "--format", "csv"]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert float(next(csv.DictReader(io.StringIO(out)))["mean"]) == 1.0
+
     @pytest.mark.parametrize("text,args,env,shown", [
         ("[space]\nkind = hyperbolic\nh = abc\n" + EST_TINY, [], None, "[space] h = 'abc'"),
         ("[space]\ndim = two\n" + EST_TINY, [], None, "[space] dim = 'two'"),
