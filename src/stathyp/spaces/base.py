@@ -8,9 +8,10 @@ writes the shared parts once: the batch plumbing; scalar geodesics read off
 the pair-distance kernel ``ray_pair_distances`` of the estimators that sample
 from one basepoint, by default ``distance_many`` of the two bundles' points,
 which only the tree keeps; the exact distance from each point of a batch to
-its own geodesic segment, ``distance_to_segment``, by default a
-golden-section search over the ``segment_profile`` that each continuous
-model supplies; and the thickness interface (``thick_many``,
+its own geodesic segment, ``distance_to_segment``, read off the
+``segment_profile`` that each continuous model supplies: the profile at its
+foot clamped to the segment, or a golden-section search where no foot is
+known; and the thickness interface (``thick_many``,
 ``thick``, ``ray_walker``), which says "always thick" unless a model has a
 thin part.
 
@@ -142,26 +143,31 @@ class ModelSpace(ABC):
         return self.distance_many(by.points_at(ty), bz.points_at(tz))
 
     def segment_profile(self, P, U, V):
-        """``(d, f)``: the lengths ``d_j = d(U_j, V_j)`` and the profile
+        """``(d, f, s0)``: the lengths ``d_j = d(U_j, V_j)``, the profile
         ``f(s) = d(P_j, gamma_j(s_j))``, row by row, where gamma_j is the
         unit-speed geodesic from ``U_j`` to ``V_j`` and ``s_j`` lies in
-        [0, d_j].  ``U`` and ``V`` are batches of one row, shared by every row
-        of ``P``, or of one row per row of ``P``; a row with U_j = V_j has the
-        constant profile d(P_j, U_j).  Continuous models supply it."""
+        [0, d_j], and the foot ``s0``: the time of the profile's minimum on
+        the whole geodesic, or None where a model has no closed form for it.
+        ``U`` and ``V`` are batches of one row, shared by every row of ``P``,
+        or of one row per row of ``P``; a row with U_j = V_j has the constant
+        profile d(P_j, U_j).  Continuous models supply it."""
         raise UnsupportedMethodError(f"the {self.kind} model has no segment profile")
 
     def distance_to_segment(self, P, U, V) -> np.ndarray:
         """Distance from each point ``P_j`` to the geodesic segment [U_j, V_j],
         with ``U`` and ``V`` as in ``segment_profile``.
 
-        The default minimizes ``segment_profile`` by one vectorized
-        golden-section search, plus both endpoints.  Row ``j`` stops once its
-        bracket is at most ``1e-9 * max(1, d_j)`` wide, so its value depends
-        on that row alone.  This is exact up to that tolerance because the
-        profile is convex on every continuous model: normed spaces, the
-        hyperbolic plane and their sup-products.
+        The profile is convex on every continuous model (normed spaces, the
+        hyperbolic plane and their sup-products), so its least value on
+        [0, d_j] is the value at the foot clamped to [0, d_j].  Where no foot
+        is known, one vectorized golden-section search over the profile,
+        plus both endpoints, finds it; row ``j`` stops once its bracket is at
+        most ``1e-9 * max(1, d_j)`` wide, so its value depends on that row
+        alone.
         """
-        d, f = self.segment_profile(P, U, V)
+        d, f, s0 = self.segment_profile(P, U, V)
+        if s0 is not None:
+            return f(np.clip(s0, 0.0, d))
         n = self.batch_size(P)
         d = np.broadcast_to(d, n)
         lo, hi = np.zeros(n), d

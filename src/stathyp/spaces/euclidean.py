@@ -1,7 +1,8 @@
 """Normed vector spaces (R^n, p-norm) with straight-line geodesics.
 
-Where the norm is euclidean (p = 2, or any p in dimension 1) the distance to
-a segment is that to the clamped orthogonal projection; other norms take the
+Where the norm is euclidean (p = 2, or any p in dimension 1) the profile of
+distances from a point to a line comes with its foot, the projection time;
+other norms give none, and ``distance_to_segment`` then takes the
 golden-section search of :class:`~stathyp.spaces.base.ModelSpace`.
 
 Norms are taken one coordinate column at a time, in coordinate order:
@@ -106,43 +107,24 @@ class EuclideanSpace(ModelSpace):
             raise ParameterError("ray times must be nonnegative")
         return u + (ts[:, None] / d) * (v - u)
 
-    def _line_frame(self, P, U, V):
-        """``(e, d, s0)``: row by row, the unit direction ``e`` and the length
-        ``d`` of [U_j, V_j], and the projection time ``s0`` of ``P_j`` onto its
-        line (``e = 0`` where U_j = V_j); the dot products go column by column."""
+    def segment_profile(self, P, U, V):
+        """The norm of ``P_j`` minus the point at time ``s`` of the straight
+        segment [U_j, V_j].  For a euclidean norm (p = 2, or dimension 1) it
+        is ``hypot(a, s - s0)``, with ``s0`` the projection time of ``P_j``
+        onto its line (the dot products go column by column) and ``a`` its
+        offset from the line; other norms give no foot."""
         w = V - U
         d = _pnorm(w, self.p)
-        e = w / np.where(d > 0.0, d, 1.0)[:, None]
+        length = np.where(d > 0.0, d, 1.0)
+        if not (self.p == 2.0 or self.dim == 1):
+            return d, lambda s: _pnorm(P - (U + (s / length)[:, None] * w), self.p), None
+        e = w / length[:, None]
         q = P - U
         s0 = q[:, 0] * e[:, 0]
         for j in range(1, self.dim):
             s0 += q[:, j] * e[:, j]
-        return e, d, s0
-
-    def distance_to_segment(self, P, U, V) -> np.ndarray:
-        if not self._euclidean:
-            return super().distance_to_segment(P, U, V)
-        e, d, s0 = self._line_frame(P, U, V)
-        return _pnorm(P - U - np.clip(s0, 0.0, d)[:, None] * e, 2.0)
-
-    def segment_profile(self, P, U, V):
-        """For a euclidean norm, ``hypot(a, s - s0)`` with ``a`` the offset of
-        each point from its line and ``s0`` the time of its foot; for other
-        norms, the norm of ``P_j`` minus the point at time ``s`` of the
-        straight segment [U_j, V_j]."""
-        if self._euclidean:
-            e, d, s0 = self._line_frame(P, U, V)
-            a = _pnorm(P - U - s0[:, None] * e, 2.0)
-            return d, lambda s: np.hypot(a, s - s0)
-        w = V - U
-        d = _pnorm(w, self.p)
-        length = np.where(d > 0.0, d, 1.0)
-        return d, lambda s: _pnorm(P - (U + (s / length)[:, None] * w), self.p)
-
-    @property
-    def _euclidean(self) -> bool:
-        """Does the norm come from an inner product (p = 2, or dimension 1)?"""
-        return self.p == 2.0 or self.dim == 1
+        a = _pnorm(q - s0[:, None] * e, 2.0)
+        return d, lambda s: np.hypot(a, s - s0), s0
 
     # -- batches: (n, dim) arrays ------------------------------------------
 

@@ -17,9 +17,10 @@ which is algebraically equivalent and stays accurate near argument 1.
 
 Pairs of rays from one basepoint need no Cartesian points at all:
 ``ray_pair_distances`` takes their distances from the law of cosines in a
-form that holds at any radius.  Distances to geodesic segments, one per
-row, come in closed form from the frames that put each segment on the
-imaginary axis.
+form that holds at any radius.  The profile of distances from a point to
+a geodesic, and the time of its foot, come in closed form from the frame
+that puts the geodesic on the imaginary axis; ``distance_to_segment`` reads
+the profile at that foot clamped to the segment.
 Cartesian coordinates leave the float range
 near t = 355 (the squared height overflows), and past that ``points_at`` and
 ``geodesic_points`` raise a DomainError naming the time.
@@ -177,32 +178,18 @@ class HyperbolicPlane(ModelSpace):
             out = np.where(exact, complex(u), out)
         return out
 
-    def _axis_frame(self, P, U, V):
-        """``(x, y, hu, hv)``: the images x + iy of the points ``P_j`` under
-        the axis maps of their segments [U_j, V_j], and the axis heights of
-        ``U_j`` and ``V_j``."""
-        g, hu, hv = self._axis_map(U, V)
-        x, y = mobius_apply(*g, P.real, P.imag)
-        return x, y, hu, hv
-
-    def distance_to_segment(self, P, U, V) -> np.ndarray:
-        """Closed form: the nearest point of the axis to x + iy is i|x + iy|,
-        so the nearest point of the segment is at that height clamped to the
-        heights of the endpoints."""
-        x, y, hu, hv = self._axis_frame(P, U, V)
-        h = np.clip(np.hypot(x, y), np.minimum(hu, hv), np.maximum(hu, hv))
-        return uhp_distance(x, y, 0.0, h)
-
     def segment_profile(self, P, U, V):
-        """Closed form from the offset ``a`` of each point from its geodesic
-        and the time ``s0`` of its foot:
+        """Closed form in the frames ``g`` that put each segment on the
+        imaginary axis, from the offset ``a`` of each point ``g(P_j) = x + iy``
+        from that axis and the time ``s0`` of its foot ``i|x + iy|``:
 
             sinh^2(d/2) = sinh^2(a/2) + sinh^2((s-s0)/2)
                           + 2 sinh^2(a/2) sinh^2((s-s0)/2)
 
         (cosh d = cosh a cosh(s - s0)), with sinh^2(a/2) = |w - i|w||^2 / (4 y |w|)
         for w = x + iy, where |w| - y = x^2 / (|w| + y)."""
-        x, y, hu, hv = self._axis_frame(P, U, V)
+        g, hu, hv = self._axis_map(U, V)
+        x, y = mobius_apply(*g, P.real, P.imag)
         r = np.hypot(x, y)
         a2 = (x * x + (x * x / (r + y)) ** 2) / (4.0 * y * r)
         s0 = np.log(np.where(hv >= hu, r / hu, hu / r))
@@ -210,7 +197,7 @@ class HyperbolicPlane(ModelSpace):
         def profile(s):
             t2 = np.sinh(0.5 * (s - s0)) ** 2
             return 2.0 * np.arcsinh(np.sqrt(a2 + t2 + 2.0 * a2 * t2))
-        return self.distance_many(U, V), profile
+        return self.distance_many(U, V), profile, s0
 
     # -- batches: complex arrays ---------------------------------------------
 

@@ -116,11 +116,12 @@ class SupProduct(ModelSpace):
     def segment_profile(self, P, U, V):
         """The largest of the factors' profiles, factor ``j`` at time
         ``s * d_j / d`` of each row: each factor runs its own geodesic at
-        speed d_j / d.  A maximum of convex profiles is convex, so the
-        golden-section search of ``distance_to_segment`` stays exact; the
+        speed d_j / d.  A maximum of convex profiles is convex, but its
+        minimum has no closed form, so there is no foot and
+        ``distance_to_segment`` takes its golden-section search; the
         hyperbolic and euclidean factors supply closed-form profiles, so it
         never forms a point."""
-        parts = [c.segment_profile(pj, uj, vj)
+        parts = [c.segment_profile(pj, uj, vj)[:2]
                  for c, pj, uj, vj in zip(self.components, P, U, V)]
         d = functools.reduce(np.maximum, [dj for dj, _ in parts])
         length = np.where(d > 0.0, d, 1.0)
@@ -129,7 +130,7 @@ class SupProduct(ModelSpace):
         def profile(s):
             return functools.reduce(np.maximum, [f(s * speed)
                                                  for speed, (_, f) in zip(speeds, parts)])
-        return d, profile
+        return d, profile, None
 
     # -- sampling -----------------------------------------------------------
 

@@ -922,6 +922,37 @@ class TestDistanceToSegment:
                                    equal_nan=False)
 
 
+@pytest.mark.parametrize("space", [HyperbolicPlane(), ModularTorus(), EuclideanSpace(1),
+                                   EuclideanSpace(2), EuclideanSpace(3)], ids=space_id)
+def test_foot_matches_the_search_with_the_foot_hidden(space, monkeypatch):
+    # where a model knows its foot, distance_to_segment reads the profile at
+    # the clamped foot; the golden search over the same profile, with the
+    # foot hidden, must agree to its own tolerance of 1e-9 * max(1, d_j) in
+    # time (the profile is 1-Lipschitz), and the foot is never above it.
+    # Segments run both ways, with feet inside and past either end
+    ends, aims = random_points(space, 12, 40), random_points(space, 12, 41)
+    segments = [(u, space.geodesic_point(u, w, length))
+                for u, w, length in zip(ends, aims, [0.2, 1.0, 4.0, 12.0] * 3)]
+    segments += [(v, u) for u, v in segments]
+    P, U, V = [], [], []
+    for k, (u, v) in enumerate(segments):
+        mid = space.geodesic_point(u, v, space.distance(u, v) / 2.0)
+        pts = random_points(space, 4, 600 + k)
+        pts += [space.geodesic_point(mid, w, 0.3) for w in random_points(space, 4, 700 + k)]
+        P += pts
+        U += [u] * len(pts)
+        V += [v] * len(pts)
+    P, U, V = as_batch(space, P), as_batch(space, U), as_batch(space, V)
+    d, _, s0 = space.segment_profile(P, U, V)
+    assert ((s0 > 0.0) & (s0 < d)).any() and (s0 < 0.0).any() and (s0 > d).any()
+    foot = space.distance_to_segment(P, U, V)
+    profile = space.segment_profile
+    monkeypatch.setattr(space, "segment_profile", lambda *args: profile(*args)[:2] + (None,))
+    search = space.distance_to_segment(P, U, V)
+    assert np.all(foot <= search + 1e-14 * np.maximum(1.0, search))
+    assert np.all(search - foot <= 1e-9 * np.maximum(1.0, d))
+
+
 def test_tree_has_no_segment_profile():
     tree = RegularTree(3)
     P = tree.batch_concat([tree.singleton("a"), tree.singleton("b")])
