@@ -55,7 +55,7 @@ def run(config: Path, out_dir: Path) -> dict:
     for suffix in OUTPUTS:
         path = out_dir / (config.stem + suffix)
         if path.exists():
-            files[suffix] = path.read_text()
+            files[suffix] = path.read_bytes().decode()
     return {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
             "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
             "files": files}
@@ -70,9 +70,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for config in configs():
             got = run(config, Path(tmp))
-            (EXPECTED / f"{config.stem}.stdout").write_text(got["stdout"])
+            (EXPECTED / f"{config.stem}.stdout").write_bytes(got["stdout"].encode())
             for suffix, text in got["files"].items():
-                (EXPECTED / (config.stem + suffix)).write_text(text)
+                (EXPECTED / (config.stem + suffix)).write_bytes(text.encode())
             entries[config.stem] = {key: got[key] for key in ("exit", "stderr", "warnings")}
     manifest = {**environment(), "configs": entries}
     (EXPECTED / "MANIFEST.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")

@@ -6,7 +6,6 @@ moved value."""
 import difflib
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 from stathyp import cli
@@ -17,7 +16,6 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def load_regenerate():
     spec = importlib.util.spec_from_file_location("golden_regenerate", GOLDEN / "regenerate.py")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -52,7 +50,7 @@ def test_golden_sweep(tmp_path, monkeypatch):
         texts = {".stdout": got["stdout"], **got["files"]}
         for suffix in (".stdout", *golden.OUTPUTS):
             path = golden.EXPECTED / (config.stem + suffix)
-            want_text = path.read_text() if path.exists() else None
+            want_text = path.read_bytes().decode() if path.exists() else None
             if texts.get(suffix) != want_text:
                 moved += changed_lines(config.stem + suffix, want_text, texts.get(suffix))
     assert not moved, "\n".join(moved)
