@@ -207,8 +207,8 @@ class ModelSpace(ABC):
         return np.ones(self.batch_size(batch), dtype=bool)
 
     def ray_walker(self, x, phi: np.ndarray, eps: float):
-        """Walker for the eps-thin excursions of the rays from ``x`` with
-        direction parameters ``phi``."""
+        """Walker for the eps-thin excursions of the rays from ``x``, one
+        point or one per ray, with direction parameters ``phi``."""
         raise UnsupportedMethodError(f"the {self.kind} model has no ray walker")
 
     # -- sampling -----------------------------------------------------------

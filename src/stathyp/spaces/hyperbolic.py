@@ -56,17 +56,17 @@ def uhp_distance(x1, y1, x2, y2):
     return 2.0 * np.arcsinh(0.5 * q)
 
 
-def _basepoint_matrix(x: complex):
+def _basepoint_matrix(x):
     # z -> Re(x) + Im(x) z as a det-1 matrix
-    s = math.sqrt(x.imag)
+    s = np.sqrt(x.imag)
     return s, x.real / s, 0.0, 1.0 / s
 
 
-def _ray_matrices(x: complex, phi: np.ndarray):
-    """Det-1 matrices sending the upward ray at i to the ray at ``x`` with
-    direction parameter ``phi`` (uniform phi in [0, pi) is the uniform
-    direction measure; the tangent angle at ``x`` is an affine function of
-    phi)."""
+def _ray_matrices(x, phi: np.ndarray):
+    """Det-1 matrices sending the upward ray at i to the ray at ``x`` (one
+    point, or one per ray) with direction parameter ``phi`` (uniform phi in
+    [0, pi) is the uniform direction measure; the tangent angle at ``x`` is
+    an affine function of phi)."""
     ma, mb, mc, md = _basepoint_matrix(x)
     cp, sp = np.cos(phi), np.sin(phi)
     a = ma * cp - mb * sp
@@ -74,6 +74,13 @@ def _ray_matrices(x: complex, phi: np.ndarray):
     c = mc * cp - md * sp
     d = mc * sp + md * cp
     return a, b, c, d
+
+
+def _ray_direction(x: complex, y: complex) -> float:
+    """Direction parameter of the ray from ``x`` through ``y``, inverting
+    ``_ray_matrices``: its rotation about i turns (w - i)/(w + i) by 2 phi."""
+    w = (y - x.real) / x.imag
+    return float(0.5 * np.angle((w - 1j) / (w + 1j)) % math.pi)
 
 
 def _uhp_points(x, y, t) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 The metric and geodesics are those of the hyperbolic plane; the extra
 structure is the Gauss reduction of a modulus to the standard fundamental
-domain (|Re z| <= 1/2, |z| >= 1) and the thickness predicate derived from it.
+domain (|Re z| <= 1/2, |z| >= 1), with the matrices that do it
+(``reduce_many``), and the thickness predicate derived from it.
 The convention is that the systole of the unit-area flat torus with reduced
 modulus z' equals 1/sqrt(Im z'), so the point is eps-thick exactly when
 Im z' <= 1/eps^2.
@@ -17,7 +18,7 @@ a union of disjoint horoballs, one per cusp.
   semicircle run from u to w.  It is reduced when, up to an integer
   translation, -1 < u < 0 and w > 1; every cusp the ray passes at radius
   R = (w - u)/2 > 1 has a reduced frame.  The first one is the cusp at
-  infinity seen from the basepoint reduced into the fundamental domain.
+  infinity seen from the basepoint moved by its reducing matrix.
 * The next reduced frame is the image under z -> 1/(conj z - a), a = floor w,
   a map in PGL(2, Z), so reduced heights are kept.  From one semicircle top
   to the next the ray takes the flow time log((a - u)/(w - a)).
@@ -58,48 +59,40 @@ _MAX_BATCH = 64
 
 
 def reduce_many(x: np.ndarray, y: np.ndarray):
-    """Vectorized reduction of points x + iy; returns reduced coordinates.
+    """Vectorized reduction of points x + iy into the fundamental domain:
+    the reduced coordinates, and the integer det-1 matrices ``(a, b, c, d)``
+    (on a leading axis) that take each point there.
 
     Each pass translates the entries still unreduced into the strip and
     inverts those inside the unit circle; an entry leaves the working set
     once it lies in the fundamental domain, so a pass costs only what is
-    left to reduce.
+    left to reduce.  Squared moduli past the float range read as outside.
     """
-    # C-order copies, so the flat views below write through to x and y
+    # C-order copies, so the flat views below write through to x, y and g
     x = np.array(x, dtype=np.float64, order="C")
     y = np.array(y, dtype=np.float64, order="C")
-    fx, fy = x.reshape(-1), y.reshape(-1)
-    xs, ys, live = fx, fy, None
+    g = np.multiply.outer([1.0, 0.0, 0.0, 1.0], np.ones(x.shape))
+    fx, fy, fg = x.reshape(-1), y.reshape(-1), g.reshape(4, -1)
+    xs, ys, gs, live = fx, fy, fg, None
     for _ in range(_MAX_REDUCE):
-        xs -= np.floor(xs + 0.5)
+        n = np.floor(xs + 0.5)
+        xs -= n
+        gs[:2] -= n * gs[2:]
         if live is not None:
             fx[live] = xs
-        m2 = xs * xs + ys * ys
+            fg[:, live] = gs
+        with np.errstate(over="ignore"):
+            m2 = xs * xs + ys * ys
         inside = np.flatnonzero(m2 < 1.0 - _BOUND_TOL)
         if not len(inside):
-            return x, y
+            return x, y, g
         live = inside if live is None else live[inside]
         inv = m2[inside]
         xs = -xs[inside] / inv
         ys = ys[inside] / inv
         fy[live] = ys
-    raise DomainError("reduction did not converge")
-
-
-def _reducing_matrix(z: complex):
-    """Integer det-1 matrix ``(a, b, c, d)`` taking ``z`` into the fundamental
-    domain by the passes of ``reduce_many``."""
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    x, y = z.real, z.imag
-    for _ in range(_MAX_REDUCE):
-        n = math.floor(x + 0.5)
-        x -= n
-        a, b = a - n * c, b - n * d
-        m2 = x * x + y * y
-        if m2 >= 1.0 - _BOUND_TOL:
-            return a, b, c, d
-        x, y = -x / m2, y / m2
-        a, b, c, d = -c, -d, a, b
+        gs = gs[:, inside][[2, 3, 0, 1]]  # z -> -1/z: (a, b, c, d) -> (-c, -d, a, b)
+        gs[:2] *= -1.0
     raise DomainError("reduction did not converge")
 
 
@@ -226,15 +219,18 @@ class ModularTorus(HyperbolicPlane):
         if eps <= 0:
             raise ParameterError(f"eps must be positive, got {eps}")
         z = np.asarray(batch, dtype=np.complex128)
-        _, y = reduce_many(z.real, z.imag)
+        _, y, _ = reduce_many(z.real, z.imag)
         return y <= _thin_height(eps)
 
     def ray_walker(self, x, phi: np.ndarray, eps: float) -> RayWalker:
-        """Walker for the eps-thin excursions of the rays from ``x`` with
-        direction parameters ``phi``; needs 0 < eps <= 1."""
-        self.validate_point(x)
-        ga, gb, gc, gd = _reducing_matrix(complex(x))
-        a, b, c, d = _ray_matrices(complex(x), np.asarray(phi, dtype=np.float64))
+        """Walker for the eps-thin excursions of the rays from ``x``, one
+        point or one per ray, with direction parameters ``phi``; needs
+        0 < eps <= 1."""
+        z = np.asarray(x, dtype=np.complex128)
+        for p in z.reshape(-1):
+            self.validate_point(p)
+        _, _, (ga, gb, gc, gd) = reduce_many(z.real, z.imag)
+        a, b, c, d = _ray_matrices(z, np.asarray(phi, dtype=np.float64))
         return RayWalker(ga * a + gb * c, ga * b + gb * d, gc * a + gd * c,
                          gc * b + gd * d, eps)
 

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import CoverageError, DomainError, ParameterError
 from .rng import chunked, deterministic_sum
 from .spaces import EuclideanSpace, ModelSpace
+from .spaces.hyperbolic import _ray_direction
 from .spaces.nets import _GRID_TOL, Net, _time_grid, build_net
 
 _TRIANGLE_KEY = 0x7A1
@@ -104,12 +105,9 @@ def estimate_spread(space: ModelSpace, x, r: float, k: float, n: int,
 # ---------------------------------------------------------------------------
 
 def thick_stat(space: ModelSpace, x, y, eps: float, dt: float) -> float:
-    """Fraction of time the segment [x, y] spends in the eps-thick part.
-
-    Quadrature on the grid {0, dt, 2 dt, ...} with a midpoint rule on the
-    final partial step; the error is at most dt / d(x, y) because thickness
-    boundaries are crossed at unit speed.
-    """
+    """Fraction of time the segment [x, y] spends in the eps-thick part: the
+    ray from ``x`` through ``y`` walked for d(x, y), on the grid of
+    ``ray_thick_fraction_many``."""
     if dt <= 0:
         raise ParameterError(f"grid step must be positive, got {dt}")
     if eps <= 0:
@@ -119,15 +117,8 @@ def thick_stat(space: ModelSpace, x, y, eps: float, dt: float) -> float:
         raise DomainError("thick_stat needs a nondegenerate segment")
     if not space.has_thin_part:
         return 1.0
-    m, p = (v.item() for v in _grid_steps(np.asarray(d), dt))
-    times = np.arange(m) * dt
-    if p > _GRID_TOL:
-        times = np.append(times, m * dt + 0.5 * p)
-    flags = space.thick_many(space.geodesic_points(x, y, times), eps)
-    thick_time = dt * float(flags[:m].sum())
-    if p > _GRID_TOL:
-        thick_time += p * float(flags[-1])
-    return thick_time / d
+    phi = _ray_direction(complex(x), complex(y))
+    return float(_thick_fractions(space, x, np.array([phi]), np.array([d]), eps, dt)[0])
 
 
 def ray_thick_fraction_many(space: ModelSpace, x, length: float, eps: float,
@@ -135,10 +126,10 @@ def ray_thick_fraction_many(space: ModelSpace, x, length: float, eps: float,
     """Thickness fractions of ``n`` independent random rays.
 
     Quadrature on the grid {0, dt, 2 dt, ...} with a midpoint rule on the
-    final partial step, as in ``thick_stat``.  The thin grid times are counted
-    per cusp excursion (``RayWalker.excursions``), so the length may be
-    arbitrarily large.  Ray ``j``'s fraction depends only on
-    ``(seed, j, length, eps, dt)``.
+    final partial step, within dt / length of the exact fraction.  The thin
+    grid times are counted per cusp excursion (``RayWalker.excursions``), so
+    the length may be arbitrarily large.  Ray ``j``'s fraction depends only
+    on ``(seed, j, length, eps, dt)``.
     """
     if length <= 0:
         raise ParameterError(f"ray length must be positive, got {length}")
@@ -152,21 +143,31 @@ def ray_thick_fraction_many(space: ModelSpace, x, length: float, eps: float,
     out = []
     for m_chunk, rng in chunked(seed, n, (0,)):
         phis = rng.uniform(0.0, math.pi, size=m_chunk)
-        lengths = np.full(m_chunk, float(length))
-        m, p = _grid_steps(lengths, dt)
-        thin = np.zeros(m_chunk)
-        mid = _Midpoints(m, p, dt)
-        for first, last, lo, hi in _thin_runs(space, x, phis, lengths, m, eps, dt):
-            thin += np.maximum(last - first + 1.0, 0.0).sum(axis=0)
-            mid.update(lo, hi)
-        out.append((dt * (m - thin) + p * mid.thick()) / length)
+        out.append(_thick_fractions(space, x, phis, np.full(m_chunk, float(length)), eps, dt))
     return np.concatenate(out)
+
+
+def _thick_fractions(space, x, phis, lengths, eps: float, dt: float) -> np.ndarray:
+    """Thickness fractions of the rays from ``x`` (one point, or one per ray)
+    with directions ``phis`` and ``lengths``."""
+    m, p = _grid_steps(lengths, dt)
+    thin = np.zeros(len(phis))
+    mid = _Midpoints(m, p, dt)
+    for first, last, lo, hi in _thin_runs(space, x, phis, lengths, m, eps, dt):
+        thin += np.maximum(last - first + 1.0, 0.0).sum(axis=0)
+        mid.update(lo, hi)
+    return (dt * (m - thin) + p * mid.thick()) / lengths
 
 
 def _grid_steps(lengths: np.ndarray, dt: float):
     """``(m, p)``: a ray of length ``lengths[j]`` has the ``m[j]`` grid times
-    0, dt, ..., (m[j]-1) dt and then a final partial step of length ``p[j]``."""
-    m = ((lengths + _GRID_TOL) // dt).astype(np.int64)
+    0, dt, ..., (m[j]-1) dt and then a final partial step of length ``p[j]``.
+    Grids of 2^53 steps or more, which no float counts, raise."""
+    steps = (lengths + _GRID_TOL) // dt
+    if not np.all(steps < 2.0 ** 53):
+        raise ParameterError(f"a ray of length {float(np.max(lengths))!r} has 2^53 or "
+                             f"more grid steps of dt={dt!r}")
+    m = steps.astype(np.int64)
     return m, lengths - m * dt
 
 
@@ -182,7 +183,7 @@ def _thin_runs(space, x, phis, lengths, m: np.ndarray, eps: float, dt: float):
     can put 0 inside either interval.
     """
     walker = space.ray_walker(x, phis, eps)
-    first_thin = 1.0 if space.thick(x, eps) else 0.0  # the first grid time a run may hold
+    first_thin = np.where(space.thick_many(np.atleast_1d(x), eps), 1.0, 0.0)
     for lo, hi in walker.excursions(lengths):
         first = np.maximum(np.floor(lo / dt) + 1.0, first_thin)
         last = np.minimum(np.ceil(hi / dt) - 1.0, m - 1)
@@ -190,10 +191,11 @@ def _thin_runs(space, x, phis, lengths, m: np.ndarray, eps: float, dt: float):
 
 
 class _Midpoints:
-    """Thickness at the midpoints of the final partial steps ``(m, p)``."""
+    """Thickness at the midpoints of the final partial steps ``(m, p)``; a
+    ray with no grid time (m = 0) is all partial step, however short."""
 
     def __init__(self, m, p, dt):
-        self.here = p > _GRID_TOL
+        self.here = (p > _GRID_TOL) | (m == 0)
         self.t = m * dt + 0.5 * p
         self.thin = np.zeros(len(m), dtype=bool)
 

@@ -384,6 +384,29 @@ class TestOtherExperiments:
         assert err == ""
         assert float(next(csv.DictReader(io.StringIO(out)))["mean"]) == 1.0
 
+    @pytest.mark.parametrize("r", ["1e-13", "2e-12"])
+    def test_torus_ray_below_the_grid_tolerance_is_read(self, tmp_path, capsys, r):
+        # a ray shorter than 1e-12 has no grid time and is all partial step;
+        # dropping that step read r = 1e-13 as all thin
+        text = f"[space]\nkind = modular\n[experiment]\nkind = thick-stat\nr = {r}\nn = 20\n"
+        cfg_path = write(tmp_path, "short.ini", text)
+        argv = ["run", "--config", cfg_path, "--out", str(tmp_path), "--format", "csv"]
+        assert cli.main(argv) == 0
+        assert float(next(csv.DictReader(io.StringIO(capsys.readouterr().out)))["mean"]) == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind,r", [("thick-stat", "1e20"), ("p1", "1e300")])
+    def test_torus_grid_of_2_53_steps_exits_2(self, tmp_path, capsys, kind, r):
+        # the step count was cast to int64 past the float range: a warning,
+        # or else a garbage count and a walk that did not end
+        text = f"[space]\nkind = modular\n[experiment]\nkind = {kind}\nr = {r}\nn = 20\n"
+        cfg_path = write(tmp_path, "long.ini", text)
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: parameter error in {kind}: a ray of length ")
+        assert err.endswith(" has 2^53 or more grid steps of dt=0.1\n")
+        assert not (tmp_path / "long.csv").exists()
+
     @pytest.mark.parametrize("text,args,env,shown", [
         ("[space]\nkind = hyperbolic\nh = abc\n" + EST_TINY, [], None, "[space] h = 'abc'"),
         ("[space]\ndim = two\n" + EST_TINY, [], None, "[space] dim = 'two'"),

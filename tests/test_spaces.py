@@ -2,6 +2,7 @@
 
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from stathyp.spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus,
                             Net, RegularTree, SupProduct, build_net,
                             check_net, make_space, thin_area_fraction)
 from stathyp.spaces.euclidean import _pnorm
-from stathyp.spaces.hyperbolic import _ray_matrices
+from stathyp.spaces.hyperbolic import _ray_matrices, mobius_apply
 from stathyp.spaces import modular
 from stathyp.spaces.modular import _BOUND_TOL, _MAX_REDUCE, reduce_many
 from stathyp.spaces.nets import _GRID_TOL, _time_grid
@@ -379,12 +380,13 @@ def membership_sample():
 
 class TestModularReduction:
     def test_already_reduced(self):
-        x, y = reduce_many([0.0, 0.1], [1.0, 10.0])
+        x, y, g = reduce_many([0.0, 0.1], [1.0, 10.0])
         assert x.tolist() == [0.0, 0.1] and y.tolist() == [1.0, 10.0]
+        assert g.tolist() == [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]
 
     def test_membership(self):
         pts = membership_sample()
-        x, y = reduce_many(pts[:, 0], pts[:, 1])
+        x, y, _ = reduce_many(pts[:, 0], pts[:, 1])
         assert np.all(np.abs(x) <= 0.5 + 1e-9)
         assert np.all(np.hypot(x, y) >= 1.0 - 1e-9)
         # the reduced point is the highest point of its orbit
@@ -392,20 +394,45 @@ class TestModularReduction:
 
     def test_compacted_reduction_matches_full_passes(self):
         pts = membership_sample()
-        x, y = reduce_many(pts[:, 0], pts[:, 1])
+        x, y, g = reduce_many(pts[:, 0], pts[:, 1])
         ref_x, ref_y = reference_reduce(pts[:, 0], pts[:, 1])
         assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes()
         # blocks are 2-D, in either memory order; the shape is kept and
         # entries are reduced independently
         for order in ("C", "F"):
-            bx, by = reduce_many(np.asarray(pts[:, 0].reshape(100, 100), order=order),
-                                 np.asarray(pts[:, 1].reshape(100, 100), order=order))
-            assert bx.shape == (100, 100)
+            bx, by, bg = reduce_many(np.asarray(pts[:, 0].reshape(100, 100), order=order),
+                                     np.asarray(pts[:, 1].reshape(100, 100), order=order))
+            assert bx.shape == (100, 100) and bg.shape == (4, 100, 100)
             assert bx.ravel().tobytes() == x.tobytes() and by.ravel().tobytes() == y.tobytes()
+            assert bg.reshape(4, -1).tobytes() == g.tobytes()
 
     def test_example_in_strip(self):
-        x, y = reduce_many([2.3], [0.5])
+        x, y, g = reduce_many([2.3], [0.5])
         assert abs(x[0]) <= 0.5 and math.hypot(x[0], y[0]) >= 1.0 - 1e-12
+        # 2.3 + 0.5i -> 0.3 + 0.5i -> its inverse -1/z, then into the strip
+        assert g[:, 0].tolist() == [1.0, -3.0, 1.0, -2.0]
+
+    def test_matrices_take_each_point_to_its_reduction(self):
+        pts = membership_sample()
+        x, y, (a, b, c, d) = reduce_many(pts[:, 0], pts[:, 1])
+        for e in (a, b, c, d):
+            assert np.array_equal(e, np.round(e))
+        assert np.all(a * d - b * c == 1.0)
+        # in exact arithmetic: in floats, mobius_apply's numerator cancels to
+        # absolute errors near 1e-8 on these matrices (entries up to 1019)
+        exact = np.vectorize(Fraction, otypes=[object])
+        gx, gy = mobius_apply(*(exact(e) for e in (a, b, c, d)),
+                              exact(pts[:, 0]), exact(pts[:, 1]))
+        assert np.abs(gx - exact(x)).astype(float).max() <= 1e-12
+        assert np.abs(gy / exact(y) - 1).astype(float).max() <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_points_high_in_the_cusp(self):
+        # the squared modulus of 1e160 i overflows; the point is reduced as it is
+        x, y, g = reduce_many([0.2, 3.0], [1e160, 1e300])
+        assert x.tolist() == [0.2, 0.0] and y.tolist() == [1e160, 1e300]
+        assert g[:, 1].tolist() == [1.0, -3.0, 0.0, 1.0]
+        assert ModularTorus().thick_many(np.array([1e160j]), 0.5).tolist() == [False]
 
     @pytest.mark.parametrize("x", [1j, 0.3 + 1.7j])
     @pytest.mark.parametrize("eps", [0.5, 0.1, 0.9])

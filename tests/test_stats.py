@@ -13,6 +13,8 @@ from stathyp.rng import substream
 from stathyp.spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus,
                             Net, RegularTree, SupProduct, ball_radial_mass,
                             build_net, thin_area_fraction)
+from stathyp.spaces.hyperbolic import HyperbolicRays
+from stathyp.spaces.nets import _GRID_TOL
 
 
 def sup_plane():
@@ -117,6 +119,82 @@ class TestThickStat:
         mt = ModularTorus()
         with pytest.raises(DomainError):
             stats.thick_stat(mt, 1j, 1j, 0.5, 0.1)
+
+    def test_equals_the_cartesian_grid(self):
+        # 320 segments of length at most 22, from basepoints inside F and
+        # outside it; the coding walker reads the grid flags of the exact
+        # segment until t ~ 25
+        mt = ModularTorus()
+        rng = np.random.default_rng(17)
+        for j in range(320):
+            if j % 2:
+                x = complex(rng.uniform(-3.0, 3.0), math.exp(rng.uniform(-3.0, 3.0)))
+            else:
+                theta = rng.uniform(-math.pi / 6, math.pi / 6)
+                x = complex(math.sin(theta), math.cos(theta) / (1.0 - rng.random()))
+            phi = np.array([rng.uniform(0.0, math.pi)])
+            y = complex(HyperbolicRays(x, phi).points_at(rng.uniform(0.0, 22.0))[0])
+            eps = (0.3, 0.5, 0.9, 1.0)[j % 4]
+            assert stats.thick_stat(mt, x, y, eps, 0.1) == grid_thick_stat(mt, x, y, eps, 0.1), j
+
+    def test_eps_above_one_raises(self):
+        with pytest.raises(ParameterError, match="0 < eps <= 1"):
+            stats.thick_stat(ModularTorus(), 1j, 2j, 1.5, 0.1)
+
+    @pytest.mark.parametrize("length", [1e-13, 2e-12])
+    def test_tiny_segment_is_all_partial_step(self, length):
+        # a segment shorter than the grid tolerance has no grid time, and its
+        # partial step is its whole length
+        assert stats.thick_stat(ModularTorus(), 1j, 1j * math.exp(length), 0.5, 0.1) == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_segment_past_the_squared_height_overflow(self):
+        # from i straight up to 1e160 i: thick until height 1/eps^2 = 4
+        frac = stats.thick_stat(ModularTorus(), 1j, 1e160j, 0.5, 0.1)
+        d = math.log(1e160)
+        assert abs(frac - math.log(4.0) / d) <= 0.1 / d
+
+
+def liouville_fractions(eps, length, n, seed):
+    """Thickness fractions of ``n`` rays of ``length`` started from the
+    Liouville measure of the torus model: a point of the fundamental domain
+    F with area density dx dy / y^2 (x = sin theta, y = cos theta / U, with
+    theta uniform on [-pi/6, pi/6] and U uniform on (0, 1]) and a uniform
+    direction; one basepoint per ray."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-math.pi / 6, math.pi / 6, n)
+    x = np.sin(theta) + 1j * np.cos(theta) / (1.0 - rng.random(n))
+    phis = rng.uniform(0.0, math.pi, n)
+    return stats._thick_fractions(ModularTorus(), x, phis, np.full(n, length), eps, 0.1)
+
+
+@pytest.mark.parametrize("length", [5.0, 50.0, 500.0])
+@pytest.mark.parametrize("eps", [0.2, 0.5, 0.9, 1.0])
+def test_liouville_rays_match_the_area_oracle(eps, length):
+    # the flow keeps the Liouville measure, so every grid time of such a
+    # ray is thin with probability exactly 3 eps^2 / pi; the quadrature
+    # weights add up to the length, so the mean fraction is 1 - 3 eps^2 / pi
+    # at every length, with no limit taken
+    n = 20_000
+    fracs = liouville_fractions(eps, length, n, seed=[23, int(eps * 10), int(length)])
+    z = (fracs.mean() - (1.0 - thin_area_fraction(eps))) / (fracs.std(ddof=1) / math.sqrt(n))
+    assert abs(z) <= 4.0
+
+
+def grid_thick_stat(space, x, y, eps, dt):
+    """The Cartesian rule ``thick_stat`` replaced: thickness of the points
+    of ``geodesic_points`` at the grid times, and at the midpoint of the
+    final partial step."""
+    d = space.distance(x, y)
+    m, p = (v.item() for v in stats._grid_steps(np.asarray(d), dt))
+    times = np.arange(m) * dt
+    if p > _GRID_TOL:
+        times = np.append(times, m * dt + 0.5 * p)
+    flags = space.thick_many(space.geodesic_points(x, y, times), eps)
+    thick_time = dt * float(flags[:m].sum())
+    if p > _GRID_TOL:
+        thick_time += p * float(flags[-1])
+    return thick_time / d
 
 
 class TestRayThickness:
