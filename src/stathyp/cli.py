@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import inspect
 import io
 import json
 import math
@@ -30,7 +31,7 @@ import numpy as np
 from . import coarse, convex, stats
 from .errors import StathypError
 from .rng import CHUNK, chunked
-from .spaces import HyperbolicPlane, make_space, space_kind, thin_area_fraction
+from .spaces import HyperbolicPlane, space_class, thin_area_fraction
 
 SEED_ENV = "STATHYP_SEED"
 # triangles in the hyperbolic plane are H2_SLIM-slim: each side lies within
@@ -50,15 +51,13 @@ class ConfigError(StathypError):
 # Experiment catalog
 # ---------------------------------------------------------------------------
 
+# as `stathyp list` shows them; the model constructors hold the defaults
 _SPACE_DEFAULTS = {"kind": "euclidean", "dim": 2, "p": 2.0, "q": 3}
-# the defaults of one ``kind k=v ...`` token of a sup-product's components
-# (a factor is a line unless it says otherwise)
-_FACTOR_DEFAULTS = {"dim": 1, "p": 2.0, "q": 3}
-# the keys each space kind reads, in [space] and in a factor token alike
-_KIND_KEYS = {"euclidean-p-norm": ("dim", "p", "h"), "hyperbolic-plane": ("h",),
-              "modular-torus": ("h",), "regular-tree": ("q", "h"),
-              "sup-product": ("components", "h")}
+# a factor of a sup-product's components is a line unless it says otherwise
+_FACTOR_DEFAULTS = {"dim": 1}
 _BODY_DEFAULTS = {"kind": "lp", "dim": 2, "p": 2.0, "method": "exact"}
+# the keys each body kind reads besides kind and method
+_BODY_KEYS = {"lp": ("dim", "p"), "ellipsoid": ("axes",), "polytope": ("vertices",)}
 # the keys each section may hold; [experiment] keys are checked per kind by _params
 _SECTION_KEYS = {"experiment": None, "space": (*_SPACE_DEFAULTS, "h", "components"),
                  "body": (*_BODY_DEFAULTS, "axes", "vertices")}
@@ -233,34 +232,34 @@ def _params(cfg: dict, kind: str, seed_override: int | None) -> dict:
     return out
 
 
-_NUMBER_KEYS = {"dim": _int, "p": float, "q": _int}
-
-
 def _space(cfg: dict):
     try:
-        return _model("[space]", cfg.get("space", {}), _SPACE_DEFAULTS)
+        return _model("[space]", cfg.get("space", {}), {"kind": _SPACE_DEFAULTS["kind"]})
     except StathypError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _model(where: str, sec: dict, defaults: dict):
-    """The model space of section ``sec``: ``kind`` plus the keys that kind
-    reads (``_KIND_KEYS``), where the ``components`` of a sup-product hold one
-    ``kind k=v ...`` token per factor.  A key the kind does not read is a
-    ConfigError; ``defaults`` fill in only what ``sec`` leaves out."""
+    """The model space of section ``sec``: ``kind`` plus the parameters of its
+    class's constructor, whole numbers where the default is an int, floats
+    otherwise, and for ``components`` one ``kind k=v ...`` token per factor.
+    Any other key is a ConfigError; ``defaults``, then the constructor, fill
+    in what ``sec`` leaves out, and a blank ``h`` is the model's default."""
     merged = {**{k: str(v) for k, v in defaults.items()}, **sec}
     kind = merged["kind"]
-    known = _KIND_KEYS[space_kind(kind)]
-    _check_keys(where, [key for key in sec if key != "kind"], known, kind)
-    args = {key: _value(where, key, merged[key], convert)
-            for key, convert in _NUMBER_KEYS.items() if key in known}
-    if merged.get("h"):
-        args["h"] = _value(where, "h", merged["h"], float)
-    if "components" in known:
-        text = _value(where, "components", merged.get("components") or None, str)
-        args["components"] = [_factor(f"{where} components = {token!r}:", token)
-                              for token in map(str.strip, text.split(";")) if token]
-    return make_space(kind, **args)
+    cls = space_class(kind)
+    params = inspect.signature(cls).parameters
+    _check_keys(where, [key for key in sec if key != "kind"], tuple(params), kind)
+    args = {}
+    for key, param in params.items():
+        raw = merged.get(key)
+        if key == "components":
+            text = _value(where, key, raw or None, str)
+            args[key] = [_factor(f"{where} components = {token!r}:", token)
+                         for token in map(str.strip, text.split(";")) if token]
+        elif raw is not None and (raw or key != "h"):
+            args[key] = _value(where, key, raw, _int if isinstance(param.default, int) else float)
+    return cls(**args)
 
 
 def _factor(where: str, token: str):
@@ -288,17 +287,20 @@ def _polytope_rows(text: str) -> np.ndarray:
 
 def _body(cfg: dict) -> tuple[convex.ConvexBody, str]:
     """The ``[body]`` of ``cfg`` and the volume ``method`` it names."""
-    sec = {**{k: str(v) for k, v in _BODY_DEFAULTS.items()}, **cfg.get("body", {})}
+    body = cfg.get("body", {})
+    sec = {**{k: str(v) for k, v in _BODY_DEFAULTS.items()}, **body}
     kind, method = sec["kind"], sec["method"]
+    if kind not in _BODY_KEYS:
+        raise ConfigError(f"unknown body kind {kind!r}")
+    known = (*_BODY_KEYS[kind], "method")
+    _check_keys("[body]", [key for key in body if key != "kind"], known, kind)
     if kind == "lp":
         p = _value("[body]", "p", sec["p"], lambda t: math.inf if t == "oo" else float(t))
         return convex.LpBall(_value("[body]", "dim", sec["dim"], _int), p), method
     if kind == "ellipsoid":
         return convex.Ellipsoid(_value("[body]", "axes", sec.get("axes"), _floats)), method
-    if kind == "polytope":
-        rows = _value("[body]", "vertices", sec.get("vertices"), _polytope_rows)
-        return convex.Polytope(rows), method
-    raise ConfigError(f"unknown body kind {kind!r}")
+    rows = _value("[body]", "vertices", sec.get("vertices"), _polytope_rows)
+    return convex.Polytope(rows), method
 
 
 # ---------------------------------------------------------------------------

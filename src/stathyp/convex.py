@@ -174,7 +174,8 @@ class Ellipsoid(ConvexBody):
         return ((xs / self.semi_axes) ** 2).sum(axis=1) <= 1.0 + _SYM_TOL
 
     def support(self, xi: np.ndarray) -> float:
-        return float(np.sqrt(((xi * self.semi_axes) ** 2).sum()))
+        # a scaled norm: squaring a coordinate would overflow past about 1e154
+        return float(np.hypot.reduce(xi * self.semi_axes, initial=0.0))
 
     def exact_volume(self) -> float:
         with np.errstate(over="ignore", under="ignore"):  # volume() refuses 0 and inf
@@ -293,7 +294,9 @@ def busemann_density(body: ConvexBody, method: str = "exact", n: int = 200_000,
     """Euclidean-ball volume over the volume of the norm's unit ball."""
     v = volume(body, method, n, seed)
     eps_n = unit_ball_volume(body.dim)
-    return VolumeEstimate(eps_n / v.value, eps_n * v.std_error / v.value ** 2, v.n_samples)
+    f = eps_n / v.value
+    # f's relative error is v's; squaring v would leave the float range
+    return VolumeEstimate(f, f * (v.std_error / v.value), v.n_samples)
 
 
 def holmes_thompson_density(body: ConvexBody, method: str = "exact",

@@ -25,44 +25,24 @@ __all__ = [
     "check_net",
     "thin_area_fraction",
     "make_space",
-    "space_kind",
+    "space_class",
 ]
 
-_KIND_ALIASES = {
-    "euclidean": "euclidean-p-norm",
-    "euclidean-p-norm": "euclidean-p-norm",
-    "hyperbolic": "hyperbolic-plane",
-    "hyperbolic-plane": "hyperbolic-plane",
-    "modular": "modular-torus",
-    "modular-torus": "modular-torus",
-    "tree": "regular-tree",
-    "regular-tree": "regular-tree",
-    "sup-product": "sup-product",
-}
+# each model class under its short name and under its ``kind``
+_CLASSES = {"euclidean": EuclideanSpace, "hyperbolic": HyperbolicPlane, "modular": ModularTorus,
+            "tree": RegularTree, "sup-product": SupProduct}
+_CLASSES.update({cls.kind: cls for cls in _CLASSES.values()})
 
 
-def space_kind(kind: str) -> str:
-    """The canonical name of a space kind or of one of its aliases."""
+def space_class(kind: str) -> type[ModelSpace]:
+    """The model class of a space kind or of its short name."""
     try:
-        return _KIND_ALIASES[kind]
+        return _CLASSES[kind]
     except KeyError:
         raise ParameterError(f"unknown space kind {kind!r}") from None
 
 
-def make_space(kind: str, *, dim: int = 2, p: float = 2.0, q: int = 3,
-               h: float | None = None, components: list[ModelSpace] | None = None) -> ModelSpace:
-    """Build a model space from a flat parameter set (CLI entry point)."""
-    canonical = space_kind(kind)
-    if canonical == "euclidean-p-norm":
-        return EuclideanSpace(dim=dim, p=p, h=0.0 if h is None else h)
-    if canonical == "hyperbolic-plane":
-        return HyperbolicPlane(h=1.0 if h is None else h)
-    if canonical == "modular-torus":
-        return ModularTorus(h=1.0 if h is None else h)
-    if canonical == "regular-tree":
-        return RegularTree(q=q, h=h)
-    if canonical == "sup-product":
-        if not components:
-            raise ParameterError("sup-product needs component spaces")
-        return SupProduct(components, h=h)
-    raise ParameterError(f"unknown space kind {kind!r}")  # pragma: no cover
+def make_space(kind: str, **params) -> ModelSpace:
+    """The model of ``kind`` built from the keyword arguments of its class's
+    constructor, such as ``make_space("tree", q=4)``."""
+    return space_class(kind)(**params)

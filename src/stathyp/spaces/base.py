@@ -11,9 +11,8 @@ which only the tree keeps; the exact distance from each point of a batch to
 its own geodesic segment, ``distance_to_segment``, read off the
 ``segment_profile`` that each continuous model supplies: the profile at its
 foot clamped to the segment, or a golden-section search where no foot is
-known; and the thickness interface (``thick_many``,
-``thick``, ``ray_walker``), which says "always thick" unless a model has a
-thin part.
+known; and the thickness interface (``thick_many``, ``ray_walker``), which
+says "always thick" unless a model has a thin part.
 
 A batch of ``n`` points is an array with ``n`` rows or a tuple of batches
 of ``n`` rows each (a :class:`~stathyp.spaces.tree.TreeBatch`, the factors of
@@ -102,10 +101,6 @@ class ModelSpace(ABC):
     @abstractmethod
     def basepoint(self):
         ...
-
-    def thick(self, p, eps: float) -> bool:
-        """Is ``p`` in the eps-thick part?"""
-        return bool(self.thick_many(self.singleton(p), eps)[0])
 
     @abstractmethod
     def describe(self) -> str:

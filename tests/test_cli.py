@@ -1,6 +1,7 @@
 """Experiment runner: configs, CSV schema, determinism, exit codes."""
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -8,7 +9,7 @@ import math
 import pytest
 
 from stathyp import cli
-from stathyp.spaces import HyperbolicPlane, RegularTree
+from stathyp.spaces import EuclideanSpace, HyperbolicPlane, RegularTree, space_class
 
 ESTIMATE_CFG = """\
 [space]
@@ -208,6 +209,23 @@ class TestOtherExperiments:
         err = capsys.readouterr().err
         assert err == f"error: parameter error in {kind}: {shown}\n"
         assert not (tmp_path / "v.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("axes", ["1e160, 1", "1e-170, 1"])
+    @pytest.mark.parametrize("kind", ["mahler", "densities"])
+    def test_monte_carlo_ellipsoid_far_from_unit_size(self, tmp_path, capsys, kind, axes):
+        # the support function squared each semi-axis: the box of 1e160
+        # overflowed to a traceback, and that of 1e-170 to a zero volume
+        text = (f"[body]\nkind = ellipsoid\naxes = {axes}\nmethod = monte-carlo\n\n"
+                f"[experiment]\nkind = {kind}\n")
+        argv = ["run", "--config", write(tmp_path, "e.ini", text), "--out", str(tmp_path),
+                "--format", "csv"]
+        assert cli.main(argv) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        # every ellipsoid in the plane has Mahler volume pi^2, and densities
+        # prints the ratio vol(unit disc)^2 / Mahler
+        want = math.pi ** 2 if kind == "mahler" else 1.0
+        assert abs(float(row["mean"]) - want) <= 4 * float(row["std_error"])
 
     def test_sup_product_space(self, tmp_path):
         text = ("[space]\nkind = sup-product\ncomponents = euclidean dim=1 ; euclidean dim=1\n\n"
@@ -448,6 +466,16 @@ class TestOtherExperiments:
          + EST_TINY, [], None, "[space] has no key 'dim' for kind 'sup-product'"),
         ("[space]\nkind = sup-product\ncomponents = hyperbolic dim=3 ; euclidean\n" + EST_TINY,
          [], None, "'hyperbolic dim=3': has no key 'dim' for kind 'hyperbolic'"),
+        ("[space]\ndim =\n" + EST_TINY, [], None, "[space] dim = ''"),
+        ("[space]\nkind = tree\nq =\n" + EST_TINY, [], None, "[space] q = ''"),
+        ("[space]\nkind = sup-product\ncomponents = euclidean dim= ; euclidean\n" + EST_TINY,
+         [], None, "[space] components = 'euclidean dim=': dim = ''"),
+        ("[body]\nkind = ellipsoid\naxes = 1, 2\ndim = 7\np = 3\n" + MAHLER_TINY, [], None,
+         "[body] has no key 'dim' for kind 'ellipsoid'; known keys: axes method"),
+        ("[body]\nkind = polytope\nvertices = 1 1; 1 -1; -1 1; -1 -1\ndim = 5\n" + MAHLER_TINY,
+         [], None, "[body] has no key 'dim' for kind 'polytope'; known keys: vertices method"),
+        ("[body]\naxes = 1, 2\n" + MAHLER_TINY, [], None,
+         "[body] has no key 'axes' for kind 'lp'; known keys: dim p method"),
     ], ids=["h-abc", "dim-two", "component-without-equals", "h-nan", "h-inf", "tree-h-negative",
             "ellipsoid-without-axes", "lp-p-x", "ellipsoid-nan-axis", "ellipsoid-empty-axes",
             "seed-negative", "seed-flag-negative", "seed-env-negative", "n-fractional",
@@ -455,7 +483,9 @@ class TestOtherExperiments:
             "component-key-typo", "component-unknown-key", "body-dim-fractional",
             "section-typo", "space-key-typo", "body-key-typo", "hyperbolic-stray-keys",
             "modular-stray-components", "tree-stray-p", "euclidean-stray-q",
-            "product-stray-dim", "factor-stray-dim"])
+            "product-stray-dim", "factor-stray-dim", "dim-blank", "tree-q-blank",
+            "component-dim-blank", "ellipsoid-stray-dim-p", "polytope-stray-dim",
+            "lp-stray-axes"])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, monkeypatch, text, args, env,
                                       shown):
         # each case used to end in a traceback or in a vacuous PASS
@@ -466,6 +496,38 @@ class TestOtherExperiments:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err and shown in err
         assert not (tmp_path / "bad.csv").exists()
+
+
+class TestSpaceKeys:
+    # the keys of each kind are its constructor's parameters, in their order
+    @pytest.mark.parametrize("name,known", [
+        ("euclidean", "dim p h"), ("euclidean-p-norm", "dim p h"), ("hyperbolic", "h"),
+        ("hyperbolic-plane", "h"), ("modular", "h"), ("modular-torus", "h"),
+        ("tree", "q h"), ("regular-tree", "q h"), ("sup-product", "components h"),
+    ])
+    def test_keys_are_the_constructor_parameters(self, name, known):
+        assert " ".join(inspect.signature(space_class(name)).parameters) == known
+        # a factor token may name any kind, so its error lists the kind's keys
+        with pytest.raises(cli.ConfigError, match=f"for kind '{name}'; known keys: {known}$"):
+            cli._space({"space": {"kind": "sup-product",
+                                  "components": f"{name} bogus=1 ; euclidean"}})
+
+    def test_listed_space_defaults_are_the_constructor_defaults(self):
+        listed = cli.list_experiments()["estimate-e"]["space_defaults"]
+        euclidean = inspect.signature(EuclideanSpace).parameters
+        tree = inspect.signature(RegularTree).parameters
+        assert space_class(listed["kind"]) is EuclideanSpace
+        assert listed["dim"] == euclidean["dim"].default and listed["p"] == euclidean["p"].default
+        assert listed["q"] == tree["q"].default
+
+    @pytest.mark.parametrize("space,shown", [
+        ("kind = hyperbolic\nh =", "hyperbolic-plane(h=1.0)"),
+        ("kind = tree\nh =", f"regular-tree(q=3,h={math.log(2.0)})"),
+        ("kind = sup-product\nh =\ncomponents = hyperbolic h= ; euclidean h=",
+         "sup-product(h=1.0,[hyperbolic-plane(h=1.0),euclidean-p-norm(dim=1,p=2.0,h=0.0)])"),
+    ], ids=["hyperbolic", "tree", "sup-product"])
+    def test_blank_h_is_the_model_default(self, space, shown):
+        assert cli._space(cli.parse_config(f"[space]\n{space}\n" + EST_TINY)).describe() == shown
 
 
 class TestSweep:

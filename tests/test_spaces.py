@@ -16,7 +16,7 @@ from stathyp.rng import CHUNK
 from stathyp.spaces.base import ModelSpace
 from stathyp.spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus,
                             Net, RegularTree, SupProduct, build_net,
-                            check_net, make_space, thin_area_fraction)
+                            check_net, make_space, space_class, thin_area_fraction)
 from stathyp.spaces.euclidean import _pnorm
 from stathyp.spaces.hyperbolic import _ray_matrices, mobius_apply
 from stathyp.spaces import modular
@@ -485,16 +485,17 @@ class TestModularReduction:
 
     def test_thickness_convention(self):
         mt = ModularTorus()
-        assert mt.thick(1j, 0.5)          # Im 1 <= 4
-        assert not mt.thick(10j, 0.5)     # Im 10 > 4
-        assert mt.thick(10j + 7.0, 0.1)   # Im 10 <= 100
+        assert mt.thick_many(np.array([1j]), 0.5).tolist() == [True]           # Im 1 <= 4
+        assert mt.thick_many(np.array([10j]), 0.5).tolist() == [False]         # Im 10 > 4
+        assert mt.thick_many(np.array([10j + 7.0]), 0.1).tolist() == [True]    # Im 10 <= 100
         eu = EuclideanSpace(2)
-        assert eu.thick(eu.basepoint(), 0.5)
+        assert eu.thick_many(eu.singleton(eu.basepoint()), 0.5).tolist() == [True]
 
     def test_declared_thickness_interface(self):
         mt = ModularTorus()
         zs = np.array([1j, 10j, 10j + 7.0, 0.3 + 0.01j])
-        assert mt.thick_many(zs, 0.5).tolist() == [mt.thick(z, 0.5) for z in zs]
+        # thin only where the reduced point lies above height 1/eps^2 = 4
+        assert mt.thick_many(zs, 0.5).tolist() == [True, False, False, True]
         for space in (EuclideanSpace(2), HyperbolicPlane(), RegularTree(3), sup_plane()):
             batch = space.sample_shell(space.basepoint(), 3.0, 0.0, 5, seed=0)
             assert space.thick_many(batch, 0.5).tolist() == [True] * 5
@@ -1072,6 +1073,19 @@ class TestFactory:
         assert make_space("hyperbolic").h == 1.0
         assert make_space("tree", q=3).h == pytest.approx(math.log(2.0))
 
+    def test_every_name_is_its_class(self):
+        for short, cls in [("euclidean", EuclideanSpace), ("hyperbolic", HyperbolicPlane),
+                           ("modular", ModularTorus), ("tree", RegularTree)]:
+            assert space_class(short) is cls and space_class(cls.kind) is cls
+        assert space_class("sup-product") is SupProduct
+
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             make_space("minkowski")
+        with pytest.raises(ParameterError):
+            space_class("minkowski")
+
+    def test_parameters_are_the_constructors(self):
+        # a key the kind does not take is an error, not dropped
+        with pytest.raises(TypeError):
+            make_space("hyperbolic", dim=3)

@@ -107,7 +107,7 @@ TINY_CONFIGS = {
     "coarse-check": "[experiment]\nkind = coarse-check\nn = 200\n",
     "mahler": "[experiment]\nkind = mahler\n",
     "densities": "[experiment]\nkind = densities\n",
-    "cube": "[body]\nkind = polytope\ndim = 3\nvertices = " + "; ".join(
+    "cube": "[body]\nkind = polytope\nvertices = " + "; ".join(
         f"{x} {y} {z}" for x in (-1, 1) for y in (-1, 1) for z in (-1, 1))
             + "\n[experiment]\nkind = mahler\n",
 }
