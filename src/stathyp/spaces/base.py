@@ -134,7 +134,9 @@ class ModelSpace(ABC):
 
     def ray_pair_distances(self, by: RayBundle, ty, bz: RayBundle, tz) -> np.ndarray:
         """Row-wise distances d(by_j(ty_j), bz_j(tz_j)) between the rays of two
-        bundles from one basepoint; each time is a scalar or one per ray."""
+        bundles from one basepoint; each time is a scalar or one per ray.
+        The result is a new array the caller may change: kernels may work in
+        place only on arrays they allocate, never on the bundles or the times."""
         return self.distance_many(by.points_at(ty), bz.points_at(tz))
 
     def segment_profile(self, P, U, V):
@@ -242,9 +244,18 @@ class ModelSpace(ABC):
             return np.full(count, float(r))
         u = rng.uniform(size=count)
         if self.h == 0.0:
-            return (r - k) + k * u
-        # inverse CDF, written so exp never sees an argument above 0
-        return r + np.log(math.exp(-self.h * k) + u * (1.0 - math.exp(-self.h * k))) / self.h
+            u *= k
+            u += r - k
+            return u
+        # inverse CDF, r + log(e + u (1 - e)) / h with e = exp(-h k), so exp
+        # never sees an argument above 0
+        e = math.exp(-self.h * k)
+        u *= 1.0 - e
+        u += e
+        np.log(u, out=u)
+        u /= self.h
+        u += r
+        return u
 
 
 def ball_radial_mass(space: ModelSpace, r: float) -> float:

@@ -5,13 +5,16 @@ distances from a point to a line comes with its foot, the projection time;
 other norms give none, and ``distance_to_segment`` then takes the
 golden-section search of :class:`~stathyp.spaces.base.ModelSpace`.
 
-Norms are taken one coordinate column at a time, in coordinate order:
-numpy reduces a short last axis row by row, several times more slowly.
-Below 8 coordinates numpy's row sum adds in that same order, so the sums
-agree with it bit for bit; from 8 coordinates on numpy sums in blocks, and
-a row may differ from its sum in the last bit.  For p other than 1, 2 and
-infinity the columns are scaled by the largest one first, so ``a ** p``
-neither overflows nor underflows at large p.
+Norms are taken one coordinate column at a time, in coordinate order, into
+one buffer: numpy reduces a short last axis row by row, several times more
+slowly.  At p = 2 the signed columns are squared (x * x equals |x| * |x|
+bit for bit), so no copy of the absolute values is made; at p = 1 each
+column's absolute value goes through one scratch column.  Below 8
+coordinates numpy's row sum of |x| or of x * x adds in that same order, so
+the norms agree with it bit for bit; from 8 coordinates on numpy sums in
+blocks, and a row may differ from its sum in the last bit.  For p other
+than 1, 2 and infinity the columns are scaled by the largest one first, so
+``a ** p`` neither overflows nor underflows at large p.
 """
 
 from __future__ import annotations
@@ -24,24 +27,23 @@ from .base import ModelSpace, RayBundle
 
 
 def _pnorm(deltas: np.ndarray, p: float) -> np.ndarray:
-    # deltas: (..., dim); returns (...,)
+    # deltas: (..., dim); returns (...,), a numpy scalar for one vector
+    if p == 1.0 or p == 2.0:
+        cols = [deltas[..., j] for j in range(deltas.shape[-1])]
+        # x * x equals |x| * |x| bit for bit, so p = 2 squares the signed columns
+        term = np.abs if p == 1.0 else np.square
+        total = term(cols[0], out=np.empty(deltas.shape[:-1]))
+        tmp = np.empty_like(total)
+        for col in cols[1:]:
+            total += term(col, out=tmp)
+        return (total if p == 1.0 else np.sqrt(total, out=total))[()]
     a = np.abs(deltas)
     dim = a.shape[-1]
-    if p == 2.0:
-        total = a[..., 0] * a[..., 0]
-        for j in range(1, dim):
-            total += a[..., j] * a[..., j]
-        return np.sqrt(total)
-    if p == 1.0:
-        total = a[..., 0]
-        for j in range(1, dim):
-            total = total + a[..., j]
-        return total
     top = a[..., 0]
     for j in range(1, dim):
         top = np.maximum(top, a[..., j])
     if math.isinf(p):
-        return top
+        return top[()]
     scale = np.where((top > 0.0) & (top < math.inf), top, 1.0)
     total = (a[..., 0] / scale) ** p
     for j in range(1, dim):
@@ -142,14 +144,20 @@ class EuclideanSpace(ModelSpace):
 
     def ray_pair_distances(self, by, ty, bz, tz) -> np.ndarray:
         """``distance_many(by.points_at(ty), bz.points_at(tz))`` with the same
-        arithmetic, one coordinate at a time: row j of ``gaps`` is coordinate
-        j of the differences, so no ``(n, dim)`` point array is formed and the
-        norm reads contiguous columns of ``gaps.T``."""
+        arithmetic, one coordinate at a time: row j of ``gaps`` is built in
+        place as coordinate j of the differences, with one scratch row for
+        the z side, so no ``(n, dim)`` point array is formed and the norm
+        reads contiguous columns of ``gaps.T``."""
         ty = np.asarray(ty, dtype=np.float64)
         tz = np.asarray(tz, dtype=np.float64)
         gaps = np.empty((self.dim, by.size))
-        for j, gap in enumerate(gaps):
-            np.subtract(by.x[j] + ty * by.dirs[:, j], bz.x[j] + tz * bz.dirs[:, j], out=gap)
+        z = np.empty(by.size)
+        for j, y in enumerate(gaps):
+            np.multiply(ty, by.dirs[:, j], out=y)
+            y += by.x[j]
+            np.multiply(tz, bz.dirs[:, j], out=z)
+            z += bz.x[j]
+            y -= z
         return _pnorm(gaps.T, self.p)
 
     # -- sampling -----------------------------------------------------------
@@ -162,5 +170,6 @@ class EuclideanSpace(ModelSpace):
         if np.any(bad):
             g[bad] = 1.0 / math.sqrt(self.dim)
             norms = _pnorm(g, self.p)
-        g /= norms[:, None]
+        for col in g.T:  # faster than the broadcast g /= norms[:, None]
+            col /= norms
         return EuclideanRays(self._point(x), g)

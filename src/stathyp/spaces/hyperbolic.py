@@ -227,25 +227,47 @@ class HyperbolicPlane(ModelSpace):
             sinh^2(d/2) = sinh^2((ty - tz)/2) + sinh ty sinh tz sin^2(phi_y - phi_z)
 
         With the factor e^(ty+tz)/4 taken out, the right side is e^(ty+tz) w / 4,
-        where w lies in [0, 2], so no radius overflows."""
+        where w lies in [0, 2], so no radius overflows.  The work is done in
+        place in three chunk-sized buffers; the terms of the times alone use
+        the first ``m`` entries of two of them, one per distinct time (m = 1
+        for scalar times)."""
         if by.x != bz.x:
             raise DomainError(f"ray pairs need one basepoint, got {by.x} and {bz.x}")
         ty = np.asarray(ty, dtype=np.float64)
         tz = np.asarray(tz, dtype=np.float64)
-        lo = np.minimum(ty, tz)
-        gap = np.expm1(lo - np.maximum(ty, tz))
+        s = np.subtract(by.phi, bz.phi)
+        w, v = np.empty_like(s), np.empty_like(s)
         # sin^2 as tan^2 / (1 + tan^2): numpy's float64 tan is several times
         # faster than its sin, and |tan| stays below 2e16 on floats
-        tan2 = np.tan(by.phi - bz.phi)
-        tan2 *= tan2
-        sin2 = tan2 / (1.0 + tan2)
-        w = np.exp(-2.0 * lo) * gap * gap + np.expm1(-2.0 * ty) * np.expm1(-2.0 * tz) * sin2
+        np.tan(s, out=s)
+        s *= s
+        s /= np.add(1.0, s, out=w)
+        m = max(ty.size, tz.size)
+        a, b = w[:m], v[:m]
+        np.expm1(np.multiply(-2.0, ty, out=a), out=a)
+        a *= np.expm1(np.multiply(-2.0, tz, out=b), out=b)
+        s *= a  # expm1(-2 ty) expm1(-2 tz) sin^2
+        lo, gap = np.minimum(ty, tz, out=a), np.maximum(ty, tz, out=b)
+        np.expm1(np.subtract(lo, gap, out=gap), out=gap)
+        lo *= -2.0
+        np.exp(lo, out=lo)
+        lo *= gap
+        lo *= gap
+        s += lo  # w = e^(-2 lo) gap^2 + expm1(-2 ty) expm1(-2 tz) sin^2
         with np.errstate(divide="ignore"):
-            log_w = np.log(w)  # -inf, and then d = 0, where y = z
-        log_v = 0.5 * (ty + tz + log_w) - _LN2  # v = sinh(d/2)
+            log_w = np.log(s, out=s)  # -inf, and then d = 0, where y = z
+        far = np.add(ty, tz, out=w)
+        far += log_w
+        log_v = np.multiply(0.5, far, out=v)
+        log_v -= _LN2  # v = sinh(d/2)
         # asinh(v) = log(2v) to double precision once v > 2^27
-        near = 2.0 * np.arcsinh(np.exp(np.minimum(log_v, _LOG_ASINH_TAIL)))
-        return np.where(log_v > _LOG_ASINH_TAIL, ty + tz + log_w, near)
+        past = log_v > _LOG_ASINH_TAIL
+        d = np.minimum(log_v, _LOG_ASINH_TAIL, out=s)
+        np.exp(d, out=d)
+        np.arcsinh(d, out=d)
+        d *= 2.0
+        np.copyto(d, far, where=past)
+        return d
 
     # -- sampling -----------------------------------------------------------
 

@@ -10,7 +10,9 @@ Sphere sampling draws a Euclidean-uniform speed profile (the coordinatewise
 absolute value of a Gaussian direction, normalized by its maximum) together
 with an independent uniform direction in each component, drawn from a child
 stream of its own (``Generator.spawn``); on a product of lines this agrees
-with the uniform-direction measure on the sup-norm sphere.
+with the uniform-direction measure on the sup-norm sphere.  A chunk of n
+rays keeps its speeds as one contiguous row per factor, shape (m, n), so
+the per-factor times ``t * speeds[j]`` read contiguous memory.
 Components must have continuous geodesics, so trees cannot be factors.
 """
 
@@ -26,17 +28,20 @@ from .base import ModelSpace, RayBundle
 
 
 class ProductRays(RayBundle):
+    """One bundle per factor and the speeds, one row per factor: ray i moves
+    in factor j at speed ``speeds[j, i]``, and each column's largest is 1."""
+
     def __init__(self, bundles, speeds):
         self.bundles = bundles    # one RayBundle per component
-        self.speeds = speeds      # (n, m), rows have max 1
+        self.speeds = speeds      # (m, n)
 
     @property
     def size(self) -> int:
-        return self.speeds.shape[0]
+        return self.speeds.shape[1]
 
     def points_at(self, t):
         t = np.asarray(t, dtype=np.float64)
-        return tuple(b.points_at(t * self.speeds[:, j]) for j, b in enumerate(self.bundles))
+        return tuple(b.points_at(t * speed) for b, speed in zip(self.bundles, self.speeds))
 
 
 class SupProduct(ModelSpace):
@@ -106,10 +111,10 @@ class SupProduct(ModelSpace):
         return functools.reduce(np.maximum, per)
 
     def ray_pair_distances(self, by, ty, bz, tz) -> np.ndarray:
-        """The largest of the factors' kernels, each at the times ``t * speeds[:, j]``."""
+        """The largest of the factors' kernels, each at the times ``t * speeds[j]``."""
         ty = np.asarray(ty, dtype=np.float64)
         tz = np.asarray(tz, dtype=np.float64)
-        per = [c.ray_pair_distances(yj, ty * by.speeds[:, j], zj, tz * bz.speeds[:, j])
+        per = [c.ray_pair_distances(yj, ty * by.speeds[j], zj, tz * bz.speeds[j])
                for j, (c, yj, zj) in enumerate(zip(self.components, by.bundles, bz.bundles))]
         return functools.reduce(np.maximum, per)
 
@@ -137,15 +142,16 @@ class SupProduct(ModelSpace):
     def rays_chunk(self, x, count, rng, horizon) -> ProductRays:
         self.validate_point(x)
         m = len(self.components)
-        speeds = np.abs(rng.normal(size=(count, m)))
-        # column by column, the rule euclidean._pnorm follows too: numpy
-        # reduces short rows (axis=1) far more slowly
-        top = functools.reduce(np.maximum, speeds.T)
+        # ray j's speeds are row j of the draw, stored as column j of one
+        # contiguous row per factor: numpy reduces short rows (axis=1) far
+        # more slowly than it combines long ones
+        speeds = np.abs(rng.normal(size=(count, m)).T, order="C")
+        top = functools.reduce(np.maximum, speeds)
         fix = top == 0.0
         if np.any(fix):
-            speeds[fix] = 1.0
+            speeds[:, fix] = 1.0
             top[fix] = 1.0
-        speeds /= top[:, None]
+        speeds /= top
         # each component draws from its own child stream, so ray j depends
         # only on row j of every draw
         bundles = [

@@ -84,9 +84,11 @@ def estimate_spread(space: ModelSpace, x, r: float, k: float, n: int,
         ty = space.sample_radii(rad_y, m, r, k)
         bz = space.rays_chunk(x, m, dir_z, horizon=r)
         tz = space.sample_radii(rad_z, m, r, k)
-        q = space.ray_pair_distances(by, ty, bz, tz) / r
+        q = space.ray_pair_distances(by, ty, bz, tz)
+        q /= r
         s1_parts.append(float(q.sum()))
-        s2_parts.append(float((q * q).sum()))
+        q *= q
+        s2_parts.append(float(q.sum()))
     s1 = deterministic_sum(s1_parts)
     s2 = deterministic_sum(s2_parts)
     mean = s1 / n

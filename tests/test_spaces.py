@@ -13,12 +13,12 @@ from scipy import stats as sps
 from stathyp.errors import (DomainError, ParameterError,
                             UnsupportedMethodError)
 from stathyp.rng import CHUNK
-from stathyp.spaces.base import ModelSpace
+from stathyp.spaces.base import ModelSpace, RayBundle
 from stathyp.spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus,
                             Net, RegularTree, SupProduct, build_net,
                             check_net, make_space, space_class, thin_area_fraction)
 from stathyp.spaces.euclidean import _pnorm
-from stathyp.spaces.hyperbolic import _ray_matrices, mobius_apply
+from stathyp.spaces.hyperbolic import HyperbolicRays, _ray_matrices, mobius_apply
 from stathyp.spaces import modular
 from stathyp.spaces.modular import _BOUND_TOL, _MAX_REDUCE, reduce_many
 from stathyp.spaces.nets import _GRID_TOL, _time_grid
@@ -730,6 +730,54 @@ def test_ray_pairs_need_one_basepoint():
         hyp.ray_pair_distances(by, 1.0, bz, 1.0)
 
 
+
+def same_bits(got, want):
+    """Equal type, dtype, shape and bytes: -0.0, inf and NaN payloads included."""
+    return (type(got) is type(want) and got.dtype == want.dtype
+            and got.shape == want.shape and got.tobytes() == want.tobytes())
+
+
+def reference_hyperbolic_pairs(by, ty, bz, tz):
+    """The hyperbolic pair kernel written as whole-array expressions, one
+    temporary per operation: the in-place kernel must match it bit for bit."""
+    ty = np.asarray(ty, dtype=np.float64)
+    tz = np.asarray(tz, dtype=np.float64)
+    lo = np.minimum(ty, tz)
+    gap = np.expm1(lo - np.maximum(ty, tz))
+    tan2 = np.tan(by.phi - bz.phi)
+    tan2 *= tan2
+    sin2 = tan2 / (1.0 + tan2)
+    w = np.exp(-2.0 * lo) * gap * gap + np.expm1(-2.0 * ty) * np.expm1(-2.0 * tz) * sin2
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w)
+    log_v = 0.5 * (ty + tz + log_w) - math.log(2.0)
+    tail = 27.0 * math.log(2.0)
+    near = 2.0 * np.arcsinh(np.exp(np.minimum(log_v, tail)))
+    return np.where(log_v > tail, ty + tz + log_w, near)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("space", [HyperbolicPlane(), ModularTorus()], ids=space_id)
+@pytest.mark.parametrize("x", [1j, 0.3 + 2.5j])
+def test_hyperbolic_pairs_match_the_expression_bit_for_bit(space, x):
+    m = 3000
+    by, ty, bz, tz = ray_pair(space, x, m, 20.0, 20.0, seed=9)
+    # coincident directions in the first third (w = 0, log w = -inf, d = 0
+    # at equal times), the same directions written pi apart in the second
+    phi = bz.phi.copy()
+    phi[:m // 3] = by.phi[:m // 3]
+    phi[m // 3:2 * m // 3] = by.phi[m // 3:2 * m // 3] + math.pi
+    near_by = HyperbolicRays(by.x, phi)
+    tiny = 1e-3 * (1.0 + np.random.default_rng(4).uniform(size=m))
+    times = [(5.0, 5.0), (ty, tz), (1e4, 1e4), (1e-3, 1e-3), (tiny, tiny[::-1].copy()),
+             (ty, 7.0), (1e4 + ty, tz), (ty, ty)]
+    for other in (bz, near_by, by):
+        for t_y, t_z in times:
+            got = space.ray_pair_distances(by, t_y, other, t_z)
+            assert same_bits(got, reference_hyperbolic_pairs(by, t_y, other, t_z))
+    assert np.all(space.ray_pair_distances(by, ty, near_by, ty)[:m // 3] == 0.0)
+    assert np.all(space.ray_pair_distances(by, 1e4, by, 1e4) == 0.0)
+
 NORMED = ([EuclideanSpace(dim, p=p) for dim in (1, 2, 3, 7) for p in (1.0, 1.5, 2.0, math.inf)]
           + [sup_plane(), SupProduct([EuclideanSpace(2), HyperbolicPlane()])])
 
@@ -740,7 +788,7 @@ def cartesian_pairs(space, by, ty, bz, tz):
     with ``np.max`` of the stacked factor distances."""
     if isinstance(space, SupProduct):
         ty, tz = np.asarray(ty, dtype=np.float64), np.asarray(tz, dtype=np.float64)
-        per = [cartesian_pairs(c, yj, ty * by.speeds[:, j], zj, tz * bz.speeds[:, j])
+        per = [cartesian_pairs(c, yj, ty * by.speeds[j], zj, tz * bz.speeds[j])
                for j, (c, yj, zj) in enumerate(zip(space.components, by.bundles, bz.bundles))]
         return np.max(np.stack(per, axis=0), axis=0)
     if isinstance(space, EuclideanSpace):
@@ -789,6 +837,85 @@ def test_pnorm_matches_row_reductions(dim):
         assert np.array_equal(_pnorm(shaped, 2.0), np.sqrt((a * a).sum(axis=-1)))
         assert np.array_equal(_pnorm(shaped, math.inf), a.max(axis=-1))
 
+
+
+def reference_pnorm(deltas, p):
+    """``_pnorm`` computed from a copy of the absolute values, column by
+    column, one temporary per operation: the in-place norm must match it
+    bit for bit."""
+    a = np.abs(deltas)
+    dim = a.shape[-1]
+    if p == 2.0:
+        total = a[..., 0] * a[..., 0]
+        for j in range(1, dim):
+            total += a[..., j] * a[..., j]
+        return np.sqrt(total)
+    if p == 1.0:
+        total = a[..., 0]
+        for j in range(1, dim):
+            total = total + a[..., j]
+        return total
+    top = a[..., 0]
+    for j in range(1, dim):
+        top = np.maximum(top, a[..., j])
+    if math.isinf(p):
+        return top
+    scale = np.where((top > 0.0) & (top < math.inf), top, 1.0)
+    total = (a[..., 0] / scale) ** p
+    for j in range(1, dim):
+        total += (a[..., j] / scale) ** p
+    return top * total ** (1.0 / p)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf, 1000.0])
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8])
+def test_pnorm_matches_the_abs_copy_bit_for_bit(p, dim):
+    rng = np.random.default_rng(dim)
+    wide = rng.normal(size=(2000, dim)) * np.exp(rng.uniform(-30.0, 30.0, size=(2000, dim)))
+    # signed zeros, subnormals, and 1e200, whose square overflows to inf
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e200, -1e200, 1.0, -3.0]
+    rows = np.concatenate([wide, rng.choice(special, size=(2000, dim))])
+    with np.errstate(over="ignore"):
+        assert same_bits(_pnorm(rows, p), reference_pnorm(rows, p))
+        assert same_bits(_pnorm(rows.reshape(40, 100, dim), p),
+                         reference_pnorm(rows.reshape(40, 100, dim), p))
+        for row in rows[::97]:  # one vector gives a numpy scalar
+            got = _pnorm(row, p)
+            assert isinstance(got, np.float64)
+            assert same_bits(np.asarray(got), np.asarray(reference_pnorm(row, p)))
+
+
+def arrays_in(value):
+    """The numpy arrays held by a point, batch or bundle, or a tuple of them."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in arrays_in(v)]
+    if isinstance(value, RayBundle):
+        return arrays_in(list(vars(value).values()))
+    return []
+
+
+@pytest.mark.parametrize("space", NORMED + [HyperbolicPlane(), ModularTorus()], ids=space_id)
+def test_kernels_write_no_input(space):
+    """The chunk kernels leave the bundles, the times and the basepoint as they
+    were, and hand back arrays of their own."""
+    x = space.basepoint()
+    by, ty, bz, tz = ray_pair(space, x, 500, 20.0, 20.0, seed=2)
+    scalar = np.array(7.5)
+    held = arrays_in([x, by, bz, ty, tz, scalar])
+    copies = [a.copy() for a in held]
+    for t_y, t_z in ((ty, tz), (scalar, scalar), (ty, ty), (scalar, tz), (7.5, 7.5)):
+        U, V = by.points_at(t_y), bz.points_at(t_z)
+        points = arrays_in([U, V])
+        kept = [a.copy() for a in points]
+        for d in (space.ray_pair_distances(by, t_y, bz, t_z),
+                  space.ray_pair_distances(by, t_y, by, t_y),
+                  space.distance_many(U, V)):
+            assert not any(np.shares_memory(d, a) for a in held + points)
+        assert all(same_bits(a, b) for a, b in zip(points, kept))
+    assert all(same_bits(a, b) for a, b in zip(held, copies))
+    assert len(held) >= 5
 
 @pytest.mark.filterwarnings("error")
 def test_large_p_neither_overflows_nor_underflows():
