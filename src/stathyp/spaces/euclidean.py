@@ -32,11 +32,13 @@ def _pnorm(deltas: np.ndarray, p: float) -> np.ndarray:
         cols = [deltas[..., j] for j in range(deltas.shape[-1])]
         # x * x equals |x| * |x| bit for bit, so p = 2 squares the signed columns
         term = np.abs if p == 1.0 else np.square
-        total = term(cols[0], out=np.empty(deltas.shape[:-1]))
-        tmp = np.empty_like(total)
+        total = term(cols[0])  # a new array, or a numpy scalar for one vector
+        tmp = np.empty_like(total) if total.ndim else None
         for col in cols[1:]:
             total += term(col, out=tmp)
-        return (total if p == 1.0 else np.sqrt(total, out=total))[()]
+        if p == 1.0:
+            return total
+        return np.sqrt(total, out=total if total.ndim else None)
     a = np.abs(deltas)
     dim = a.shape[-1]
     top = a[..., 0]

@@ -730,7 +730,6 @@ def test_ray_pairs_need_one_basepoint():
         hyp.ray_pair_distances(by, 1.0, bz, 1.0)
 
 
-
 def same_bits(got, want):
     """Equal type, dtype, shape and bytes: -0.0, inf and NaN payloads included."""
     return (type(got) is type(want) and got.dtype == want.dtype
