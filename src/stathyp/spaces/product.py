@@ -142,9 +142,9 @@ class SupProduct(ModelSpace):
     def rays_chunk(self, x, count, rng, horizon) -> ProductRays:
         self.validate_point(x)
         m = len(self.components)
-        # ray j's speeds are row j of the draw, stored as column j of one
-        # contiguous row per factor: numpy reduces short rows (axis=1) far
-        # more slowly than it combines long ones
+        # row i of the draw is ray i's speeds, kept as one contiguous row per
+        # factor: numpy reduces short rows (axis=1) far more slowly than it
+        # combines long ones
         speeds = np.abs(rng.normal(size=(count, m)).T, order="C")
         top = functools.reduce(np.maximum, speeds)
         fix = top == 0.0
