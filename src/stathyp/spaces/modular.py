@@ -103,22 +103,6 @@ def _thin_height(eps: float) -> float:
     return 1.0 / eps2 if eps2 > 0.0 else math.inf
 
 
-def _frame_interval(c, d, t0):
-    """Thin interval ``(lo, hi)`` of the det-1 frames ``N = [[a, b], [c, d]]``
-    whose rays are ``N.(i e^t)``: the times where the frame height
-    e^t / (c^2 e^2t + d^2) exceeds ``t0``.  ``c = 0`` (a ray into the cusp)
-    gives ``hi = inf``; frames that stay below ``t0`` give ``(-inf, -inf)``,
-    and so do all frames at ``t0 = inf`` (g is nan where c = 0)."""
-    c2, d2 = c * c, d * d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = 1.0 - 4.0 * t0 * t0 * c2 * d2
-        s = 1.0 + np.sqrt(np.maximum(g, 0.0))
-        lo = np.log(2.0 * t0 * d2 / s)
-        hi = np.log(s / (2.0 * t0 * c2))
-    thin = g > 0.0
-    return np.where(thin, lo, -np.inf), np.where(thin, hi, -np.inf)
-
-
 class RayWalker:
     """Cusp excursions of rays from one basepoint, one coding step at a time.
 
@@ -152,17 +136,27 @@ class RayWalker:
         # lie in [-1, 0], their horoballs inside |z| < 1 or |z + 1| < 1, and
         # |z|^2 and |z + 1|^2 grow along the semicircle past p, where both
         # are at least 1.
-        lo, hi = _frame_interval(c, d, t0)
-        self._first = lo[None], hi[None]
-        lost = c == 0.0
+        lost = np.flatnonzero(c == 0.0)
         c[lost] = 1.0  # a placeholder, replaced by the inert state
         self._v, self._w, self._tau = -b / d, a / c, np.log(np.abs(d / c))
-        self._retire(np.flatnonzero(lost))
+        lo, hi = self._interval()
+        # a ray into the cusp at infinity is thin from height t0 on: e^t / d^2 > t0
+        lo[lost], hi[lost] = np.log(t0 * d[lost] ** 2), np.inf
+        self._first = lo[None], hi[None]
+        self._retire(lost)
 
     def _retire(self, rays):
         """Put ``rays``, which never leave their cusp again, in an inert state:
         the golden fixed point of the step, with the top time at infinity."""
         self._v[rays], self._w[rays], self._tau[rays] = 1.0 / _GOLDEN, _GOLDEN, np.inf
+
+    def _interval(self):
+        """Thin interval ``(lo, hi)`` of every ray's current frame.  The
+        frame's height at flow time t is R / cosh(t - tau), R = (v + w) / 2,
+        so the ray is above ``t0`` for |t - tau| < acosh(R / t0); the
+        interval is empty (``lo == hi``) where R <= t0."""
+        h = np.arccosh(np.maximum((self._v + self._w) * (0.5 / self._t0), 1.0))
+        return self._tau - h, self._tau + h
 
     def step(self):
         """Advance every ray to its next reduced frame; return the frame's
@@ -181,8 +175,7 @@ class RayWalker:
         tau += np.log(v / w)
         np.reciprocal(v, out=v)
         np.reciprocal(w, out=w)
-        h = np.arccosh(np.maximum((v + w) * (0.5 / self._t0), 1.0))
-        lo, hi = tau - h, tau + h
+        lo, hi = self._interval()
         if lost is not None:
             lo[lost], hi[lost] = entry, np.inf
             self._retire(lost)

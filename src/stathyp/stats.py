@@ -28,7 +28,7 @@ from .spaces.nets import _GRID_TOL, Net, _time_grid, build_net
 
 _TRIANGLE_KEY = 0x7A1
 _TRIANGLE_ROUNDS = 64
-# grid points per distance_to_segment call of thin_triangle_sample
+# grid points per distance_to_segment call of _side_minima
 _PROBE_BLOCK = 1 << 11
 _DISCRETIZE_KEY = 0xD15
 
@@ -152,61 +152,69 @@ def ray_thick_fraction_many(space: ModelSpace, x, length: float, eps: float,
 def _thick_fractions(space, x, phis, lengths, eps: float, dt: float) -> np.ndarray:
     """Thickness fractions of the rays from ``x`` (one point, or one per ray)
     with directions ``phis`` and ``lengths``."""
-    m, p = _grid_steps(lengths, dt)
-    thin = np.zeros(len(phis))
-    mid = _Midpoints(m, p, dt)
-    for first, last, lo, hi in _thin_runs(space, x, phis, lengths, m, eps, dt):
-        thin += np.maximum(last - first + 1.0, 0.0).sum(axis=0)
-        mid.update(lo, hi)
-    return (dt * (m - thin) + p * mid.thick()) / lengths
+    grid = _RayGrid(lengths, dt)
+    for _ in grid.thin_runs(space, x, phis, eps):
+        pass
+    return grid.fractions()
 
 
-def _grid_steps(lengths: np.ndarray, dt: float):
-    """``(m, p)``: a ray of length ``lengths[j]`` has the ``m[j]`` grid times
-    0, dt, ..., (m[j]-1) dt and then a final partial step of length ``p[j]``.
-    Grids of 2^53 steps or more, which no float counts, raise."""
-    steps = (lengths + _GRID_TOL) // dt
-    if not np.all(steps < 2.0 ** 53):
-        raise ParameterError(f"a ray of length {float(np.max(lengths))!r} has 2^53 or "
-                             f"more grid steps of dt={dt!r}")
-    m = steps.astype(np.int64)
-    return m, lengths - m * dt
+class _RayGrid:
+    """The quadrature grid of rays of ``lengths``: ray ``j`` has the ``m[j]``
+    grid times 0, dt, ..., (m[j]-1) dt and then a final partial step of
+    length ``p[j]``, weighed by its midpoint; a ray with no grid time
+    (m = 0) is all partial step, however short.  Grids of 2^53 steps or
+    more, which no float counts, raise.
 
+    ``thin_runs`` reads the thin grid times off the rays' cusp excursions and
+    keeps the running count ``thin`` and the midpoint flags; ``fractions``
+    then gives each ray's thick fraction."""
 
-def _thin_runs(space, x, phis, lengths, m: np.ndarray, eps: float, dt: float):
-    """Thin grid times of the rays of ``lengths``, one run per cusp excursion.
+    def __init__(self, lengths: np.ndarray, dt: float):
+        steps = (lengths + _GRID_TOL) // dt
+        if not np.all(steps < 2.0 ** 53):
+            raise ParameterError(f"a ray of length {float(np.max(lengths))!r} has 2^53 or "
+                                 f"more grid steps of dt={dt!r}")
+        self.lengths, self.dt = lengths, dt
+        self.m = steps.astype(np.int64)
+        self.p = lengths - self.m * dt
+        self.thin = np.zeros(len(lengths))   # thin grid times below m, so far
+        self.here = (self.p > _GRID_TOL) | (self.m == 0)   # rays with a midpoint
+        self._mid_t = self.m * dt + 0.5 * self.p
+        self._mid_thin = np.zeros(len(lengths), dtype=bool)
 
-    Yields ``(first, last, lo, hi)`` per batch of ``RayWalker.excursions``:
-    the excursion ``(lo, hi)`` of ray ``j`` holds its grid times ``i*dt``,
-    ``i < m[j]``, with ``first <= i <= last`` (none where ``last < first``).
-    Rows are in time order per ray, and the arrays are overwritten by the
-    next batch.  Grid time 0 is the basepoint, thin by its own reduced height
-    alone: at eps = 1 the basepoint i touches two horoballs, and rounding
-    can put 0 inside either interval.
-    """
-    walker = space.ray_walker(x, phis, eps)
-    first_thin = np.where(space.thick_many(np.atleast_1d(x), eps), 1.0, 0.0)
-    for lo, hi in walker.excursions(lengths):
-        first = np.maximum(np.floor(lo / dt) + 1.0, first_thin)
-        last = np.minimum(np.ceil(hi / dt) - 1.0, m - 1)
-        yield first, last, lo, hi
+    def thin_runs(self, space, x, phis, eps: float):
+        """Thin grid times of the rays, one run per cusp excursion.
 
+        Yields ``(first, last, runs, cum)`` per batch of
+        ``RayWalker.excursions``: row ``i`` of ray ``j`` holds its grid times
+        ``k*dt``, ``k < m[j]``, with ``first <= k <= last``, ``runs`` of them
+        (0 where ``last < first``), and ``cum`` counts the thin grid times of
+        the runs up to row ``i``.  Rows are in time order per ray, and ``thin``
+        is the last row of ``cum``.  Grid time 0 is the basepoint, thin by
+        its own reduced height alone: at eps = 1 the basepoint i touches two
+        horoballs, and rounding can put 0 inside either interval.
+        """
+        walker = space.ray_walker(x, phis, eps)
+        first_thin = np.where(space.thick_many(np.atleast_1d(x), eps), 1.0, 0.0)
+        t = self._mid_t
+        for lo, hi in walker.excursions(self.lengths):
+            first = np.maximum(np.floor(lo / self.dt) + 1.0, first_thin)
+            last = np.minimum(np.ceil(hi / self.dt) - 1.0, self.m - 1)
+            runs = np.maximum(last - first + 1.0, 0.0)
+            cum = np.cumsum(runs, axis=0)
+            cum += self.thin
+            self.thin = cum[-1]
+            self._mid_thin |= ((lo < t) & (t < hi)).any(axis=0)
+            yield first, last, runs, cum
 
-class _Midpoints:
-    """Thickness at the midpoints of the final partial steps ``(m, p)``; a
-    ray with no grid time (m = 0) is all partial step, however short."""
+    def mid_thick(self) -> np.ndarray:
+        """Thickness at the midpoints of the final partial steps, once the
+        runs are read; False for rays with no partial step."""
+        return self.here & ~self._mid_thin
 
-    def __init__(self, m, p, dt):
-        self.here = (p > _GRID_TOL) | (m == 0)
-        self.t = m * dt + 0.5 * p
-        self.thin = np.zeros(len(m), dtype=bool)
-
-    def update(self, lo, hi):
-        self.thin |= ((lo < self.t) & (self.t < hi)).any(axis=0)
-
-    def thick(self):
-        """Midpoint thick flags; False for rays with no partial step."""
-        return self.here & ~self.thin
+    def fractions(self) -> np.ndarray:
+        """Thick time over length, once the runs are read."""
+        return (self.dt * (self.m - self.thin) + self.p * self.mid_thick()) / self.lengths
 
 
 def p1_fraction(space: ModelSpace, x, r: float, k: float, eps: float,
@@ -244,30 +252,22 @@ def p1_fraction(space: ModelSpace, x, r: float, k: float, eps: float,
     for m_chunk, rng, rng_rad in chunked(seed, n, (0,), (1,)):
         phis = rng.uniform(0.0, math.pi, size=m_chunk)
         lengths = space.sample_radii(rng_rad, m_chunk, r, k)
-        m, p = _grid_steps(lengths, dt)
+        grid = _RayGrid(lengths, dt)
         j_lo = np.maximum(1, np.ceil(sigma * lengths / dt - _GRID_TOL))
         ok = np.ones(m_chunk, dtype=bool)
-        thin = np.zeros(m_chunk)      # thin grid times below m, so far
         thin_lo = np.zeros(m_chunk)   # thin grid times below j_lo
-        mid = _Midpoints(m, p, dt)
-        for first, last, lo, hi in _thin_runs(space, x, phis, lengths, m, eps, dt):
-            runs = np.maximum(last - first + 1.0, 0.0)
-            cum = np.cumsum(runs, axis=0)
-            cum += thin
+        for first, last, runs, cum in grid.thin_runs(space, x, phis, eps):
             # the running fraction just past each run, judged from j_lo on
             past = last + 1.0
             with np.errstate(invalid="ignore", divide="ignore"):
                 fall = (past - cum) / past < low
             ok &= ~((runs > 0.0) & (past >= j_lo) & fall).any(axis=0)
             thin_lo += np.maximum(np.minimum(last, j_lo - 1.0) - first + 1.0, 0.0).sum(axis=0)
-            thin = cum[-1]
-            mid.update(lo, hi)
         with np.errstate(invalid="ignore", divide="ignore"):
-            judged = j_lo <= m
+            judged = j_lo <= grid.m
             ok &= ~(judged & ((j_lo - thin_lo) / j_lo < low))
-            ok &= ~(judged & ((m - thin) / m < low))
-        frac_l = (dt * (m - thin) + p * mid.thick()) / lengths
-        ok &= ~mid.here | (frac_l >= low)
+            ok &= ~(judged & ((grid.m - grid.thin) / grid.m < low))
+        ok &= ~grid.here | (grid.fractions() >= low)
         good_parts.append(float(ok.sum()))
     return deterministic_sum(good_parts) / n
 
@@ -359,8 +359,8 @@ def thin_triangle_probe(space: ModelSpace, x, y, z, interval, c: float,
     distance (``distance_to_segment``) from a grid point to the sides
     [x, z] and [y, z].  That is at most ds / 2 above the minimum over the
     whole subinterval, since the distance to the sides is 1-Lipschitz along
-    the unit-speed side [x, y].  ``thin_triangle_sample`` takes the same
-    measurement on the middle thirds of many triangles, a block at a time.
+    the unit-speed side [x, y].  This is the kernel of
+    ``thin_triangle_sample`` on one triangle.
     """
     s1, s2 = interval
     if ds <= 0:
@@ -372,10 +372,8 @@ def thin_triangle_probe(space: ModelSpace, x, y, z, interval, c: float,
         raise ParameterError(f"interval ({s1}, {s2}) must sit inside [0, {d_xy}]")
     if space.distance(x, z) == 0.0 or space.distance(y, z) == 0.0:
         raise DomainError("degenerate triangle side through z")
-    pts = space.geodesic_points(x, y, _time_grid(s1, min(s2, d_xy), ds))
-    X, Y, Z = space.singleton(x), space.singleton(y), space.singleton(z)
-    best = float(np.minimum(space.distance_to_segment(pts, X, Z),
-                            space.distance_to_segment(pts, Y, Z)).min())
+    best = float(_side_minima(space, x, space.singleton(y), space.singleton(z),
+                              [s1], [min(s2, d_xy)], ds)[0])
     return best <= c, best
 
 
@@ -415,15 +413,15 @@ def _sample_triangles(space: ModelSpace, x, r: float, n: int, seed: int):
                       f"in {_TRIANGLE_ROUNDS} rounds")
 
 
-def _probe_blocks(space: ModelSpace, x, Y, d_xy: np.ndarray, ds: float):
+def _probe_blocks(space: ModelSpace, x, Y, lo, hi, ds: float):
     """``(rows, points)`` for each block of at most ``_PROBE_BLOCK`` grid
-    points of the middle thirds of the sides [x, Y_j]: the probe grid of
-    ``thin_triangle_probe``, triangle after triangle, cut wherever a block
-    fills up; ``rows[i]`` is the triangle of point ``i``."""
+    points of the intervals [lo_j, hi_j] of the sides [x, Y_j], triangle
+    after triangle, cut wherever a block fills up; ``rows[i]`` is the
+    triangle of point ``i``."""
     rows, parts, size = [], [], 0
-    for j, d in enumerate(d_xy):
+    for j, (a, b) in enumerate(zip(lo, hi)):
         y = space.batch_get(Y, j)
-        ts = _time_grid(d / 3.0, 2.0 * d / 3.0, ds)
+        ts = _time_grid(a, b, ds)
         while len(ts):
             piece, ts = ts[:_PROBE_BLOCK - size], ts[_PROBE_BLOCK - size:]
             rows.append(np.full(len(piece), j))
@@ -436,25 +434,16 @@ def _probe_blocks(space: ModelSpace, x, Y, d_xy: np.ndarray, ds: float):
         yield np.concatenate(rows), space.batch_concat(parts)
 
 
-def thin_triangle_sample(space: ModelSpace, x, r: float, n: int, c: float,
-                         ds: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(hits, minima)`` of ``thin_triangle_probe`` on ``n`` random triangles
-    x y z with all sides at least ``r``, probed on the middle third of [x, y].
+def _side_minima(space: ModelSpace, x, Y, Z, lo, hi, ds: float) -> np.ndarray:
+    """Least distance from the grid of [lo_j, hi_j] on the side [x, Y_j]
+    to the other two sides [x, Z_j] and [Y_j, Z_j] of each triangle.
 
-    The probe grids are measured a block at a time: one
-    ``distance_to_segment`` call per block takes every grid point's distance
-    to its own triangle's sides [x, z] and [y, z], so the kernel's memory is
-    bounded by the block, not by ``n`` or ``ds``.  Triangle ``j`` depends
-    only on ``(seed, j)``.
-    """
-    if n < 1:
-        raise ParameterError(f"need at least one triangle, got {n}")
-    if ds <= 0:
-        raise ParameterError(f"grid step must be positive, got {ds}")
-    Y, Z = _sample_triangles(space, x, r, n, seed)
+    One ``distance_to_segment`` call per block takes every grid point's
+    distance to its own triangle's sides, so memory is bounded by the
+    block, not by the triangle count or ``ds``."""
     X = space.singleton(x)
-    minima = np.full(n, np.inf)
-    for rows, pts in _probe_blocks(space, x, Y, space.distance_many(X, Y), ds):
+    minima = np.full(len(lo), np.inf)
+    for rows, pts in _probe_blocks(space, x, Y, lo, hi, ds):
         m = len(rows)
         z = space.batch_take(Z, rows)
         both = space.distance_to_segment(
@@ -462,11 +451,24 @@ def thin_triangle_sample(space: ModelSpace, x, r: float, n: int, c: float,
             space.batch_concat([space.batch_take(X, np.zeros(m, dtype=np.intp)),
                                 space.batch_take(Y, rows)]),
             space.batch_concat([z, z]))
-        near = np.minimum(both[:m], both[m:])
-        # rows run in order, so each triangle's points are one run
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        tri = rows[starts]
-        minima[tri] = np.minimum(minima[tri], np.minimum.reduceat(near, starts))
+        np.minimum.at(minima, rows, np.minimum(both[:m], both[m:]))
+    return minima
+
+
+def thin_triangle_sample(space: ModelSpace, x, r: float, n: int, c: float,
+                         ds: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(hits, minima)`` of ``thin_triangle_probe`` on ``n`` random triangles
+    x y z with all sides at least ``r``, probed on the middle third of [x, y]
+    a block of grid points at a time (``_side_minima``).  Triangle ``j``
+    depends only on ``(seed, j)``.
+    """
+    if n < 1:
+        raise ParameterError(f"need at least one triangle, got {n}")
+    if ds <= 0:
+        raise ParameterError(f"grid step must be positive, got {ds}")
+    Y, Z = _sample_triangles(space, x, r, n, seed)
+    d_xy = space.distance_many(space.singleton(x), Y)
+    minima = _side_minima(space, x, Y, Z, d_xy / 3.0, 2.0 * d_xy / 3.0, ds)
     return minima <= c, minima
 
 

@@ -186,7 +186,8 @@ def grid_thick_stat(space, x, y, eps, dt):
     of ``geodesic_points`` at the grid times, and at the midpoint of the
     final partial step."""
     d = space.distance(x, y)
-    m, p = (v.item() for v in stats._grid_steps(np.asarray(d), dt))
+    grid = stats._RayGrid(np.array([d]), dt)
+    m, p = grid.m[0].item(), grid.p[0].item()
     times = np.arange(m) * dt
     if p > _GRID_TOL:
         times = np.append(times, m * dt + 0.5 * p)
@@ -438,16 +439,23 @@ class TestTriangleProbes:
         x = space.basepoint()
         ref = stats.thin_triangle_sample(space, x, 6.0, 5, 1.0, 0.1, seed=5)
         Y, Z = stats._sample_triangles(space, x, 6.0, 5, seed=5)
-        for j in range(5):
-            y, z = space.batch_get(Y, j), space.batch_get(Z, j)
-            d_xy = space.distance(x, y)
-            _, alone = stats.thin_triangle_probe(
-                space, x, y, z, (d_xy / 3.0, 2.0 * d_xy / 3.0), 1.0, 0.1)
-            assert alone == ref[1][j]
+
+        def probes():
+            out = []
+            for j in range(5):
+                y, z = space.batch_get(Y, j), space.batch_get(Z, j)
+                d_xy = space.distance(x, y)
+                out.append(stats.thin_triangle_probe(
+                    space, x, y, z, (d_xy / 3.0, 2.0 * d_xy / 3.0), 1.0, 0.1)[1])
+            return np.array(out)
+
+        alone = probes()
+        assert alone.tobytes() == ref[1].tobytes()
         for block in (1, 7):
             monkeypatch.setattr(stats, "_PROBE_BLOCK", block)
             got = stats.thin_triangle_sample(space, x, 6.0, 5, 1.0, 0.1, seed=5)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+            assert probes().tobytes() == alone.tobytes()
 
     def test_memory_bounded_by_the_probe_block(self):
         # 4000 triangles with about 150 grid points each: one (n, G) array
@@ -460,6 +468,21 @@ class TestTriangleProbes:
         finally:
             tracemalloc.stop()
         assert hits.all()
+        assert peak < 3e6
+
+    def test_one_probe_memory_bounded_by_the_block(self):
+        # ds = 1e-4 on the middle third of a side of length 20: about 66,700
+        # grid points, whose points and distances took a 14 MB peak in one call
+        sp = SupProduct([HyperbolicPlane(), HyperbolicPlane()])
+        x, y = (1j, 1j), (1j * math.exp(20.0), 5.0 + 1j)
+        z = (-5.0 + 1j, 3.0 + 1j * math.exp(20.0))
+        tracemalloc.start()
+        try:
+            hit, _ = stats.thin_triangle_probe(sp, x, y, z, (20.0 / 3.0, 40.0 / 3.0), 3.0, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hit
         assert peak < 3e6
 
     def test_sides_at_least_r(self):
