@@ -97,6 +97,9 @@ class Polytope(ConvexBody):
         v = np.asarray(vertices, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] < 2:
             raise ParameterError("need a (k, dim) vertex array with k >= 2")
+        bad = ~np.isfinite(v).all(axis=1)
+        if bad.any():
+            raise ParameterError(f"vertices must be finite reals, got {v[bad][0].tolist()}")
         self.dim = v.shape[1]
         self.vertices = v
         self._check_symmetry()
@@ -106,7 +109,10 @@ class Polytope(ConvexBody):
         try:
             self.hull = ConvexHull(v)
         except Exception as exc:
-            raise ParameterError(f"degenerate vertex set: {exc}") from exc
+            # the first line names the fault; the option dump that follows
+            # holds a Qhull run id that differs from run to run
+            first = str(exc).partition("\n")[0]
+            raise ParameterError(f"degenerate vertex set: {first}") from exc
         # facet inequalities A x + b <= 0
         self._A = self.hull.equations[:, :-1]
         self._b = self.hull.equations[:, -1]

@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from stathyp import convex
-from stathyp.errors import DomainError, UnsupportedMethodError
+from stathyp.errors import DomainError, ParameterError, UnsupportedMethodError
 
 
 def square():
@@ -53,6 +54,20 @@ class TestVolume:
         verts[19] *= 1.01
         with pytest.raises(DomainError, match="centrally symmetric"):
             convex.Polytope(verts)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_vertices_rejected(self, bad):
+        # before the symmetry scan, whose sums of inf and -inf warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="finite"):
+                convex.Polytope([[bad, 0.0], [-bad, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+    def test_flat_vertices_fail_with_one_line(self):
+        with pytest.raises(ParameterError) as info:
+            convex.Polytope([[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0], [-2.0, 0.0]])
+        assert "\n" not in str(info.value)
+        assert "QH6154" in str(info.value)
 
 
 class TestPolar:
