@@ -24,7 +24,7 @@ a union of disjoint horoballs, one per cusp.
   to the next the ray takes the flow time log((a - u)/(w - a)).
 * A frame with its top at flow time tau and R > T gives the thin interval
   (tau - acosh(R/T), tau + acosh(R/T)).  The estimators count the grid
-  times j*dt inside these intervals (``stats._thin_runs``).
+  times j*dt inside these intervals (``stats._RayGrid.thin_runs``).
 
 The Gauss map is chaotic like the flow it codes (Lyapunov exponent 1), so
 rounding shows only after it has grown to O(1): up to flow time t ~ 25 the
