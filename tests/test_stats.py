@@ -451,6 +451,15 @@ class TestTriangleProbes:
 
         alone = probes()
         assert alone.tobytes() == ref[1].tobytes()
+        # the least of all grid points' distances to the two sides: on [0, d/2]
+        # that is near the first point (x lies on [x, z]), not the last
+        for j in range(5):
+            y, z = space.batch_get(Y, j), space.batch_get(Z, j)
+            half = space.distance(x, y) / 2.0
+            pts = space.geodesic_points(x, y, stats._time_grid(0.0, half, 0.1))
+            assert stats.thin_triangle_probe(space, x, y, z, (0.0, half), 1.0, 0.1)[1] == min(
+                space.distance_to_segment(pts, space.singleton(a), space.singleton(z)).min()
+                for a in (x, y))
         for block in (1, 7):
             monkeypatch.setattr(stats, "_PROBE_BLOCK", block)
             got = stats.thin_triangle_sample(space, x, 6.0, 5, 1.0, 0.1, seed=5)
