@@ -109,8 +109,7 @@ class Polytope(ConvexBody):
         try:
             self.hull = ConvexHull(v)
         except Exception as exc:
-            # the first line names the fault; the option dump that follows
-            # holds a Qhull run id that differs from run to run
+            # the first line only: Qhull's option dump after it holds a per-run id
             first = str(exc).partition("\n")[0]
             raise ParameterError(f"degenerate vertex set: {first}") from exc
         # facet inequalities A x + b <= 0

@@ -481,7 +481,7 @@ class TestTriangleProbes:
 
     def test_one_probe_memory_bounded_by_the_block(self):
         # ds = 1e-4 on the middle third of a side of length 20: about 66,700
-        # grid points, whose points and distances took a 14 MB peak in one call
+        # grid points, whose points and distances in one call peak near 14 MB
         sp = SupProduct([HyperbolicPlane(), HyperbolicPlane()])
         x, y = (1j, 1j), (1j * math.exp(20.0), 5.0 + 1j)
         z = (-5.0 + 1j, 3.0 + 1j * math.exp(20.0))
