@@ -185,15 +185,14 @@ _PAIR_KEYS = tuple((0xC0A5, field_no) for field_no in range(5))
 _LOG_LO, _LOG_HI = -600.0, 600.0
 
 
-def random_pairs(n: int, seed: int, eps0: float, exclude_both_short: bool = True,
-                 start: int = 0) -> HoroballPair:
-    """A batch of log-uniform horoball pairs, optionally off the doubly-short set.
+def random_pairs(n: int, seed: int, eps0: float, start: int = 0) -> HoroballPair:
+    """A batch of log-uniform horoball pairs off the doubly-short set.
 
     Lengths are drawn log-uniform with exponent in [_LOG_LO, 0] and the twist
     is 0 with probability 1/4, else log-uniform with exponent in
-    [_LOG_LO, _LOG_HI]; when ``exclude_both_short`` is set, the larger length
-    of a pair with both lengths below eps0 is redrawn in [eps0, 1], so every
-    pair satisfies the hypothesis of the sandwich estimates.
+    [_LOG_LO, _LOG_HI]; the larger length of a pair with both lengths below
+    eps0 is redrawn in [eps0, 1], so every pair satisfies the hypothesis of
+    the sandwich estimates.
 
     The batch holds pairs ``start`` to ``start + n - 1`` of the seed's
     stream, and pair ``j`` depends only on ``(seed, j)``; ``start`` must be
@@ -209,12 +208,11 @@ def random_pairs(n: int, seed: int, eps0: float, exclude_both_short: bool = True
         l_y = np.exp(r_y.uniform(_LOG_LO, 0.0, m))
         twist = np.exp(r_twist.uniform(_LOG_LO, _LOG_HI, m))
         d_c = np.where(r_zero.uniform(size=m) < 0.25, 0.0, twist)
-        if exclude_both_short:
-            lift = np.exp(r_lift.uniform(math.log(eps0), 0.0, m))
-            short = np.maximum(l_x, l_y) < eps0
-            x_longer = l_x >= l_y
-            l_x = np.where(short & x_longer, lift, l_x)
-            l_y = np.where(short & ~x_longer, lift, l_y)
+        lift = np.exp(r_lift.uniform(math.log(eps0), 0.0, m))
+        short = np.maximum(l_x, l_y) < eps0
+        x_longer = l_x >= l_y
+        l_x = np.where(short & x_longer, lift, l_x)
+        l_y = np.where(short & ~x_longer, lift, l_y)
         out[:, at:at + m] = l_x, l_y, d_c
         at += m
     return HoroballPair(*out, eps0)

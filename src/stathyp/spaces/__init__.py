@@ -3,18 +3,17 @@
 from __future__ import annotations
 
 from ..errors import ParameterError
-from .base import ModelSpace, RayBundle, ball_radial_mass
+from .base import ModelSpace, RayBundle
 from .euclidean import EuclideanSpace
 from .hyperbolic import HyperbolicPlane
 from .modular import ModularTorus, thin_area_fraction
-from .nets import Net, build_net, check_net
+from .nets import Net, build_net
 from .product import SupProduct
 from .tree import RegularTree
 
 __all__ = [
     "ModelSpace",
     "RayBundle",
-    "ball_radial_mass",
     "EuclideanSpace",
     "HyperbolicPlane",
     "ModularTorus",
@@ -22,7 +21,6 @@ __all__ = [
     "RegularTree",
     "Net",
     "build_net",
-    "check_net",
     "thin_area_fraction",
     "make_space",
     "space_class",

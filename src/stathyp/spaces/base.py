@@ -256,12 +256,3 @@ class ModelSpace(ABC):
         u /= self.h
         u += r
         return u
-
-
-def ball_radial_mass(space: ModelSpace, r: float) -> float:
-    """Analytic radial mass of the ball of radius ``r``: integral of exp(h*s)."""
-    if r < 0:
-        raise ParameterError(f"radius must be nonnegative, got {r}")
-    if space.h == 0.0:
-        return float(r)
-    return (math.exp(space.h * r) - 1.0) / space.h

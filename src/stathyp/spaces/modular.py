@@ -63,36 +63,27 @@ def reduce_many(x: np.ndarray, y: np.ndarray):
     the reduced coordinates, and the integer det-1 matrices ``(a, b, c, d)``
     (on a leading axis) that take each point there.
 
-    Each pass translates the entries still unreduced into the strip and
-    inverts those inside the unit circle; an entry leaves the working set
-    once it lies in the fundamental domain, so a pass costs only what is
-    left to reduce.  Squared moduli past the float range read as outside.
+    Each pass translates every entry into the strip and inverts those inside
+    the unit circle, until no entry is inside.  Squared moduli past the float
+    range read as outside.
     """
-    # C-order copies, so the flat views below write through to x, y and g
-    x = np.array(x, dtype=np.float64, order="C")
-    y = np.array(y, dtype=np.float64, order="C")
+    x = np.array(x, dtype=np.float64)
+    y = np.array(y, dtype=np.float64)
     g = np.multiply.outer([1.0, 0.0, 0.0, 1.0], np.ones(x.shape))
-    fx, fy, fg = x.reshape(-1), y.reshape(-1), g.reshape(4, -1)
-    xs, ys, gs, live = fx, fy, fg, None
     for _ in range(_MAX_REDUCE):
-        n = np.floor(xs + 0.5)
-        xs -= n
-        gs[:2] -= n * gs[2:]
-        if live is not None:
-            fx[live] = xs
-            fg[:, live] = gs
+        n = np.floor(x + 0.5)
+        x -= n
+        g[:2] -= n * g[2:]
         with np.errstate(over="ignore"):
-            m2 = xs * xs + ys * ys
-        inside = np.flatnonzero(m2 < 1.0 - _BOUND_TOL)
-        if not len(inside):
+            m2 = x * x + y * y
+        inside = m2 < 1.0 - _BOUND_TOL
+        if not inside.any():
             return x, y, g
-        live = inside if live is None else live[inside]
         inv = m2[inside]
-        xs = -xs[inside] / inv
-        ys = ys[inside] / inv
-        fy[live] = ys
-        gs = gs[:, inside][[2, 3, 0, 1]]  # z -> -1/z: (a, b, c, d) -> (-c, -d, a, b)
-        gs[:2] *= -1.0
+        x[inside] = -x[inside] / inv
+        y[inside] /= inv
+        a, b, c, d = g[:, inside]
+        g[:, inside] = -c, -d, a, b   # z -> -1/z
     raise DomainError("reduction did not converge")
 
 

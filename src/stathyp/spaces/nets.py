@@ -10,7 +10,6 @@ candidate along the segment, so the 2c-density invariant holds with margin.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -62,16 +61,3 @@ def build_net(space: ModelSpace, u, v, c: float) -> Net:
         if t - kept[-1] >= c - _GRID_TOL:
             kept.append(t)
     return Net(space.geodesic_points(u, v, np.array(kept)), float(c))
-
-
-def check_net(space: ModelSpace, net: Net, u, v) -> tuple[float, float]:
-    """Return (smallest pairwise distance, largest distance from a candidate
-    of the segment [u, v] to the net), both measured in the model."""
-    pts = net.points
-    cross = space.cross_distance(pts, pts)
-    np.fill_diagonal(cross, np.inf)
-    sep = float(cross.min()) if space.batch_size(pts) > 1 else math.inf
-    ts = _time_grid(0.0, space.distance(u, v), net.c / 2.0)
-    candidates = space.geodesic_points(u, v, ts) if ts[-1] > 0.0 else space.singleton(u)
-    cover = float(space.cross_distance(candidates, pts).min(axis=1).max())
-    return sep, cover

@@ -53,10 +53,6 @@ class EstimateResult:
 
     mean: float
     std_error: float
-    n_pairs: int
-    radius: float
-    shell: float     # 0 for spheres, k for annuli, r for balls
-    seed: int
     config_digest: str
 
 
@@ -97,9 +93,7 @@ def estimate_spread(space: ModelSpace, x, r: float, k: float, n: int,
         raise DomainError(f"normalized mean {mean} escaped [0, 2]; metric is broken")
     digest = config_digest(op="spread", space=space.describe(), x=_fmt_point(x),
                            r=r, k=k, n=n, seed=seed)
-    return EstimateResult(mean=mean, std_error=math.sqrt(var / n), n_pairs=n,
-                          radius=float(r), shell=float(k), seed=seed,
-                          config_digest=digest)
+    return EstimateResult(mean=mean, std_error=math.sqrt(var / n), config_digest=digest)
 
 
 # ---------------------------------------------------------------------------

@@ -283,5 +283,3 @@ class TestRandomPairs:
         pairs = coarse.random_pairs(5000, seed=2, eps0=eps0)
         assert not np.any(pairs.both_short)
         assert 0.2 < np.mean(pairs.d_c == 0.0) < 0.3
-        kept = coarse.random_pairs(5000, seed=2, eps0=eps0, exclude_both_short=False)
-        assert np.any(kept.both_short)

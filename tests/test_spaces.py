@@ -16,7 +16,7 @@ from stathyp.rng import CHUNK
 from stathyp.spaces.base import ModelSpace, RayBundle
 from stathyp.spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus,
                             Net, RegularTree, SupProduct, build_net,
-                            check_net, make_space, space_class, thin_area_fraction)
+                            make_space, space_class, thin_area_fraction)
 from stathyp.spaces.euclidean import _pnorm
 from stathyp.spaces.hyperbolic import HyperbolicRays, _ray_matrices, mobius_apply
 from stathyp.spaces import modular
@@ -356,8 +356,8 @@ def assert_flags_match_reference(walk_flags, x, eps):
 
 
 def reference_reduce(x, y):
-    """The reduction that ``reduce_many`` replaced: every pass translates and
-    tests the whole array, reduced entries included."""
+    """The reduction loop of ``reduce_many`` without its matrices: every pass
+    translates and tests the whole array, reduced entries included."""
     x = np.array(x, dtype=np.float64)
     y = np.array(y, dtype=np.float64)
     for _ in range(_MAX_REDUCE):
@@ -392,12 +392,12 @@ class TestModularReduction:
         # the reduced point is the highest point of its orbit
         assert np.all(y >= pts[:, 1] * (1.0 - 1e-12))
 
-    def test_compacted_reduction_matches_full_passes(self):
+    def test_reduction_matches_the_reference_in_either_order(self):
         pts = membership_sample()
         x, y, g = reduce_many(pts[:, 0], pts[:, 1])
         ref_x, ref_y = reference_reduce(pts[:, 0], pts[:, 1])
         assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes()
-        # blocks are 2-D, in either memory order; the shape is kept and
+        # a 2-D batch, in either memory order, keeps its shape, and its
         # entries are reduced independently
         for order in ("C", "F"):
             bx, by, bg = reduce_many(np.asarray(pts[:, 0].reshape(100, 100), order=order),
@@ -1134,6 +1134,15 @@ def metric_greedy_net(space, u, v, c):
     return space.batch_take(candidates, np.array(kept))
 
 
+# each space with its fixed segments (u, v, c)
+NET_CASES = [
+    (EuclideanSpace(2), [(np.array([0.0, 0.0]), np.array([4.0, 3.0]), 0.7)]),
+    (EuclideanSpace(2, p=1.0), []),
+    (HyperbolicPlane(), [(1j, 2.0 + 5.0j, 0.4)]),
+    (SupProduct([HyperbolicPlane(), EuclideanSpace(2)]), []),
+]
+
+
 class TestNets:
     def test_interval_net_size(self):
         eu = euclid_line()
@@ -1143,35 +1152,18 @@ class TestNets:
         assert eu.batch_size(net.points) == 11
         assert net.points.ravel().tolist() == [float(i) for i in range(11)]
 
-    def test_invariants(self):
-        eu = EuclideanSpace(2)
-        u, v = np.array([0.0, 0.0]), np.array([4.0, 3.0])
-        net = build_net(eu, u, v, 0.7)
-        sep, cover = check_net(eu, net, u, v)
-        assert sep >= 0.7 - 1e-12
-        assert cover <= 1.4 + 1e-12
-
-    def test_hyperbolic_segment_net(self):
-        hyp = HyperbolicPlane()
-        net = build_net(hyp, 1j, 2.0 + 5.0j, 0.4)
-        sep, cover = check_net(hyp, net, 1j, 2.0 + 5.0j)
-        assert sep >= 0.4 - 1e-9
-        assert cover <= 0.8 + 1e-9
-
-    @pytest.mark.parametrize("space", [
-        EuclideanSpace(2), EuclideanSpace(2, p=1.0), HyperbolicPlane(),
-        SupProduct([HyperbolicPlane(), EuclideanSpace(2)]),
-    ], ids=lambda s: s.describe())
-    def test_keeps_the_points_of_the_metric_greedy(self, space):
-        # build_net compares times; the reference measures in the model
+    @pytest.mark.parametrize("space, segments", NET_CASES,
+                             ids=[space.describe() for space, _ in NET_CASES])
+    def test_keeps_the_points_of_the_metric_greedy(self, space, segments):
+        # build_net compares times; the reference measures in the model, and
+        # its construction makes the net c-separated and 2c-dense
         x = space.basepoint()
         rng = np.random.default_rng(3)
-        for length in np.linspace(3.0, 10.0, 8):
-            for c in (0.3, 0.5, 0.7):
-                y = space.batch_get(space.rays_chunk(x, 1, rng, horizon=12.0)
-                                    .points_at(length), 0)
-                assert same_point(build_net(space, x, y, c).points,
-                                  metric_greedy_net(space, x, y, c))
+        segments = segments + [
+            (x, space.batch_get(space.rays_chunk(x, 1, rng, horizon=12.0).points_at(length), 0), c)
+            for length in np.linspace(3.0, 10.0, 8) for c in (0.3, 0.5, 0.7)]
+        for u, v, c in segments:
+            assert same_point(build_net(space, u, v, c).points, metric_greedy_net(space, u, v, c))
 
     def test_single_point_segment(self):
         eu = EuclideanSpace(2)

@@ -11,8 +11,8 @@ from stathyp import rng, stats
 from stathyp.errors import CoverageError, DomainError, ParameterError
 from stathyp.rng import substream
 from stathyp.spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus,
-                            Net, RegularTree, SupProduct, ball_radial_mass,
-                            build_net, thin_area_fraction)
+                            Net, RegularTree, SupProduct, build_net,
+                            thin_area_fraction)
 from stathyp.spaces.hyperbolic import HyperbolicRays
 from stathyp.spaces.nets import _GRID_TOL
 
@@ -38,7 +38,6 @@ class TestEstimateSpread:
         assert a == b
         assert 0.0 <= a.mean <= 2.0
         assert a.std_error > 0.0
-        assert a.n_pairs == 5000
 
     def test_euclidean_plane_value(self):
         eu = EuclideanSpace(2)
@@ -80,7 +79,6 @@ class TestEstimateSpread:
         hyp = HyperbolicPlane()
         ball = stats.estimate_spread(hyp, 1j, 20.0, 20.0, 30_000, seed=7)
         ann = stats.estimate_spread(hyp, 1j, 20.0, 5.0, 30_000, seed=8)
-        assert ball.shell == 20.0 and ann.shell == 5.0
         assert abs(ball.mean - ann.mean) <= 0.02 + 3.0 * math.hypot(
             ball.std_error, ann.std_error)
 
@@ -140,6 +138,7 @@ class TestThickStat:
     def test_eps_above_one_raises(self):
         with pytest.raises(ParameterError, match="0 < eps <= 1"):
             stats.thick_stat(ModularTorus(), 1j, 2j, 1.5, 0.1)
+
 
     @pytest.mark.parametrize("length", [1e-13, 2e-12])
     def test_tiny_segment_is_all_partial_step(self, length):
@@ -632,15 +631,3 @@ class TestTreeCumulativeProgress:
             assert tree.distance(x, y) >= n_seg * d
             assert tree.distance(x, y) >= total
 
-
-class TestRadialMass:
-    def test_exponential_sandwich(self):
-        # analytic ball mass sits between C1 e^(hr) and C2 e^(hr), C2/C1 <= 2
-        for h in (1.0, 1.5, 2.0):
-            space = EuclideanSpace(2, h=h)
-            c2 = 1.0 / h
-            c1 = (1.0 - math.exp(-5.0 * h)) / h
-            assert c2 / c1 <= 2.0
-            for r in (5.0, 10.0, 20.0):
-                mass = ball_radial_mass(space, r)
-                assert c1 * math.exp(h * r) <= mass <= c2 * math.exp(h * r)
