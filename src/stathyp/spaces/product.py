@@ -55,6 +55,7 @@ class SupProduct(ModelSpace):
                 raise ParameterError(
                     f"sup products need continuous factors, got {comp.kind}")
         self.components = tuple(components)
+        self.has_thin_part = any(c.has_thin_part for c in components)
         # ball volume is the product of factor volumes, so exponents add
         self.h = sum(c.h for c in components) if h is None else self._growth_exponent(h)
 
@@ -136,6 +137,12 @@ class SupProduct(ModelSpace):
             return functools.reduce(np.maximum, [f(s * speed)
                                                  for speed, (_, f) in zip(speeds, parts)])
         return d, profile, None
+
+    # -- thickness: a point is thick when every factor is; no ray walker ----
+
+    def thick_many(self, batch, eps: float) -> np.ndarray:
+        return functools.reduce(np.logical_and, [c.thick_many(b, eps)
+                                                 for c, b in zip(self.components, batch)])
 
     # -- sampling -----------------------------------------------------------
 

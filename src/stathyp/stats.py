@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, ParameterError
+from .errors import CoverageError, DomainError, ParameterError, UnsupportedMethodError
 from .rng import chunked, deterministic_sum
-from .spaces import EuclideanSpace, ModelSpace
+from .spaces import EuclideanSpace, HyperbolicPlane, ModelSpace
 from .spaces.hyperbolic import _ray_direction
 from .spaces.nets import _GRID_TOL, Net, _time_grid, build_net
 
@@ -113,6 +113,8 @@ def thick_stat(space: ModelSpace, x, y, eps: float, dt: float) -> float:
         raise DomainError("thick_stat needs a nondegenerate segment")
     if not space.has_thin_part:
         return 1.0
+    if not isinstance(space, HyperbolicPlane):   # the walker's rays are upper half-plane rays
+        raise UnsupportedMethodError(f"the {space.kind} model has no ray walker")
     phi = _ray_direction(complex(x), complex(y))
     return float(_thick_fractions(space, x, np.array([phi]), np.array([d]), eps, dt)[0])
 

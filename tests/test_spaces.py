@@ -504,6 +504,13 @@ class TestModularReduction:
             with pytest.raises(UnsupportedMethodError):
                 space.ray_walker(space.basepoint(), np.zeros(3), 0.5)
 
+    def test_product_is_thick_where_every_factor_is(self):
+        sp = SupProduct([ModularTorus(), ModularTorus()])
+        assert sp.has_thin_part
+        assert sp.thick_many((np.array([1j, 10j]), np.array([1j, 1j])), 0.5).tolist() == [True, False]
+        with pytest.raises(UnsupportedMethodError):
+            sp.ray_walker(sp.basepoint(), np.zeros(3), 0.5)
+
     def test_thin_area_fraction(self):
         # numeric integral of dx dy / y^2 over the thin part of the domain
         from scipy import integrate

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from stathyp import rng, stats
-from stathyp.errors import CoverageError, DomainError, ParameterError
+from stathyp.errors import (CoverageError, DomainError, ParameterError,
+                            UnsupportedMethodError)
 from stathyp.rng import substream
 from stathyp.spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus,
                             Net, RegularTree, SupProduct, build_net,
@@ -139,6 +140,10 @@ class TestThickStat:
         with pytest.raises(ParameterError, match="0 < eps <= 1"):
             stats.thick_stat(ModularTorus(), 1j, 2j, 1.5, 0.1)
 
+    def test_product_with_a_torus_factor_has_no_walker(self):
+        sp = SupProduct([ModularTorus(), HyperbolicPlane()])
+        with pytest.raises(UnsupportedMethodError):
+            stats.thick_stat(sp, (1j, 1j), (2j, 3j), 0.5, 0.1)
 
     @pytest.mark.parametrize("length", [1e-13, 2e-12])
     def test_tiny_segment_is_all_partial_step(self, length):
