@@ -259,6 +259,7 @@ def p1_fraction(space: ModelSpace, x, r: float, k: float, eps: float,
                 fall = (past - cum) / past < low
             ok &= ~((runs > 0.0) & (past >= j_lo) & fall).any(axis=0)
             thin_lo += np.maximum(np.minimum(last, j_lo - 1.0) - first + 1.0, 0.0).sum(axis=0)
+            del first, last, runs, cum   # free before the next batch is built
         with np.errstate(invalid="ignore", divide="ignore"):
             judged = j_lo <= grid.m
             ok &= ~(judged & ((j_lo - thin_lo) / j_lo < low))

@@ -305,6 +305,21 @@ class TestP1Fraction:
         for k in (0.0, 0.05):
             assert stats.p1_fraction(mt, 1j, 0.05, k, 0.5, 0.5, 0.2, 100, 0.1, seed=0) == 1.0
 
+    def test_holds_one_batch_of_runs_at_a_time(self):
+        # the next batch's runs were built while the last one's were still
+        # held: a tracemalloc peak of 6.33 MB, against 5.24 MB with one batch
+        mt = ModularTorus()
+        # untraced first call: one-time allocations do not count
+        stats.p1_fraction(mt, 1j, 50.0, 5.0, 0.1, 0.5, 0.2, 100, 0.1, seed=3)
+        tracemalloc.start()
+        try:
+            frac = stats.p1_fraction(mt, 1j, 50.0, 5.0, 0.1, 0.5, 0.2, 4000, 0.1, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert frac == 0.997
+        assert peak < 5.8e6
+
     def test_theta_near_one_with_fat_thin_part(self):
         # eps = 0.9 makes most of the domain thin, so a 0.995 running
         # thickness requirement is unattainable
