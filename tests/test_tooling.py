@@ -1,13 +1,17 @@
 """The benchmark's tracer installs onto the package and comes off again, its
 workloads build and run through the CLI, every kind writes its CSV row and
 summary head from its parameters, a run that builds no polytope never imports
-scipy, and the README's layout table and example config hold."""
+scipy, the README's layout table and example config hold, and every public
+name has a caller."""
 
+import ast
 import csv
 import importlib
 import importlib.util
+import inspect
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -16,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stathyp
 from stathyp import cli, coarse, rng, stats
 from stathyp.spaces import EuclideanSpace, RegularTree
 
@@ -237,6 +242,35 @@ def test_star_import_resolves_every_public_name(module_name):
     exec(f"from {module_name} import *", namespace)
     public = importlib.import_module(module_name).__all__
     assert [name for name in public if name not in namespace] == []
+
+
+def used_names(paths) -> set[str]:
+    """Every name and attribute the sources read; imports, definitions and
+    ``__all__`` strings are not reads."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # a public function or class that src/ does not use, the README does not
+    # name in backticks and the acceptance suite does not use is dead code
+    used = used_names([*(ROOT / "src").rglob("*.py"), ROOT / "tests" / "test_acceptance.py"])
+    used |= {word for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+             for word in re.findall(r"[A-Za-z_]\w*", span)}
+    unused = []
+    for info in pkgutil.walk_packages(stathyp.__path__, "stathyp."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if (not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+                    and obj.__module__ == info.name and name not in used):
+                unused.append(f"{info.name}.{name}")
+    assert unused == []
 
 
 def test_readme_layout_names_resolve():
