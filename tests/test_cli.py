@@ -423,18 +423,19 @@ class TestOtherExperiments:
         err = capsys.readouterr().err
         assert err.startswith(f"error: parameter error in {kind}: a ray of length ")
         assert err.endswith(" has 2^53 or more grid steps of dt=0.1\n")
+        assert not (tmp_path / "long.csv").exists()
 
     @pytest.mark.parametrize("components", ["modular ; modular", "modular ; hyperbolic"])
     @pytest.mark.parametrize("kind", ["thick-stat", "p1"])
     def test_product_with_a_torus_factor_exits_2(self, tmp_path, capsys, kind, components):
-        # the product has a thin part but no ray walker; it used to read all
-        # thick and pass
-        text = f"[space]\nkind = sup-product\ncomponents = {components}\n[experiment]\nkind = {kind}\n"
+        # the product has a thin part but no ray walker
+        text = (f"[space]\nkind = sup-product\ncomponents = {components}\n"
+                f"[experiment]\nkind = {kind}\n")
         cfg_path = write(tmp_path, "prod.ini", text)
         assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
             f"error: parameter error in {kind}: the sup-product model has no ray walker\n")
-        assert not (tmp_path / "long.csv").exists()
+        assert not (tmp_path / "prod.csv").exists()
 
     @pytest.mark.parametrize("text,args,env,shown", [
         ("[space]\nkind = hyperbolic\nh = abc\n" + EST_TINY, [], None, "[space] h = 'abc'"),

@@ -306,8 +306,8 @@ class TestP1Fraction:
             assert stats.p1_fraction(mt, 1j, 0.05, k, 0.5, 0.5, 0.2, 100, 0.1, seed=0) == 1.0
 
     def test_holds_one_batch_of_runs_at_a_time(self):
-        # the next batch's runs were built while the last one's were still
-        # held: a tracemalloc peak of 6.33 MB, against 5.24 MB with one batch
+        # a batch of runs is freed before the next one is built: holding two
+        # peaks at 6.33 MB under tracemalloc, one at 5.24 MB
         mt = ModularTorus()
         # untraced first call: one-time allocations do not count
         stats.p1_fraction(mt, 1j, 50.0, 5.0, 0.1, 0.5, 0.2, 100, 0.1, seed=3)
@@ -650,4 +650,3 @@ class TestTreeCumulativeProgress:
                 assert tree.distance(a, b) >= d
             assert tree.distance(x, y) >= n_seg * d
             assert tree.distance(x, y) >= total
-
