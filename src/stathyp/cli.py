@@ -33,7 +33,6 @@ from .errors import StathypError
 from .rng import CHUNK, chunked
 from .spaces import HyperbolicPlane, space_class, thin_area_fraction
 
-SEED_ENV = "STATHYP_SEED"
 # triangles in the hyperbolic plane are H2_SLIM-slim: each side lies within
 # H2_SLIM of the union of the other two
 H2_SLIM = math.log(1.0 + math.sqrt(2.0))
@@ -451,8 +450,7 @@ def _run_coarse_check(cfg, pr, rep):
 def _run_discretize(cfg, pr, rep):
     space = _continuous_space(cfg, "discretize")
     n, tau, c = pr["n"], pr["tau"], pr["c"]
-    failed, points = stats.discretize_sample(space, space.basepoint(), pr["r"], n, tau, c,
-                                             pr["seed"])
+    failed, points = stats.discretize_sample(pr["r"], n, tau, c, pr["seed"])
     violations = int(failed.sum())
     rep.check("step-tau and 2c-proximity invariants", violations == 0,
               f"{violations} violations over {n} runs")
@@ -556,13 +554,6 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--workers", type=int, default=1)
 
     args = parser.parse_args(argv)
-    seed_override = getattr(args, "seed", None)
-    if seed_override is None and os.environ.get(SEED_ENV):
-        try:
-            seed_override = int(os.environ[SEED_ENV])
-        except ValueError:
-            print(f"error: {SEED_ENV} must be an integer", file=sys.stderr)
-            return 2
 
     if args.command == "list":
         print(json.dumps(list_experiments(), indent=2, sort_keys=True))
@@ -573,7 +564,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "run":
-            echo, report = _run_one(args.config, args.out, seed_override, args.format)
+            echo, report = _run_one(args.config, args.out, args.seed, args.format)
             print(echo, end="")
             return 0 if report.ok else 3
 
@@ -585,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: no .ini configs in {args.config}", file=sys.stderr)
             return 2
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            futures = [pool.submit(_run_one, p, args.out, seed_override, args.format)
+            futures = [pool.submit(_run_one, p, args.out, args.seed, args.format)
                        for p in paths]
         code = 0
         for path, future in zip(paths, futures):

@@ -28,9 +28,6 @@ from .errors import DomainError, ParameterError
 from .rng import CHUNK, chunked
 from .spaces.hyperbolic import uhp_distance
 
-#: Default short-curve cutoff.  log_plus(1/EPS0_DEFAULT) = 100.
-EPS0_DEFAULT = math.exp(-100.0)
-
 # libm's log, elementwise.  numpy's SIMD log differs from it by one ulp on
 # some inputs, and log_plus keeps the values of math.log.
 _libm_log = np.frompyfunc(math.log, 1, 1)
@@ -65,16 +62,14 @@ def threshold(value, m0: float):
 class HoroballPair:
     """Lengths of one curve on two sides plus the twist between them.
 
-    ``l_x`` and ``l_y`` are the curve lengths at the two endpoints, ``d_c`` is
-    the twisting distance, and ``eps0`` is the short-curve cutoff the pair is
-    classified against.  The three fields are floats for one pair or
+    ``l_x`` and ``l_y`` are the curve lengths at the two endpoints and ``d_c``
+    is the twisting distance.  The three fields are floats for one pair or
     equal-length 1-D arrays for a batch.
     """
 
     l_x: float | np.ndarray
     l_y: float | np.ndarray
     d_c: float | np.ndarray
-    eps0: float = EPS0_DEFAULT
 
     def __post_init__(self):
         l_x, l_y, d_c = (np.asarray(v, dtype=float) for v in (self.l_x, self.l_y, self.d_c))
@@ -92,11 +87,6 @@ class HoroballPair:
 
     def __len__(self) -> int:
         return int(np.size(self.l_x))
-
-    @property
-    def both_short(self):
-        """Where the curve is shorter than eps0 on both sides."""
-        return (self.l_x < self.eps0) & (self.l_y < self.eps0)
 
 
 def horoball_distance(pair: HoroballPair):
@@ -215,4 +205,4 @@ def random_pairs(n: int, seed: int, eps0: float, start: int = 0) -> HoroballPair
         l_y = np.where(short & ~x_longer, lift, l_y)
         out[:, at:at + m] = l_x, l_y, d_c
         at += m
-    return HoroballPair(*out, eps0)
+    return HoroballPair(*out)

@@ -277,7 +277,7 @@ def mahler(body: ConvexBody, method: str = "exact", n: int = 200_000,
     exact path flags any true violation.
     """
     v1 = volume(body, method, n, seed)
-    v2 = volume(body.polar(), method, n, seed + 1 if method == "monte-carlo" else seed)
+    v2 = volume(body.polar(), method, n, seed + 1)
     value = v1.value * v2.value
     # first-order error propagation for the product
     se = math.hypot(v1.std_error * v2.value, v2.std_error * v1.value)
@@ -294,24 +294,6 @@ def mahler(body: ConvexBody, method: str = "exact", n: int = 200_000,
     )
 
 
-def busemann_density(body: ConvexBody, method: str = "exact", n: int = 200_000,
-                     seed: int = 0) -> VolumeEstimate:
-    """Euclidean-ball volume over the volume of the norm's unit ball."""
-    v = volume(body, method, n, seed)
-    eps_n = unit_ball_volume(body.dim)
-    f = eps_n / v.value
-    # f's relative error is v's; squaring v would leave the float range
-    return VolumeEstimate(f, f * (v.std_error / v.value), v.n_samples)
-
-
-def holmes_thompson_density(body: ConvexBody, method: str = "exact",
-                            n: int = 200_000, seed: int = 0) -> VolumeEstimate:
-    """Volume of the polar unit ball over the Euclidean-ball volume."""
-    v = volume(body.polar(), method, n, seed)
-    eps_n = unit_ball_volume(body.dim)
-    return VolumeEstimate(v.value / eps_n, v.std_error / eps_n, v.n_samples)
-
-
 @dataclass(frozen=True)
 class DensityPair:
     busemann: float
@@ -323,8 +305,13 @@ class DensityPair:
 def densities(body: ConvexBody, method: str = "exact", n: int = 200_000,
               seed: int = 0) -> DensityPair:
     """Both volume densities of the norm with unit ball ``body``."""
-    f = busemann_density(body, method, n, seed)
-    g = holmes_thompson_density(body, method, n, seed + 1 if method == "monte-carlo" else seed)
+    v = volume(body, method, n, seed)
+    eps_n = unit_ball_volume(body.dim)
+    busemann = eps_n / v.value
+    # its relative error is v's; squaring v would leave the float range
+    f = VolumeEstimate(busemann, busemann * (v.std_error / v.value), v.n_samples)
+    v = volume(body.polar(), method, n, seed + 1)
+    g = VolumeEstimate(v.value / eps_n, v.std_error / eps_n, v.n_samples)
     ratio = f.value / g.value
     se = ratio * math.hypot(f.std_error / f.value, g.std_error / g.value)
     return DensityPair(f.value, g.value, ratio, se)

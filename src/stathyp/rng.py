@@ -13,7 +13,6 @@ tuple, so an estimator that draws two batches asks for two keys.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 import numpy as np
@@ -36,8 +35,3 @@ def chunked(seed: int, n: int, *keys: tuple[int, ...], first: int = 0) -> Iterat
     """
     for i, start in enumerate(range(0, n, CHUNK), first):
         yield (min(CHUNK, n - start), *(substream(seed, *key, i) for key in keys))
-
-
-def deterministic_sum(chunk_totals: list[float]) -> float:
-    """Sum per-chunk totals in chunk order, exactly rounded."""
-    return math.fsum(chunk_totals)

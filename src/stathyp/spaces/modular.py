@@ -45,6 +45,8 @@ from .hyperbolic import HyperbolicPlane, _ray_matrices
 
 _BOUND_TOL = 1e-12
 _MAX_REDUCE = 4000
+# squared moduli below this are near or past the end of the normal range
+_TINY_M2 = 2.0 ** -1000
 # for T >= 1, every excursion after the frame with top time tau starts after
 # tau - acosh((1 + sqrt 2) / 2): at that top the ray is at most at height
 # (1 + sqrt 2) / 2 in the next frame
@@ -65,7 +67,8 @@ def reduce_many(x: np.ndarray, y: np.ndarray):
 
     Each pass translates every entry into the strip and inverts those inside
     the unit circle, until no entry is inside.  Squared moduli past the float
-    range read as outside.
+    range read as outside, and so does an image past it: ``y = inf``, and
+    ``x = 0`` where the real part is lost.
     """
     x = np.array(x, dtype=np.float64)
     y = np.array(y, dtype=np.float64)
@@ -79,9 +82,16 @@ def reduce_many(x: np.ndarray, y: np.ndarray):
         inside = m2 < 1.0 - _BOUND_TOL
         if not inside.any():
             return x, y, g
-        inv = m2[inside]
-        x[inside] = -x[inside] / inv
-        y[inside] /= inv
+        # below the normal range m2 has lost its digits: there, invert 2^-k z,
+        # of modulus near 1, and scale the image by 2^-k (k = 0 elsewhere)
+        xs, ys = x[inside], y[inside]
+        k = np.where(m2[inside] < _TINY_M2, np.frexp(np.maximum(np.abs(xs), ys))[1], 0)
+        xs, ys = np.ldexp(xs, -k), np.ldexp(ys, -k)
+        m2 = xs * xs + ys * ys
+        with np.errstate(over="ignore"):
+            xs, ys = np.ldexp(-xs / m2, -k), np.ldexp(ys / m2, -k)
+        lost = np.isinf(xs)
+        x[inside], y[inside] = np.where(lost, 0.0, xs), np.where(lost, np.inf, ys)
         a, b, c, d = g[:, inside]
         g[:, inside] = -c, -d, a, b   # z -> -1/z
     raise DomainError("reduction did not converge")
@@ -179,9 +189,11 @@ class RayWalker:
 
         Rays are stepped together; a ray stepped past its own length adds
         intervals that start after it.  The arrays of one batch are
-        overwritten by the next.
+        overwritten by the next.  Raises DomainError where the walk leaves
+        the float range (a NaN interval, or a NaN or -inf frame time), as it
+        may from a basepoint deep in a cusp.
         """
-        yield self._first
+        yield self._checked(*self._first)
         n = len(self._tau)
         rows = max(1, min(_MAX_BATCH, _BATCH_ENTRIES // max(n, 1)))
         lo, hi = np.empty((2, rows, n))
@@ -189,7 +201,14 @@ class RayWalker:
         while not np.all(self._tau > until):
             for i in range(rows):
                 lo[i], hi[i] = self.step()
-            yield lo, hi
+            yield self._checked(lo, hi)
+
+    def _checked(self, lo, hi):
+        """``(lo, hi)``, unless the walk has left the float range."""
+        if np.isnan(lo).any() or np.isnan(hi).any() or not np.all(self._tau > -np.inf):
+            raise DomainError("the ray walk left the float range; the basepoint lies "
+                              "too deep in a cusp")
+        return lo, hi
 
 
 class ModularTorus(HyperbolicPlane):

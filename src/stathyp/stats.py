@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CoverageError, DomainError, ParameterError, UnsupportedMethodError
-from .rng import chunked, deterministic_sum
+from .rng import chunked
 from .spaces import EuclideanSpace, HyperbolicPlane, ModelSpace
 from .spaces.hyperbolic import _ray_direction
 from .spaces.nets import _GRID_TOL, Net, _time_grid, build_net
@@ -85,8 +85,8 @@ def estimate_spread(space: ModelSpace, x, r: float, k: float, n: int,
         s1_parts.append(float(q.sum()))
         q *= q
         s2_parts.append(float(q.sum()))
-    s1 = deterministic_sum(s1_parts)
-    s2 = deterministic_sum(s2_parts)
+    s1 = math.fsum(s1_parts)
+    s2 = math.fsum(s2_parts)
     mean = s1 / n
     var = max(s2 - n * mean * mean, 0.0) / max(n - 1, 1)
     if not -1e-9 <= mean <= 2.0 + 1e-9:
@@ -266,7 +266,7 @@ def p1_fraction(space: ModelSpace, x, r: float, k: float, eps: float,
             ok &= ~(judged & ((grid.m - grid.thin) / grid.m < low))
         ok &= ~grid.here | (grid.fractions() >= low)
         good_parts.append(float(ok.sum()))
-    return deterministic_sum(good_parts) / n
+    return math.fsum(good_parts) / n
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +289,7 @@ def separation_fraction(space: ModelSpace, x, r: float, t: float, m0: float,
         bz = space.rays_chunk(x, m, rng_z, horizon=r)
         d = space.ray_pair_distances(by, t, bz, t)
         hit_parts.append(float((d < m0).sum()))
-    return deterministic_sum(hit_parts) / n
+    return math.fsum(hit_parts) / n
 
 
 def separation_profile(space: ModelSpace, x, r: float, ts: Sequence[float],
@@ -504,32 +504,30 @@ def discretize_geodesic(space: ModelSpace, net: Net, tau: float, segment: tuple)
     return pts
 
 
-def discretize_sample(space: ModelSpace, x, r: float, n: int, tau: float,
-                      c: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def discretize_sample(r: float, n: int, tau: float, c: float,
+                      seed: int) -> tuple[np.ndarray, np.ndarray]:
     """``(failed, points)`` of ``discretize_geodesic`` on ``n`` random
-    segments from ``x``, each with its own net of separation ``c``.
+    segments, each with its own net of separation ``c``.
 
     Segment ``j`` has a uniform length L in [r/2, r] and depends only on
     ``(seed, j)``.  Its net points and marks lie on a geodesic, an isometric
-    copy of [0, L], so it is discretized as [0, L] on the line, whatever the
-    model.  ``failed[j]`` says its discretization raised (a coverage or step
-    violation); ``points[j]`` is its path's point count, 0 where it failed.
+    copy of [0, L], so it is discretized as [0, L] on the line, in every
+    model.  ``failed[j]`` says its discretization raised a CoverageError (a
+    coverage or step violation); ``points[j]`` is its path's point count, 0
+    where it failed.  A ``tau`` of at most 4c raises, as in
+    ``discretize_geodesic``.
     """
     if n < 1:
         raise ParameterError(f"need at least one segment, got {n}")
-    if tau <= 4.0 * c:
-        raise ParameterError(f"need tau > 4c, got tau={tau}, c={c}")
-    space.validate_point(x)
     line = EuclideanSpace(1)
     origin = line.basepoint()
+    ends = np.concatenate([r * (0.5 + 0.5 * rng_len.uniform(size=(m, 1)))
+                           for m, rng_len in chunked(seed, n, (_DISCRETIZE_KEY, 1))])
     failed, points = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
-    start = 0
-    for m, rng_len in chunked(seed, n, (_DISCRETIZE_KEY, 1)):
-        for j, end in enumerate(r * (0.5 + 0.5 * rng_len.uniform(size=(m, 1)))):
-            net = build_net(line, origin, end, c)
-            try:
-                points[start + j] = len(discretize_geodesic(line, net, tau, (origin, end)))
-            except CoverageError:
-                failed[start + j] = True
-        start += m
+    for j, end in enumerate(ends):
+        net = build_net(line, origin, end, c)
+        try:
+            points[j] = len(discretize_geodesic(line, net, tau, (origin, end)))
+        except CoverageError:
+            failed[j] = True
     return failed, points

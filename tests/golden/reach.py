@@ -33,7 +33,6 @@ def main() -> int:
     sys.settrace(trace)
     sys.path.insert(0, str(HERE))
     import regenerate  # imports the package under the tracer
-    regenerate.os.environ.pop(regenerate.cli.SEED_ENV, None)
     with tempfile.TemporaryDirectory() as tmp:
         for config in regenerate.configs():
             regenerate.run(config, Path(tmp))

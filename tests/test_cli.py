@@ -154,13 +154,6 @@ class TestRun:
         row = list(csv.reader(io.StringIO((tmp_path / "a" / "e.csv").read_text())))[1]
         assert row[5] == "7"
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV, "99")
-        cfg_path = write(tmp_path, "e.ini", ESTIMATE_CFG)
-        cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)])
-        row = list(csv.reader(io.StringIO((tmp_path / "e.csv").read_text())))[1]
-        assert row[5] == "99"
-
     def test_seed_above_2_53_is_exact(self, tmp_path, capsys):
         cfg_path = write(tmp_path, "e.ini", EST_TINY + "seed = 9007199254740993\n")
         assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path),
@@ -437,60 +430,59 @@ class TestOtherExperiments:
             f"error: parameter error in {kind}: the sup-product model has no ray walker\n")
         assert not (tmp_path / "prod.csv").exists()
 
-    @pytest.mark.parametrize("text,args,env,shown", [
-        ("[space]\nkind = hyperbolic\nh = abc\n" + EST_TINY, [], None, "[space] h = 'abc'"),
-        ("[space]\ndim = two\n" + EST_TINY, [], None, "[space] dim = 'two'"),
+    @pytest.mark.parametrize("text,args,shown", [
+        ("[space]\nkind = hyperbolic\nh = abc\n" + EST_TINY, [], "[space] h = 'abc'"),
+        ("[space]\ndim = two\n" + EST_TINY, [], "[space] dim = 'two'"),
         ("[space]\nkind = sup-product\ncomponents = euclidean dim ; euclidean\n" + EST_TINY,
-         [], None, "[space] components = 'euclidean dim'"),
-        ("[space]\nkind = hyperbolic\nh = nan\n" + EST_TINY, [], None, "got nan"),
-        ("[space]\nkind = hyperbolic\nh = inf\n" + EST_TINY, [], None, "got inf"),
-        ("[space]\nkind = tree\nh = -1\n" + EST_TINY, [], None, "got -1.0"),
-        ("[body]\nkind = ellipsoid\n" + MAHLER_TINY, [], None, "[body] has no axes entry"),
-        ("[body]\nkind = lp\np = x\n" + MAHLER_TINY, [], None, "[body] p = 'x'"),
-        ("[body]\nkind = ellipsoid\naxes = 1, nan\n" + MAHLER_TINY, [], None, "[1.0, nan]"),
-        ("[body]\nkind = ellipsoid\naxes =\n" + MAHLER_TINY, [], None, "got []"),
-        (EST_TINY + "seed = -1\n", [], None, "seed=-1"),
-        (EST_TINY, ["--seed", "-1"], None, "seed=-1"),
-        (EST_TINY, [], "-1", "seed=-1"),
-        (EST_TINY.replace("n = 100", "n = 100.9"), [], None, "[experiment] n = '100.9'"),
-        (EST_TINY + "seed = 1.5\n", [], None, "[experiment] seed = '1.5'"),
-        ("[space]\nkind = tree\nq = 3.9\n" + EST_TINY, [], None, "[space] q = '3.9'"),
+         [], "[space] components = 'euclidean dim'"),
+        ("[space]\nkind = hyperbolic\nh = nan\n" + EST_TINY, [], "got nan"),
+        ("[space]\nkind = hyperbolic\nh = inf\n" + EST_TINY, [], "got inf"),
+        ("[space]\nkind = tree\nh = -1\n" + EST_TINY, [], "got -1.0"),
+        ("[body]\nkind = ellipsoid\n" + MAHLER_TINY, [], "[body] has no axes entry"),
+        ("[body]\nkind = lp\np = x\n" + MAHLER_TINY, [], "[body] p = 'x'"),
+        ("[body]\nkind = ellipsoid\naxes = 1, nan\n" + MAHLER_TINY, [], "[1.0, nan]"),
+        ("[body]\nkind = ellipsoid\naxes =\n" + MAHLER_TINY, [], "got []"),
+        (EST_TINY + "seed = -1\n", [], "seed=-1"),
+        (EST_TINY, ["--seed", "-1"], "seed=-1"),
+        (EST_TINY.replace("n = 100", "n = 100.9"), [], "[experiment] n = '100.9'"),
+        (EST_TINY + "seed = 1.5\n", [], "[experiment] seed = '1.5'"),
+        ("[space]\nkind = tree\nq = 3.9\n" + EST_TINY, [], "[space] q = '3.9'"),
         ("[space]\nkind = sup-product\ncomponents = euclidean dim=1.5 ; euclidean\n" + EST_TINY,
-         [], None, "[space] components = 'euclidean dim=1.5'"),
+         [], "[space] components = 'euclidean dim=1.5'"),
         ("[space]\nkind = sup-product\ncomponents = euclidean dimm=3 ; euclidean dim=1 bogus=7\n"
-         + EST_TINY, [], None, "[space] components = 'euclidean dimm=3': has no key 'dimm'"),
+         + EST_TINY, [], "[space] components = 'euclidean dimm=3': has no key 'dimm'"),
         ("[space]\nkind = sup-product\ncomponents = euclidean dim=1 ; euclidean dim=1 bogus=7\n"
-         + EST_TINY, [], None, "[space] components = 'euclidean dim=1 bogus=7': has no key 'bogus'"),
-        ("[body]\nkind = lp\ndim = 2.5\n" + MAHLER_TINY, [], None, "[body] dim = '2.5'"),
-        ("[spcae]\nkind = hyperbolic\n" + EST_TINY, [], None, "unknown section [spcae]"),
-        ("[space]\ndimm = 3\n" + EST_TINY, [], None, "[space] has no key 'dimm'"),
-        ("[body]\nkind = ellipsoid\naxis = 1, 2\n" + MAHLER_TINY, [], None,
+         + EST_TINY, [], "[space] components = 'euclidean dim=1 bogus=7': has no key 'bogus'"),
+        ("[body]\nkind = lp\ndim = 2.5\n" + MAHLER_TINY, [], "[body] dim = '2.5'"),
+        ("[spcae]\nkind = hyperbolic\n" + EST_TINY, [], "unknown section [spcae]"),
+        ("[space]\ndimm = 3\n" + EST_TINY, [], "[space] has no key 'dimm'"),
+        ("[body]\nkind = ellipsoid\naxis = 1, 2\n" + MAHLER_TINY, [],
          "[body] has no key 'axis'"),
-        ("[space]\nkind = hyperbolic\ndim = 7\nq = 9\n" + EST_TINY, [], None,
+        ("[space]\nkind = hyperbolic\ndim = 7\nq = 9\n" + EST_TINY, [],
          "[space] has no key 'dim' for kind 'hyperbolic'"),
-        ("[space]\nkind = modular\ncomponents = euclidean ; euclidean\n" + EST_TINY, [], None,
+        ("[space]\nkind = modular\ncomponents = euclidean ; euclidean\n" + EST_TINY, [],
          "[space] has no key 'components' for kind 'modular'"),
-        ("[space]\nkind = tree\np = 1\n" + EST_TINY, [], None,
+        ("[space]\nkind = tree\np = 1\n" + EST_TINY, [],
          "[space] has no key 'p' for kind 'tree'"),
-        ("[space]\nq = 4\n" + EST_TINY, [], None,
+        ("[space]\nq = 4\n" + EST_TINY, [],
          "[space] has no key 'q' for kind 'euclidean'"),
         ("[space]\nkind = sup-product\ndim = 2\ncomponents = euclidean ; euclidean\n"
-         + EST_TINY, [], None, "[space] has no key 'dim' for kind 'sup-product'"),
+         + EST_TINY, [], "[space] has no key 'dim' for kind 'sup-product'"),
         ("[space]\nkind = sup-product\ncomponents = hyperbolic dim=3 ; euclidean\n" + EST_TINY,
-         [], None, "'hyperbolic dim=3': has no key 'dim' for kind 'hyperbolic'"),
-        ("[space]\ndim =\n" + EST_TINY, [], None, "[space] dim = ''"),
-        ("[space]\nkind = tree\nq =\n" + EST_TINY, [], None, "[space] q = ''"),
+         [], "'hyperbolic dim=3': has no key 'dim' for kind 'hyperbolic'"),
+        ("[space]\ndim =\n" + EST_TINY, [], "[space] dim = ''"),
+        ("[space]\nkind = tree\nq =\n" + EST_TINY, [], "[space] q = ''"),
         ("[space]\nkind = sup-product\ncomponents = euclidean dim= ; euclidean\n" + EST_TINY,
-         [], None, "[space] components = 'euclidean dim=': dim = ''"),
-        ("[body]\nkind = ellipsoid\naxes = 1, 2\ndim = 7\np = 3\n" + MAHLER_TINY, [], None,
+         [], "[space] components = 'euclidean dim=': dim = ''"),
+        ("[body]\nkind = ellipsoid\naxes = 1, 2\ndim = 7\np = 3\n" + MAHLER_TINY, [],
          "[body] has no key 'dim' for kind 'ellipsoid'; known keys: axes method"),
         ("[body]\nkind = polytope\nvertices = 1 1; 1 -1; -1 1; -1 -1\ndim = 5\n" + MAHLER_TINY,
-         [], None, "[body] has no key 'dim' for kind 'polytope'; known keys: vertices method"),
-        ("[body]\naxes = 1, 2\n" + MAHLER_TINY, [], None,
+         [], "[body] has no key 'dim' for kind 'polytope'; known keys: vertices method"),
+        ("[body]\naxes = 1, 2\n" + MAHLER_TINY, [],
          "[body] has no key 'axes' for kind 'lp'; known keys: dim p method"),
     ], ids=["h-abc", "dim-two", "component-without-equals", "h-nan", "h-inf", "tree-h-negative",
             "ellipsoid-without-axes", "lp-p-x", "ellipsoid-nan-axis", "ellipsoid-empty-axes",
-            "seed-negative", "seed-flag-negative", "seed-env-negative", "n-fractional",
+            "seed-negative", "seed-flag-negative", "n-fractional",
             "seed-fractional", "tree-q-fractional", "component-dim-fractional",
             "component-key-typo", "component-unknown-key", "body-dim-fractional",
             "section-typo", "space-key-typo", "body-key-typo", "hyperbolic-stray-keys",
@@ -498,11 +490,8 @@ class TestOtherExperiments:
             "product-stray-dim", "factor-stray-dim", "dim-blank", "tree-q-blank",
             "component-dim-blank", "ellipsoid-stray-dim-p", "polytope-stray-dim",
             "lp-stray-axes"])
-    def test_bad_config_values_exit_2(self, tmp_path, capsys, monkeypatch, text, args, env,
-                                      shown):
+    def test_bad_config_values_exit_2(self, tmp_path, capsys, text, args, shown):
         # each case used to end in a traceback or in a vacuous PASS
-        if env is not None:
-            monkeypatch.setenv(cli.SEED_ENV, env)
         cfg_path = write(tmp_path, "bad.ini", text)
         assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path), *args]) == 2
         err = capsys.readouterr().err

@@ -232,11 +232,10 @@ class TestArrayForms:
         with pytest.raises(DomainError):
             coarse.log_plus(np.array([2.0, 0.5, -1e-300, 4.0]))
 
-    def test_batch_shape_and_both_short(self):
+    def test_batch_shape(self):
         pairs = coarse.HoroballPair(np.array([1e-5, 1e-5, 1.0]), np.array([1e-5, 1.0, 1e-5]),
-                                    np.zeros(3), eps0=1e-3)
+                                    np.zeros(3))
         assert len(pairs) == 3
-        assert pairs.both_short.tolist() == [True, False, False]
         with pytest.raises(ParameterError):
             coarse.HoroballPair(np.ones(3), np.ones(2), np.zeros(3))
 
@@ -247,13 +246,13 @@ class TestArrayForms:
         # doubly short curves with no twist: proxy 11.5 against distance 0,
         # which breaks the chain of profile 2 at a low threshold
         l_x[80:120], l_y[80:120], d_c[80:120] = 1e-5, 1e-5, 0.0
-        pairs = coarse.HoroballPair(l_x, l_y, d_c, eps0)
+        pairs = coarse.HoroballPair(l_x, l_y, d_c)
         for m0, expected in ((400.0, [True] * 5), (1.0, [True, True, False, True, True])):
             verdicts = coarse.chain_inequality_holds(*terms(pairs), m0, profile_size=40)
             assert verdicts.tolist() == expected
             for k, verdict in enumerate(verdicts):
                 part = slice(40 * k, 40 * (k + 1))
-                one = coarse.HoroballPair(l_x[part], l_y[part], d_c[part], eps0)
+                one = coarse.HoroballPair(l_x[part], l_y[part], d_c[part])
                 assert verdict == coarse.chain_inequality_holds(*terms(one), m0)
 
 
@@ -281,5 +280,5 @@ class TestRandomPairs:
     def test_off_the_doubly_short_set(self):
         eps0 = math.exp(-10.0)
         pairs = coarse.random_pairs(5000, seed=2, eps0=eps0)
-        assert not np.any(pairs.both_short)
+        assert not np.any((pairs.l_x < eps0) & (pairs.l_y < eps0))
         assert 0.2 < np.mean(pairs.d_c == 0.0) < 0.3

@@ -194,20 +194,20 @@ class TestMahler:
 
 class TestDensities:
     def test_euclidean_ball(self):
-        ball = convex.Ellipsoid([1.0, 1.0])
-        assert convex.busemann_density(ball).value == pytest.approx(1.0)
-        assert convex.holmes_thompson_density(ball).value == pytest.approx(1.0)
+        pair = convex.densities(convex.Ellipsoid([1.0, 1.0]))
+        assert pair.busemann == pytest.approx(1.0)
+        assert pair.holmes_thompson == pytest.approx(1.0)
 
     def test_sup_norm_plane(self):
-        body = convex.LpBall(2, math.inf)
-        assert convex.busemann_density(body).value == pytest.approx(math.pi / 4.0)
-        assert convex.holmes_thompson_density(body).value == pytest.approx(2.0 / math.pi)
-        assert convex.densities(body).ratio == pytest.approx(math.pi ** 2 / 8.0)
+        pair = convex.densities(convex.LpBall(2, math.inf))
+        assert pair.busemann == pytest.approx(math.pi / 4.0)
+        assert pair.holmes_thompson == pytest.approx(2.0 / math.pi)
+        assert pair.ratio == pytest.approx(math.pi ** 2 / 8.0)
 
     def test_l1_plane(self):
-        body = convex.LpBall(2, 1.0)
-        assert convex.busemann_density(body).value == pytest.approx(math.pi / 2.0)
-        assert convex.holmes_thompson_density(body).value == pytest.approx(4.0 / math.pi)
+        pair = convex.densities(convex.LpBall(2, 1.0))
+        assert pair.busemann == pytest.approx(math.pi / 2.0)
+        assert pair.holmes_thompson == pytest.approx(4.0 / math.pi)
 
     def test_ellipsoids_are_ratio_one(self):
         rng = np.random.default_rng(9)
@@ -226,3 +226,19 @@ class TestDensities:
             ratio = convex.densities(body).ratio
             cap = body.dim ** (body.dim / 2.0)
             assert 1.0 - 1e-9 <= ratio <= cap + 1e-9
+
+    def test_seeds_of_the_two_volumes(self):
+        # an exact volume reads no seed; a Monte Carlo body volume reads the
+        # seed and its polar's volume the seed + 1, in mahler and densities
+        bodies = [square(), convex.Ellipsoid([1.5, 0.25]), convex.LpBall(3, 5.0),
+                  convex.random_symmetric_polytope(3, seed=2)]
+        for body in bodies:
+            for run in (convex.mahler, convex.densities):
+                assert repr(run(body, "exact", 1000, 0)) == repr(run(body, "exact", 1000, 7))
+            eps_n = convex.unit_ball_volume(body.dim)
+            for seed in (0, 7):
+                v = convex.volume(body, "monte-carlo", 5000, seed).value
+                w = convex.volume(body.polar(), "monte-carlo", 5000, seed + 1).value
+                pair = convex.densities(body, "monte-carlo", 5000, seed)
+                assert (pair.busemann, pair.holmes_thompson) == (eps_n / v, w / eps_n)
+                assert convex.mahler(body, "monte-carlo", 5000, seed).value == v * w

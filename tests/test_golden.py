@@ -8,8 +8,6 @@ import importlib.util
 import json
 from pathlib import Path
 
-from stathyp import cli
-
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -29,8 +27,7 @@ def changed_lines(name, want, got):
     return [f"{name}: {line}" for line in list(diff)[2:]]
 
 
-def test_golden_sweep(tmp_path, monkeypatch):
-    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+def test_golden_sweep(tmp_path):
     golden = load_regenerate()
     manifest = json.loads((golden.EXPECTED / "MANIFEST.json").read_text())
     recorded = {key: manifest[key] for key in golden.environment()}

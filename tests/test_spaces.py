@@ -434,6 +434,33 @@ class TestModularReduction:
         assert g[:, 1].tolist() == [1.0, -3.0, 0.0, 1.0]
         assert ModularTorus().thick_many(np.array([1e160j]), 0.5).tolist() == [False]
 
+    @pytest.mark.filterwarnings("error")
+    def test_points_deep_in_the_cusp(self):
+        # below about 1.5e-154 the squared modulus is subnormal, and below
+        # 2e-162 it is 0; the inverse still lands within 2 ulp of the exact one
+        xs = [0.0, 0.0, 0.0, 0.0, 0.0, 1e-200]
+        ys = [1e-150, 1e-160, 1.6e-162, 1e-170, 1e-300, 1e-170]
+        x, y, g = reduce_many(xs, ys)
+        for x0, y0, got in zip(xs, ys, y):
+            exact = Fraction(y0) / (Fraction(x0) ** 2 + Fraction(y0) ** 2)
+            assert abs(Fraction(got) - exact) <= 2 * Fraction(np.spacing(got))
+        assert x.tolist() == [0.0] * 6
+        assert g.T.tolist() == [[0.0, -1.0, 1.0, 0.0]] * 5 + [[1e140, -1.0, 1.0, 0.0]]
+        # an image past the float range reads y = inf, outside
+        x, y, _ = reduce_many([0.0, 1e-310], [1e-310, 1e-323])
+        assert x.tolist() == [0.0, 0.0] and y.tolist() == [math.inf, math.inf]
+        assert ModularTorus().thick_many(np.array([1e-170j, 1e-310j]), 0.5).tolist() \
+            == [False, False]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("a, b, c, d", [(math.nan, 0.0, 1.0, 1.0),
+                                            (1.0, 0.0, math.inf, 1.0)])
+    def test_walk_refuses_a_nan_or_minus_inf_frame(self, a, b, c, d):
+        # a NaN frame time never passes the length, and -inf stays -inf
+        walker = modular.RayWalker(*(np.array([e]) for e in (a, b, c, d)), 0.5)
+        with pytest.raises(DomainError, match="float range"):
+            next(walker.excursions(np.array([10.0])))
+
     @pytest.mark.parametrize("x", [1j, 0.3 + 1.7j])
     @pytest.mark.parametrize("eps", [0.5, 0.1, 0.9])
     def test_coding_flags_match_reference_until_t25(self, eps, x, walk_flags):

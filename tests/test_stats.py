@@ -238,6 +238,22 @@ class TestRayThickness:
             tracemalloc.stop()
         assert peak < 2e6
 
+    @pytest.mark.filterwarnings("error")
+    def test_ray_from_deep_in_the_cusp(self):
+        # the reduced basepoint lies at height 1e170, and no ray of length 50
+        # comes down below e^-50 * 1e170 > 4 (its matrices were NaN, and the
+        # walk never ended)
+        mt = ModularTorus()
+        assert stats.ray_thick_fraction_many(mt, 1e-170j, 50.0, 0.5, 0.1, 200, 1).tolist() \
+            == [0.0] * 200
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("x", [0.4 + 1e-18j, 0.3 + 1e-170j, 1e-310j])
+    def test_walk_past_the_float_range_raises(self, x):
+        # these used to give NaN fractions, or never return
+        with pytest.raises(DomainError, match="float range"):
+            stats.ray_thick_fraction_many(ModularTorus(), x, 50.0, 0.5, 0.1, 200, 1)
+
 
 def p1_by_grid_times(walk, lengths, theta, sigma, dt):
     """Number of rays of ``walk`` (a ``walk_flags`` result) passing the P1
@@ -535,37 +551,20 @@ class TestDiscretizer:
         path = stats.discretize_geodesic(eu, net, 3.0, (np.array([0.0]), np.array([10.0])))
         assert path.ravel().tolist() == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
 
-    @pytest.mark.parametrize("space", [EuclideanSpace(2), HyperbolicPlane()],
-                             ids=lambda s: s.describe())
-    def test_segment_depends_only_on_its_index(self, space, monkeypatch):
-        x = space.basepoint()
-        few = stats.discretize_sample(space, x, 6.0, 3, 3.0, 0.5, seed=5)
-        many = stats.discretize_sample(space, x, 6.0, 8, 3.0, 0.5, seed=5)
+    def test_segment_depends_only_on_its_index(self, monkeypatch):
+        few = stats.discretize_sample(6.0, 3, 3.0, 0.5, seed=5)
+        many = stats.discretize_sample(6.0, 8, 3.0, 0.5, seed=5)
         for a, b in zip(few, many):
             assert a.tobytes() == b[:3].tobytes()
         monkeypatch.setattr(rng, "CHUNK", 2)
-        few = stats.discretize_sample(space, x, 6.0, 3, 3.0, 0.5, seed=5)
-        many = stats.discretize_sample(space, x, 6.0, 8, 3.0, 0.5, seed=5)
+        few = stats.discretize_sample(6.0, 3, 3.0, 0.5, seed=5)
+        many = stats.discretize_sample(6.0, 8, 3.0, 0.5, seed=5)
         for a, b in zip(few, many):
             assert a.tobytes() == b[:3].tobytes()
         assert not many[0].any() and np.all(many[1] >= 2)
 
-    @pytest.mark.parametrize("r", [10.0, 60.0])
-    def test_sample_does_not_depend_on_the_model(self, r):
-        # every net point and mark lies on the segment, so only the sampled
-        # lengths count; at r = 60 the Cartesian H^2 points used to fail
-        spaces = [EuclideanSpace(2), EuclideanSpace(2, p=1.0), HyperbolicPlane(),
-                  ModularTorus(), SupProduct([HyperbolicPlane(), EuclideanSpace(2)])]
-        runs = [stats.discretize_sample(s, s.basepoint(), r, 200, 3.0, 0.5, seed=0)
-                for s in spaces]
-        for failed, points in runs:
-            assert failed.tobytes() == runs[0][0].tobytes()
-            assert points.tobytes() == runs[0][1].tobytes()
-        assert not runs[0][0].any()
-
     def test_sample_past_the_cartesian_horizon(self):
-        failed, points = stats.discretize_sample(HyperbolicPlane(), 1j, 1000.0, 20, 3.0, 0.5,
-                                                 seed=0)
+        failed, points = stats.discretize_sample(1000.0, 20, 3.0, 0.5, seed=0)
         # lengths of at least r/2, marks spaced tau - 2c
         assert not failed.any() and np.all(points >= 500.0 / (3.0 - 2 * 0.5))
 
@@ -617,7 +616,7 @@ class TestDiscretizer:
     def test_sample_rejects_tau_floor(self):
         # a bad tau is the caller's error, not a violation on every segment
         with pytest.raises(ParameterError, match="need tau > 4c"):
-            stats.discretize_sample(HyperbolicPlane(), 1j, 10.0, 3, 1.0, 0.5, 1)
+            stats.discretize_sample(10.0, 3, 1.0, 0.5, 1)
 
     def test_tau_floor(self):
         eu = EuclideanSpace(1)

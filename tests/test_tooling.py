@@ -16,6 +16,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import FunctionType
 
 import numpy as np
 import pytest
@@ -258,8 +259,9 @@ def used_names(paths) -> set[str]:
 
 
 def test_every_public_name_has_a_caller():
-    # a public function or class that src/ does not use, the README does not
-    # name in backticks and the acceptance suite does not use is dead code
+    # a public function or class, or a public method or property of a public
+    # class, that src/ does not use, the README does not name in backticks
+    # and the acceptance suite does not use is dead code
     used = used_names([*(ROOT / "src").rglob("*.py"), ROOT / "tests" / "test_acceptance.py"])
     used |= {word for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
              for word in re.findall(r"[A-Za-z_]\w*", span)}
@@ -267,10 +269,25 @@ def test_every_public_name_has_a_caller():
     for info in pkgutil.walk_packages(stathyp.__path__, "stathyp."):
         module = importlib.import_module(info.name)
         for name, obj in vars(module).items():
-            if (not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
-                    and obj.__module__ == info.name and name not in used):
-                unused.append(f"{info.name}.{name}")
+            if (name.startswith("_") or not (inspect.isfunction(obj) or inspect.isclass(obj))
+                    or obj.__module__ != info.name):
+                continue
+            names = [(name, name)]
+            if inspect.isclass(obj):
+                names += [(f"{name}.{attr}", attr) for attr, member in vars(obj).items()
+                          if not attr.startswith("_") and isinstance(
+                              member, (FunctionType, property, staticmethod, classmethod))]
+            unused += [f"{info.name}.{label}" for label, word in names if word not in used]
     assert unused == []
+
+
+def test_src_reads_no_environment_variable():
+    # a run is set by its config file and its flags alone
+    reads = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if {getattr(node, "attr", None), getattr(node, "id", None)} & {"environ", "getenv"}]
+    assert reads == []
 
 
 def test_readme_layout_names_resolve():
