@@ -378,8 +378,7 @@ def _run_separation(cfg, pr, rep):
 def _run_thin_triangle(cfg, pr, rep):
     space = _continuous_space(cfg, "thin-triangle")
     n, c = pr["n"], pr["C"]
-    hits, minima = stats.thin_triangle_sample(space, space.basepoint(), pr["r"], n, c,
-                                              pr["ds"], pr["seed"])
+    hits, minima = stats.thin_triangle_sample(space, space.basepoint(), pr["r"], n, c, pr["seed"])
     misses = n - int(hits.sum())
     rate, worst = (n - misses) / n, float(minima.min())
     rep.check("reported minima nonnegative", worst >= 0.0,

@@ -28,8 +28,6 @@ from .spaces.nets import _GRID_TOL, Net, _time_grid, build_net
 
 _TRIANGLE_KEY = 0x7A1
 _TRIANGLE_ROUNDS = 64
-# grid points per distance_to_segment call of _side_minima
-_PROBE_BLOCK = 1 << 11
 _DISCRETIZE_KEY = 0xD15
 
 
@@ -348,20 +346,15 @@ def decay_fit_report(ts: Sequence[float], values: Sequence[float]) -> dict:
 # Thin-triangle probes
 # ---------------------------------------------------------------------------
 
-def thin_triangle_probe(space: ModelSpace, x, y, z, interval, c: float,
-                        ds: float) -> tuple[bool, float]:
+def thin_triangle_probe(space: ModelSpace, x, y, z, interval,
+                        c: float) -> tuple[bool, float]:
     """Does the subinterval of [x, y] come within c of the other two sides?
 
-    Grids the subinterval at step ``ds`` and reports the least exact
-    distance (``distance_to_segment``) from a grid point to the sides
-    [x, z] and [y, z].  That is at most ds / 2 above the minimum over the
-    whole subinterval, since the distance to the sides is 1-Lipschitz along
-    the unit-speed side [x, y].  This is the kernel of
+    Reports the least distance from the subinterval to the sides [x, z] and
+    [y, z], read at its two ends (``_side_minima``).  This is the kernel of
     ``thin_triangle_sample`` on one triangle.
     """
     s1, s2 = interval
-    if ds <= 0:
-        raise ParameterError(f"grid step must be positive, got {ds}")
     d_xy = space.distance(x, y)
     if d_xy == 0.0:
         raise DomainError("degenerate triangle side [x, y]")
@@ -370,7 +363,7 @@ def thin_triangle_probe(space: ModelSpace, x, y, z, interval, c: float,
     if space.distance(x, z) == 0.0 or space.distance(y, z) == 0.0:
         raise DomainError("degenerate triangle side through z")
     best = float(_side_minima(space, x, space.singleton(y), space.singleton(z),
-                              [s1], [min(s2, d_xy)], ds)[0])
+                              [s1], [min(s2, d_xy)])[0])
     return best <= c, best
 
 
@@ -410,62 +403,40 @@ def _sample_triangles(space: ModelSpace, x, r: float, n: int, seed: int):
                       f"in {_TRIANGLE_ROUNDS} rounds")
 
 
-def _probe_blocks(space: ModelSpace, x, Y, lo, hi, ds: float):
-    """``(rows, points)`` for each block of at most ``_PROBE_BLOCK`` grid
-    points of the intervals [lo_j, hi_j] of the sides [x, Y_j], triangle
-    after triangle, cut wherever a block fills up; ``rows[i]`` is the
-    triangle of point ``i``."""
-    rows, parts, size = [], [], 0
-    for j, (a, b) in enumerate(zip(lo, hi)):
-        y = space.batch_get(Y, j)
-        ts = _time_grid(a, b, ds)
-        while len(ts):
-            piece, ts = ts[:_PROBE_BLOCK - size], ts[_PROBE_BLOCK - size:]
-            rows.append(np.full(len(piece), j))
-            parts.append(space.geodesic_points(x, y, piece))
-            size += len(piece)
-            if size == _PROBE_BLOCK:
-                yield np.concatenate(rows), space.batch_concat(parts)
-                rows, parts, size = [], [], 0
-    if size:
-        yield np.concatenate(rows), space.batch_concat(parts)
+def _side_minima(space: ModelSpace, x, Y, Z, lo, hi) -> np.ndarray:
+    """Least distance from the stretch [lo_j, hi_j] of the side [x, Y_j] to
+    the other two sides [x, Z_j] and [Y_j, Z_j] of each triangle.
 
-
-def _side_minima(space: ModelSpace, x, Y, Z, lo, hi, ds: float) -> np.ndarray:
-    """Least distance from the grid of [lo_j, hi_j] on the side [x, Y_j]
-    to the other two sides [x, Z_j] and [Y_j, Z_j] of each triangle.
-
-    One ``distance_to_segment`` call per block takes every grid point's
-    distance to its own triangle's sides, so memory is bounded by the
-    block, not by the triangle count or ``ds``."""
-    X = space.singleton(x)
-    minima = np.full(len(lo), np.inf)
-    for rows, pts in _probe_blocks(space, x, Y, lo, hi, ds):
-        m = len(rows)
-        z = space.batch_take(Z, rows)
-        both = space.distance_to_segment(
-            space.batch_concat([pts, pts]),
-            space.batch_concat([space.batch_take(X, np.zeros(m, dtype=np.intp)),
-                                space.batch_take(Y, rows)]),
-            space.batch_concat([z, z]))
-        np.minimum.at(minima, rows, np.minimum(both[:m], both[m:]))
-    return minima
+    Along [x, y] the distance to [x, z] is convex and 0 at x, so it never
+    falls, and the distance to [y, z] is convex and 0 at y, so it never
+    rises: the distance to a convex set is convex along geodesics in CAT(0)
+    and normed spaces (Bridson-Haefliger, Prop. II.2.5), and in their
+    sup-products factor by factor.  So the least distance is the smaller of
+    d(lo_j, [x, Z_j]) and d(hi_j, [Y_j, Z_j]), one ``distance_to_segment``
+    row each."""
+    n = len(lo)
+    # rows 2j and 2j + 1 are the ends lo_j and hi_j
+    ends = space.batch_concat([space.geodesic_points(x, space.batch_get(Y, j), np.array([a, b]))
+                               for j, (a, b) in enumerate(zip(lo, hi))])
+    X = space.batch_take(space.singleton(x), np.zeros(n, dtype=np.intp))
+    both = space.distance_to_segment(
+        space.batch_take(ends, np.r_[0:2 * n:2, 1:2 * n:2]),
+        space.batch_concat([X, Y]), space.batch_concat([Z, Z]))
+    return np.minimum(both[:n], both[n:])
 
 
 def thin_triangle_sample(space: ModelSpace, x, r: float, n: int, c: float,
-                         ds: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+                         seed: int) -> tuple[np.ndarray, np.ndarray]:
     """``(hits, minima)`` of ``thin_triangle_probe`` on ``n`` random triangles
     x y z with all sides at least ``r``, probed on the middle third of [x, y]
-    a block of grid points at a time (``_side_minima``).  Triangle ``j``
-    depends only on ``(seed, j)``.
+    all at once (``_side_minima``).  Triangle ``j`` depends only on
+    ``(seed, j)``.
     """
     if n < 1:
         raise ParameterError(f"need at least one triangle, got {n}")
-    if ds <= 0:
-        raise ParameterError(f"grid step must be positive, got {ds}")
     Y, Z = _sample_triangles(space, x, r, n, seed)
     d_xy = space.distance_many(space.singleton(x), Y)
-    minima = _side_minima(space, x, Y, Z, d_xy / 3.0, 2.0 * d_xy / 3.0, ds)
+    minima = _side_minima(space, x, Y, Z, d_xy / 3.0, 2.0 * d_xy / 3.0)
     return minima <= c, minima
 
 

@@ -261,7 +261,7 @@ def test_10_thin_triangle_dichotomy():
                 break
         d_xy = hyp.distance(x, y)
         hit, _ = stats.thin_triangle_probe(hyp, x, y, z,
-                                           (d_xy / 3.0, 2.0 * d_xy / 3.0), 3.0, 0.05)
+                                           (d_xy / 3.0, 2.0 * d_xy / 3.0), 3.0)
         hits += int(hit)
 
     sp = SupProduct([EuclideanSpace(1), EuclideanSpace(1)])
@@ -273,8 +273,7 @@ def test_10_thin_triangle_dichotomy():
         w = (np.array([2 * r]), np.array([-r]))
         d_uv = sp.distance(u, v)
         hit, mind = stats.thin_triangle_probe(sp, u, v, w,
-                                              (d_uv / 3.0, 2.0 * d_uv / 3.0),
-                                              r / 4.0, 0.05)
+                                              (d_uv / 3.0, 2.0 * d_uv / 3.0), r / 4.0)
         worst.append(mind / r)
         product_ok = product_ok and (not hit) and mind >= r / 4.0
     ok = hits == trials and product_ok

@@ -116,7 +116,7 @@ class TestRun:
               "[experiment]\nkind = discretize\nn = 12\nr = 8\n")
         write(cfg_dir, "five.ini", "[space]\nkind = sup-product\n"
               "components = hyperbolic ; euclidean dim=2\n\n"
-              "[experiment]\nkind = thin-triangle\nn = 6\nr = 8\nds = 0.1\n")
+              "[experiment]\nkind = thin-triangle\nn = 6\nr = 8\n")
         outs = []
         for workers in (1, 4):
             out_dir = tmp_path / f"w{workers}"
@@ -240,7 +240,7 @@ class TestOtherExperiments:
         # hyperbolic triangles are ln(1+sqrt2)-slim, so C = 1 must hit every
         # time; a distance that is off by a factor must turn the check to FAIL
         text = (f"[space]\nkind = {space}\n\n[experiment]\nkind = thin-triangle\n"
-                "n = 10\nr = 10\nC = 1.0\nds = 0.1\n")
+                "n = 10\nr = 10\nC = 1.0\n")
         cfg_path = write(tmp_path, "slim.ini", text)
         assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
         assert "PASS: hit_rate 1 at C >= ln(1+sqrt2)" in capsys.readouterr().out
@@ -252,19 +252,33 @@ class TestOtherExperiments:
         assert "FAIL: hit_rate 1 at C >= ln(1+sqrt2)" in out
         assert "PASS: reported minima nonnegative" in out
 
+    def test_sweep_exits_3_when_a_config_fails_a_check(self, tmp_path, capsys, monkeypatch):
+        # a FAIL in one config sets the exit code; a later PASS keeps it
+        write(tmp_path, "a.ini", "[space]\nkind = hyperbolic\n\n[experiment]\n"
+              "kind = thin-triangle\nn = 10\nr = 10\nC = 1.0\n")
+        write(tmp_path, "b.ini", "[experiment]\nkind = estimate-e\nn = 100\n")
+        exact = HyperbolicPlane.distance_to_segment
+        monkeypatch.setattr(HyperbolicPlane, "distance_to_segment",
+                            lambda self, P, u, v: 1e3 * exact(self, P, u, v))
+        code = cli.main(["sweep", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        first, second = capsys.readouterr().out.split("== b.ini")
+        assert "FAIL: hit_rate 1" in first
+        assert "PASS: normalized mean" in second and "FAIL" not in second
+
     def test_slim_triangle_check_only_where_it_holds(self, tmp_path, capsys):
         # below ln(1+sqrt2), and on spaces that are not hyperbolic, there is
         # nothing to check
         for space, c in (("hyperbolic", "0.5"), ("euclidean", "3.0")):
             text = (f"[space]\nkind = {space}\n\n[experiment]\nkind = thin-triangle\n"
-                    f"n = 5\nr = 10\nC = {c}\nds = 0.1\n")
+                    f"n = 5\nr = 10\nC = {c}\n")
             cfg_path = write(tmp_path, "c.ini", text)
             assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
             assert "ln(1+sqrt2)" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("text", [
         "[space]\nkind = sup-product\ncomponents = hyperbolic ; euclidean dim=2\n\n"
-        "[experiment]\nkind = thin-triangle\nn = 6\nr = 8\nds = 0.1\n",
+        "[experiment]\nkind = thin-triangle\nn = 6\nr = 8\n",
         "[space]\nkind = hyperbolic\n\n[experiment]\nkind = discretize\nn = 12\nr = 8\n",
     ], ids=["thin-triangle", "discretize"])
     def test_repeat_runs_write_identical_csv(self, tmp_path, text):
@@ -317,8 +331,7 @@ class TestOtherExperiments:
         assert err.startswith("error: parameter error in discretize: need tau > 4c")
         assert not (tmp_path / "d.csv").exists()
 
-    @pytest.mark.parametrize("kind,key,step", [("discretize", "c", "5e-301"),
-                                               ("thin-triangle", "ds", "1e-300")])
+    @pytest.mark.parametrize("kind,key,step", [("discretize", "c", "5e-301")])
     def test_oversized_time_grid_exits_2(self, tmp_path, capsys, kind, key, step):
         # the grid's size is checked before it is allocated; the net's
         # candidate step is c/2
@@ -331,6 +344,27 @@ class TestOtherExperiments:
         assert err.endswith(f" with step {step} exceeds 400000 points; increase the step\n")
         assert "np.float64" not in err and err.count("\n") == 1
         assert not (tmp_path / "g.csv").exists()
+
+    def test_thin_triangle_step_changes_no_output(self, tmp_path, capsys):
+        # the probe reads each interval at its two ends, so ds, still taken
+        # for the configs that set it, moves no printed value
+        outputs = []
+        for ds in ("0.05", "1e-300"):
+            text = ("[space]\nkind = hyperbolic\n\n[experiment]\nkind = thin-triangle\n"
+                    f"n = 20\nds = {ds}\n")
+            cfg_path = write(tmp_path, "t.ini", text)
+            assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+            head = capsys.readouterr().out.splitlines()[1]
+            outputs.append(((tmp_path / "t.csv").read_text(), head))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].startswith("thin-triangle: hit_rate=1.0 ")
+
+    def test_coarse_check_notes_m0_below_the_floor(self, tmp_path, capsys):
+        text = "[experiment]\nkind = coarse-check\nn = 50\nM0 = 2\n"
+        cfg_path = write(tmp_path, "cc.ini", text)
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "NOTE: M0=2.0 is below the documented floor 360.0; sandwich guarantees do not apply")
 
     def test_coarse_check_config(self, tmp_path):
         text = "[experiment]\nkind = coarse-check\nn = 2000\n"

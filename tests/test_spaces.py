@@ -1000,6 +1000,15 @@ class TestSupProduct:
         with pytest.raises(ParameterError):
             SupProduct([EuclideanSpace(1), RegularTree(3)])
 
+    def test_geodesic_with_a_degenerate_factor(self):
+        # u and v share their hyperbolic factor: it stays at that point while
+        # the plane factor runs at unit speed
+        sp = SupProduct([HyperbolicPlane(), EuclideanSpace(2)])
+        u, v = (2j, np.zeros(2)), (2j, np.array([3.0, 4.0]))
+        hyp, plane = sp.geodesic_points(u, v, np.array([0.0, 2.5, 5.0]))
+        assert hyp.tolist() == [2j, 2j, 2j]
+        assert plane.tolist() == [[0.0, 0.0], [1.5, 2.0], [3.0, 4.0]]
+
 
 SEGMENT_SPACES = [
     EuclideanSpace(2),

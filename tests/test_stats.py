@@ -386,12 +386,20 @@ TRIANGLE_SPACES = [EuclideanSpace(2), HyperbolicPlane(), ModularTorus(),
                    SupProduct([HyperbolicPlane(), HyperbolicPlane()]), sup_plane()]
 
 
+# every continuous model: normed planes, the hyperbolic plane, the torus model
+# and sup-products
+PREMISE_SPACES = [EuclideanSpace(2), EuclideanSpace(2, p=1.0), EuclideanSpace(3, p=3.0),
+                  EuclideanSpace(2, p=math.inf), HyperbolicPlane(), ModularTorus(),
+                  SupProduct([HyperbolicPlane(), HyperbolicPlane()]), sup_plane(),
+                  SupProduct([HyperbolicPlane(), EuclideanSpace(2, p=1.0)])]
+
+
 class TestTriangleProbes:
     def test_side_overlap(self):
         eu = EuclideanSpace(2)
         u, v = np.zeros(2), np.array([8.0, 0.0])
         w = np.array([4.0, 0.0])
-        hit, mind = stats.thin_triangle_probe(eu, u, v, w, (2.0, 6.0), 1e-9, 0.5)
+        hit, mind = stats.thin_triangle_probe(eu, u, v, w, (2.0, 6.0), 1e-9)
         assert hit and mind <= 1e-12
 
     def test_hyperbolic_long_triangles_are_thin(self):
@@ -408,7 +416,7 @@ class TestTriangleProbes:
             trials += 1
             d_xy = hyp.distance(x, y)
             hit, mind = stats.thin_triangle_probe(
-                hyp, x, y, z, (d_xy / 3.0, 2.0 * d_xy / 3.0), 3.0, 0.05)
+                hyp, x, y, z, (d_xy / 3.0, 2.0 * d_xy / 3.0), 3.0)
             assert hit, f"triangle {i}: min distance {mind}"
         assert trials >= 25
 
@@ -420,7 +428,7 @@ class TestTriangleProbes:
         z = (np.array([2 * r]), np.array([-r]))
         d_xy = sp.distance(x, y)
         hit, mind = stats.thin_triangle_probe(
-            sp, x, y, z, (d_xy / 3.0, 2.0 * d_xy / 3.0), r / 4.0, 0.05)
+            sp, x, y, z, (d_xy / 3.0, 2.0 * d_xy / 3.0), r / 4.0)
         assert not hit
         assert mind >= r / 4.0
 
@@ -428,12 +436,12 @@ class TestTriangleProbes:
         eu = EuclideanSpace(2)
         u, v = np.zeros(2), np.array([4.0, 0.0])
         with pytest.raises(DomainError):
-            stats.thin_triangle_probe(eu, u, v, u, (1.0, 2.0), 1.0, 0.1)
+            stats.thin_triangle_probe(eu, u, v, u, (1.0, 2.0), 1.0)
 
     @pytest.mark.parametrize("space", TRIANGLE_SPACES, ids=lambda s: s.describe())
     def test_exact_probe_against_grid_to_grid(self, space):
-        # gridding the other two sides too (the probe's former method) can
-        # only raise the minimum, and by at most ds
+        # gridding all three sides at step ds can only raise the minimum, and
+        # by at most ds
         ds = 0.05
         x = space.basepoint()
         Y, Z = stats._sample_triangles(space, x, 8.0, 12, seed=3)
@@ -441,7 +449,7 @@ class TestTriangleProbes:
             y, z = space.batch_get(Y, j), space.batch_get(Z, j)
             d_xy = space.distance(x, y)
             interval = (d_xy / 3.0, 2.0 * d_xy / 3.0)
-            _, exact = stats.thin_triangle_probe(space, x, y, z, interval, 1.0, ds)
+            _, exact = stats.thin_triangle_probe(space, x, y, z, interval, 1.0)
             pts = space.geodesic_points(x, y, stats._time_grid(*interval, ds))
             grid = min(
                 space.cross_distance(pts, space.geodesic_points(
@@ -449,30 +457,54 @@ class TestTriangleProbes:
                 for a in (x, y))
             assert grid - ds <= exact <= grid + 1e-9
 
+    @pytest.mark.parametrize("space", PREMISE_SPACES, ids=lambda s: s.describe())
+    def test_the_ends_of_the_interval_hold_the_minimum(self, space):
+        # the premise of the probe: along [x, y] the distance to [x, z] never
+        # falls and the distance to [y, z] never rises, so the least distance
+        # over [d/3, 2d/3] is at its ends; the probe is the grid minimum there
+        x = space.basepoint()
+        X = space.singleton(x)
+        Y, Z = stats._sample_triangles(space, x, 8.0, 40, seed=11)
+        for j in range(40):
+            y, z = space.batch_get(Y, j), space.batch_get(Z, j)
+            d_xy = space.distance(x, y)
+            sides = [(X, space.singleton(z)), (space.singleton(y), space.singleton(z))]
+
+            def to_sides(a, b):
+                pts = space.geodesic_points(x, y, stats._time_grid(a, b, 0.01))
+                return [space.distance_to_segment(pts, u, v) for u, v in sides]
+
+            to_xz, to_yz = to_sides(0.0, d_xy)
+            assert np.all(np.diff(to_xz) >= 0.0), f"triangle {j}: d(., [x, z]) falls"
+            assert np.all(np.diff(to_yz) <= 0.0), f"triangle {j}: d(., [y, z]) rises"
+            interval = (d_xy / 3.0, 2.0 * d_xy / 3.0)
+            grid = np.minimum(*to_sides(*interval)).min()
+            _, probe = stats.thin_triangle_probe(space, x, y, z, interval, 1.0)
+            assert grid - 1e-12 <= probe <= grid, f"triangle {j}"
+
     @pytest.mark.parametrize("space", TRIANGLE_SPACES, ids=lambda s: s.describe())
     def test_triangle_depends_only_on_its_index(self, space, monkeypatch):
         x = space.basepoint()
-        few = stats.thin_triangle_sample(space, x, 6.0, 3, 1.0, 0.1, seed=5)
-        many = stats.thin_triangle_sample(space, x, 6.0, 8, 1.0, 0.1, seed=5)
+        few = stats.thin_triangle_sample(space, x, 6.0, 3, 1.0, seed=5)
+        many = stats.thin_triangle_sample(space, x, 6.0, 8, 1.0, seed=5)
         for a, b in zip(few, many):
             assert a.tobytes() == b[:3].tobytes()
         # across chunk boundaries: with chunks of 2, row 2 sits in a chunk of
         # one triangle at n = 3 and of two at n = 8
         monkeypatch.setattr(rng, "CHUNK", 2)
-        few = stats.thin_triangle_sample(space, x, 6.0, 3, 1.0, 0.1, seed=5)
-        many = stats.thin_triangle_sample(space, x, 6.0, 8, 1.0, 0.1, seed=5)
+        few = stats.thin_triangle_sample(space, x, 6.0, 3, 1.0, seed=5)
+        many = stats.thin_triangle_sample(space, x, 6.0, 8, 1.0, seed=5)
         for a, b in zip(few, many):
             assert a.tobytes() == b[:3].tobytes()
 
     @pytest.mark.parametrize("space", TRIANGLE_SPACES, ids=lambda s: s.describe())
     @pytest.mark.parametrize("chunk", [rng.CHUNK, 2])
     def test_blocks_do_not_change_the_result(self, space, chunk, monkeypatch):
-        # a block may end anywhere, inside a triangle's grid too, and a
-        # sampling chunk may end inside a block; each triangle's minimum is
-        # what the one-triangle probe reports
+        # a sampling chunk may end anywhere among the triangles; each
+        # triangle's minimum is what the one-triangle probe reports
         monkeypatch.setattr(rng, "CHUNK", chunk)
         x = space.basepoint()
-        ref = stats.thin_triangle_sample(space, x, 6.0, 5, 1.0, 0.1, seed=5)
+        ref = stats.thin_triangle_sample(space, x, 6.0, 5, 1.0, seed=5)
         Y, Z = stats._sample_triangles(space, x, 6.0, 5, seed=5)
 
         def probes():
@@ -481,33 +513,28 @@ class TestTriangleProbes:
                 y, z = space.batch_get(Y, j), space.batch_get(Z, j)
                 d_xy = space.distance(x, y)
                 out.append(stats.thin_triangle_probe(
-                    space, x, y, z, (d_xy / 3.0, 2.0 * d_xy / 3.0), 1.0, 0.1)[1])
+                    space, x, y, z, (d_xy / 3.0, 2.0 * d_xy / 3.0), 1.0)[1])
             return np.array(out)
 
         alone = probes()
         assert alone.tobytes() == ref[1].tobytes()
         # the least of all grid points' distances to the two sides: on [0, d/2]
-        # that is near the first point (x lies on [x, z]), not the last
+        # that is at the first point (x lies on [x, z]), not the last
         for j in range(5):
             y, z = space.batch_get(Y, j), space.batch_get(Z, j)
             half = space.distance(x, y) / 2.0
             pts = space.geodesic_points(x, y, stats._time_grid(0.0, half, 0.1))
-            assert stats.thin_triangle_probe(space, x, y, z, (0.0, half), 1.0, 0.1)[1] == min(
+            assert stats.thin_triangle_probe(space, x, y, z, (0.0, half), 1.0)[1] == min(
                 space.distance_to_segment(pts, space.singleton(a), space.singleton(z)).min()
                 for a in (x, y))
-        for block in (1, 7):
-            monkeypatch.setattr(stats, "_PROBE_BLOCK", block)
-            got = stats.thin_triangle_sample(space, x, 6.0, 5, 1.0, 0.1, seed=5)
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
-            assert probes().tobytes() == alone.tobytes()
 
     def test_memory_bounded_by_the_probe_block(self):
-        # 4000 triangles with about 150 grid points each: one (n, G) array
-        # of distances would take 4.8 MB, and of complex points 9.6 MB
+        # 4000 triangles, each read at the two ends of its middle third: the
+        # points and distances of all 8000 ends take well under 1 MB
         hyp = HyperbolicPlane()
         tracemalloc.start()
         try:
-            hits, minima = stats.thin_triangle_sample(hyp, 1j, 20.0, 4000, 3.0, 0.05, seed=0)
+            hits, minima = stats.thin_triangle_sample(hyp, 1j, 20.0, 4000, 3.0, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -515,14 +542,14 @@ class TestTriangleProbes:
         assert peak < 3e6
 
     def test_one_probe_memory_bounded_by_the_block(self):
-        # ds = 1e-4 on the middle third of a side of length 20: about 66,700
-        # grid points, whose points and distances in one call peak near 14 MB
+        # a probe reads the two ends of its interval, so its memory does not
+        # grow with the interval's length
         sp = SupProduct([HyperbolicPlane(), HyperbolicPlane()])
         x, y = (1j, 1j), (1j * math.exp(20.0), 5.0 + 1j)
         z = (-5.0 + 1j, 3.0 + 1j * math.exp(20.0))
         tracemalloc.start()
         try:
-            hit, _ = stats.thin_triangle_probe(sp, x, y, z, (20.0 / 3.0, 40.0 / 3.0), 3.0, 1e-4)
+            hit, _ = stats.thin_triangle_probe(sp, x, y, z, (20.0 / 3.0, 40.0 / 3.0), 3.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -177,6 +177,23 @@ def test_row_and_head_follow_the_parameters(tmp_path, capsys, kind):
     assert capsys.readouterr().out.splitlines()[1] == head
 
 
+# catalog parameters that no runner reads: the benchmark's geodesic-probes
+# configs (tri-hyp, tri-euclid, tri-product) still set thin-triangle's ds
+INERT_PARAMETERS = {("thin-triangle", "ds")}
+
+
+@pytest.mark.parametrize("kind", sorted(cli.CATALOG))
+def test_every_catalog_parameter_is_read(kind):
+    # a parameter that its runner never reads as pr["..."] is a flag that
+    # does nothing
+    tree = ast.parse(inspect.getsource(cli._RUNNERS[kind]))
+    read = {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "pr" and isinstance(node.slice, ast.Constant)}
+    unread = {name for name in cli.CATALOG[kind]["parameters"] if name not in read}
+    assert unread == {name for k, name in INERT_PARAMETERS if k == kind}
+
+
 def test_benchmark_workloads_build_and_run(tmp_path, capsys):
     # the benchmark builds every config's space or body through cli._space
     # and cli._body, then runs the tiny variants through cli.main; a CLI
