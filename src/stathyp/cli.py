@@ -30,8 +30,8 @@ import numpy as np
 
 from . import coarse, convex, stats
 from .errors import StathypError
-from .rng import CHUNK, chunked
-from .spaces import HyperbolicPlane, space_class, thin_area_fraction
+from .rng import chunked
+from .spaces import SPACE_CLASSES, HyperbolicPlane, space_class, thin_area_fraction
 
 # triangles in the hyperbolic plane are H2_SLIM-slim: each side lies within
 # H2_SLIM of the union of the other two
@@ -50,16 +50,25 @@ class ConfigError(StathypError):
 # Experiment catalog
 # ---------------------------------------------------------------------------
 
-# as `stathyp list` shows them; the model constructors hold the defaults
+# as `stathyp list` shows them; the model and body constructors hold the defaults
 _SPACE_DEFAULTS = {"kind": "euclidean", "dim": 2, "p": 2.0, "q": 3}
-# a factor of a sup-product's components is a line unless it says otherwise
-_FACTOR_DEFAULTS = {"dim": 1}
-_BODY_DEFAULTS = {"kind": "lp", "dim": 2, "p": 2.0, "method": "exact"}
-# the keys each body kind reads besides kind and method
-_BODY_KEYS = {"lp": ("dim", "p"), "ellipsoid": ("axes",), "polytope": ("vertices",)}
-# the keys each section may hold; [experiment] keys are checked per kind by _params
-_SECTION_KEYS = {"experiment": None, "space": (*_SPACE_DEFAULTS, "h", "components"),
-                 "body": (*_BODY_DEFAULTS, "axes", "vertices")}
+_BODIES = {"lp": convex.LpBall, "ellipsoid": convex.Ellipsoid, "polytope": convex.Polytope}
+
+
+def _signature(cls) -> dict:
+    """Key -> default (``inspect.Parameter.empty`` if none) of ``cls``'s constructor."""
+    return {key: param.default for key, param in inspect.signature(cls).parameters.items()}
+
+
+# key -> default per kind, read once: a wrapper later put around a constructor hides none
+_SPACE_RECORDS = {kind: _signature(cls) for kind, cls in SPACE_CLASSES.items()}
+_BODY_RECORDS = {kind: {**_signature(cls), "method": "exact"} for kind, cls in _BODIES.items()}
+_BODY_DEFAULTS = {"kind": "lp", **_BODY_RECORDS["lp"]}
+# the keys each section may hold, checked per kind where the section is read
+_SECTION_KEYS = {
+    "experiment": None,
+    "space": ("kind", *dict.fromkeys(key for rec in _SPACE_RECORDS.values() for key in rec)),
+    "body": ("kind", *dict.fromkeys(key for rec in _BODY_RECORDS.values() for key in rec))}
 
 # "positive" names the parameters that must be finite and > 0; any other
 # value is a ConfigError before the experiment starts
@@ -187,16 +196,31 @@ def serialize_config(cfg: dict) -> str:
     return buf.getvalue()
 
 
-def _value(where: str, key: str, raw: str | None, convert):
-    """``convert(raw)`` for the ``key`` entry of the section ``where`` (such as
-    ``[space]``); a missing or malformed entry is a ConfigError naming the
-    section, the key and the text."""
-    if raw is None:
-        raise ConfigError(f"{where} has no {key} entry")
-    try:
-        return convert(raw)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where} {key} = {raw!r} is not valid: {exc}") from exc
+def _section(where: str, sec: dict, record: dict, kind: str) -> dict:
+    """``record``, a map of key -> default, with the values that section
+    ``where`` (such as ``[space]``) of ``kind`` gives in ``sec``: whole numbers
+    where the default is an int, text where it is text, floats otherwise, and
+    ``components``, ``axes`` and ``vertices`` by their own readers.  A blank
+    ``h`` keeps its default.  A stray key, a missing key with no default and a
+    value that does not convert are ConfigErrors naming section and key."""
+    _check_keys(where, [key for key in sec if key != "kind"], record, kind)
+    out = {}
+    for key, default in record.items():
+        raw = sec.get(key)
+        if raw is None or (key == "h" and not raw):
+            if default is inspect.Parameter.empty:
+                raise ConfigError(f"{where} has no {key} entry")
+            out[key] = default
+        elif key == "components":
+            out[key] = [_factor(f"{where} components = {token!r}:", token)
+                        for token in map(str.strip, raw.split(";")) if token]
+        else:
+            convert = _READERS.get(key) or {int: _int, str: str}.get(type(default), float)
+            try:
+                out[key] = convert(raw)
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"{where} {key} = {raw!r} is not valid: {exc}") from exc
+    return out
 
 
 def _int(text: str) -> int:
@@ -213,14 +237,13 @@ def _floats(text: str) -> list[float]:
     return [float(a) for a in text.replace(",", " ").split()]
 
 
+_READERS = {"axes": _floats,
+            "vertices": lambda text: np.asarray([_floats(row) for row in text.split(";")
+                                                 if row.strip()])}
+
+
 def _params(cfg: dict, kind: str, seed_override: int | None) -> dict:
-    out = dict(CATALOG[kind]["parameters"])
-    for key, raw in cfg.get("experiment", {}).items():
-        if key == "kind":
-            continue
-        if key not in out:
-            raise ConfigError(f"experiment {kind!r} does not take parameter {key!r}")
-        out[key] = _value("[experiment]", key, raw, _int if isinstance(out[key], int) else float)
+    out = _section("[experiment]", cfg["experiment"], CATALOG[kind]["parameters"], kind)
     if seed_override is not None:
         out["seed"] = int(seed_override)
     if out["seed"] < 0:
@@ -233,32 +256,18 @@ def _params(cfg: dict, kind: str, seed_override: int | None) -> dict:
 
 def _space(cfg: dict):
     try:
-        return _model("[space]", cfg.get("space", {}), {"kind": _SPACE_DEFAULTS["kind"]})
+        return _model("[space]", cfg.get("space", {}))
     except StathypError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _model(where: str, sec: dict, defaults: dict):
+def _model(where: str, sec: dict, **defaults):
     """The model space of section ``sec``: ``kind`` plus the parameters of its
-    class's constructor, whole numbers where the default is an int, floats
-    otherwise, and for ``components`` one ``kind k=v ...`` token per factor.
-    Any other key is a ConfigError; ``defaults``, then the constructor, fill
-    in what ``sec`` leaves out, and a blank ``h`` is the model's default."""
-    merged = {**{k: str(v) for k, v in defaults.items()}, **sec}
-    kind = merged["kind"]
+    class's constructor, ``defaults`` before the constructor's."""
+    kind = sec.get("kind", _SPACE_DEFAULTS["kind"])
     cls = space_class(kind)
-    params = inspect.signature(cls).parameters
-    _check_keys(where, [key for key in sec if key != "kind"], tuple(params), kind)
-    args = {}
-    for key, param in params.items():
-        raw = merged.get(key)
-        if key == "components":
-            text = _value(where, key, raw or None, str)
-            args[key] = [_factor(f"{where} components = {token!r}:", token)
-                         for token in map(str.strip, text.split(";")) if token]
-        elif raw is not None and (raw or key != "h"):
-            args[key] = _value(where, key, raw, _int if isinstance(param.default, int) else float)
-    return cls(**args)
+    record = {key: defaults.get(key, default) for key, default in _SPACE_RECORDS[kind].items()}
+    return cls(**_section(where, sec, record, kind))
 
 
 def _factor(where: str, token: str):
@@ -270,7 +279,7 @@ def _factor(where: str, token: str):
         if not eq:
             raise ConfigError(f"{where} {pair!r} is not key=value")
         items[key] = value
-    return _model(where, {"kind": kind, **items}, _FACTOR_DEFAULTS)
+    return _model(where, {"kind": kind, **items}, dim=1)  # a line unless it says otherwise
 
 
 def _continuous_space(cfg: dict, kind: str):
@@ -280,26 +289,15 @@ def _continuous_space(cfg: dict, kind: str):
     return space
 
 
-def _polytope_rows(text: str) -> np.ndarray:
-    return np.asarray([_floats(row) for row in text.split(";") if row.strip()])
-
-
 def _body(cfg: dict) -> tuple[convex.ConvexBody, str]:
-    """The ``[body]`` of ``cfg`` and the volume ``method`` it names."""
-    body = cfg.get("body", {})
-    sec = {**{k: str(v) for k, v in _BODY_DEFAULTS.items()}, **body}
-    kind, method = sec["kind"], sec["method"]
-    if kind not in _BODY_KEYS:
+    """The ``[body]`` of ``cfg``, read as ``[space]`` is, and the volume ``method`` it names."""
+    sec = cfg.get("body", {})
+    kind = sec.get("kind", _BODY_DEFAULTS["kind"])
+    if kind not in _BODIES:
         raise ConfigError(f"unknown body kind {kind!r}")
-    known = (*_BODY_KEYS[kind], "method")
-    _check_keys("[body]", [key for key in body if key != "kind"], known, kind)
-    if kind == "lp":
-        p = _value("[body]", "p", sec["p"], lambda t: math.inf if t == "oo" else float(t))
-        return convex.LpBall(_value("[body]", "dim", sec["dim"], _int), p), method
-    if kind == "ellipsoid":
-        return convex.Ellipsoid(_value("[body]", "axes", sec.get("axes"), _floats)), method
-    rows = _value("[body]", "vertices", sec.get("vertices"), _polytope_rows)
-    return convex.Polytope(rows), method
+    args = _section("[body]", sec, _BODY_RECORDS[kind], kind)
+    method = args.pop("method")
+    return _BODIES[kind](**args), method
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +419,7 @@ def _run_coarse_check(cfg, pr, rep):
     floor = coarse.threshold_floor(eps0)
     counts = np.zeros(4, dtype=np.int64)
     for i, (m, rng_twist, rng_ident) in enumerate(chunked(seed, n, (0xB1,), (0xB2,))):
-        pairs = coarse.random_pairs(m, seed, eps0, start=i * CHUNK)
+        pairs = coarse.random_pairs(m, seed, eps0, first=i)
         d_c = np.exp(rng_twist.uniform(-5.0, 300.0, m))
         b, lp = coarse.twist_only_distance(d_c), coarse.log_plus(d_c)
         f, g, h = np.exp(rng_ident.uniform(-7.0, 20.0, (3, m)))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .rng import CHUNK, chunked
+from .rng import chunked
 from .spaces.hyperbolic import uhp_distance
 
 # libm's log, elementwise.  numpy's SIMD log differs from it by one ulp on
@@ -175,7 +175,7 @@ _PAIR_KEYS = tuple((0xC0A5, field_no) for field_no in range(5))
 _LOG_LO, _LOG_HI = -600.0, 600.0
 
 
-def random_pairs(n: int, seed: int, eps0: float, start: int = 0) -> HoroballPair:
+def random_pairs(n: int, seed: int, eps0: float, first: int = 0) -> HoroballPair:
     """A batch of log-uniform horoball pairs off the doubly-short set.
 
     Lengths are drawn log-uniform with exponent in [_LOG_LO, 0] and the twist
@@ -184,16 +184,12 @@ def random_pairs(n: int, seed: int, eps0: float, start: int = 0) -> HoroballPair
     eps0 is redrawn in [eps0, 1], so every pair satisfies the hypothesis of
     the sandwich estimates.
 
-    The batch holds pairs ``start`` to ``start + n - 1`` of the seed's
-    stream, and pair ``j`` depends only on ``(seed, j)``; ``start`` must be
-    a multiple of ``rng.CHUNK``.
+    The batch starts at chunk ``first`` of the seed's stream, pair
+    ``first * rng.CHUNK``, and pair ``j`` depends only on ``(seed, j)``.
     """
-    if start % CHUNK:
-        raise ParameterError(f"start must be a multiple of {CHUNK}, got {start}")
     out = np.empty((3, n))
     at = 0
-    for m, r_x, r_y, r_zero, r_twist, r_lift in chunked(seed, n, *_PAIR_KEYS,
-                                                         first=start // CHUNK):
+    for m, r_x, r_y, r_zero, r_twist, r_lift in chunked(seed, n, *_PAIR_KEYS, first=first):
         l_x = np.exp(r_x.uniform(_LOG_LO, 0.0, m))
         l_y = np.exp(r_y.uniform(_LOG_LO, 0.0, m))
         twist = np.exp(r_twist.uniform(_LOG_LO, _LOG_HI, m))

@@ -168,10 +168,10 @@ def _dedupe_rows(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 class Ellipsoid(ConvexBody):
-    def __init__(self, semi_axes):
-        a = np.asarray(semi_axes, dtype=np.float64)
+    def __init__(self, axes):
+        a = np.asarray(axes, dtype=np.float64)
         if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a) & (a > 0)):
-            raise ParameterError(f"semi-axes must be finite positive reals, got {semi_axes}")
+            raise ParameterError(f"semi-axes must be finite positive reals, got {axes}")
         self.dim = len(a)
         self.semi_axes = a
 
@@ -194,7 +194,7 @@ class Ellipsoid(ConvexBody):
 
 
 class LpBall(ConvexBody):
-    def __init__(self, dim: int, p: float):
+    def __init__(self, dim: int = 2, p: float = 2.0):
         if dim < 1:
             raise ParameterError(f"dimension must be positive, got {dim}")
         if not p >= 1.0:

@@ -24,18 +24,19 @@ __all__ = [
     "thin_area_fraction",
     "make_space",
     "space_class",
+    "SPACE_CLASSES",
 ]
 
 # each model class under its short name and under its ``kind``
-_CLASSES = {"euclidean": EuclideanSpace, "hyperbolic": HyperbolicPlane, "modular": ModularTorus,
-            "tree": RegularTree, "sup-product": SupProduct}
-_CLASSES.update({cls.kind: cls for cls in _CLASSES.values()})
+SPACE_CLASSES = {"euclidean": EuclideanSpace, "hyperbolic": HyperbolicPlane,
+                 "modular": ModularTorus, "tree": RegularTree, "sup-product": SupProduct}
+SPACE_CLASSES.update({cls.kind: cls for cls in SPACE_CLASSES.values()})
 
 
 def space_class(kind: str) -> type[ModelSpace]:
     """The model class of a space kind or of its short name."""
     try:
-        return _CLASSES[kind]
+        return SPACE_CLASSES[kind]
     except KeyError:
         raise ParameterError(f"unknown space kind {kind!r}") from None
 

@@ -84,6 +84,12 @@ class ModelSpace(ABC):
             raise ParameterError(f"growth exponent must be finite and nonnegative, got {h}")
         return float(h)
 
+    @staticmethod
+    def check_eps(eps: float) -> None:
+        """Refuse a thickness threshold ``eps`` that is not > 0, NaN included."""
+        if not eps > 0:
+            raise ParameterError(f"eps must be positive, got {eps}")
+
     # -- scalar interface ---------------------------------------------------
 
     @abstractmethod
@@ -199,8 +205,7 @@ class ModelSpace(ABC):
 
     def thick_many(self, batch, eps: float) -> np.ndarray:
         """Thickness flags of a batch; models without a thin part are always thick."""
-        if eps <= 0:
-            raise ParameterError(f"eps must be positive, got {eps}")
+        self.check_eps(eps)
         return np.ones(self.batch_size(batch), dtype=bool)
 
     def ray_walker(self, x, phi: np.ndarray, eps: float):

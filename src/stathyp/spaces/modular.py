@@ -139,10 +139,11 @@ class RayWalker:
         # are at least 1.
         lost = np.flatnonzero(c == 0.0)
         c[lost] = 1.0  # a placeholder, replaced by the inert state
-        self._v, self._w, self._tau = -b / d, a / c, np.log(np.abs(d / c))
-        lo, hi = self._interval()
-        # a ray into the cusp at infinity is thin from height t0 on: e^t / d^2 > t0
-        lo[lost], hi[lost] = np.log(t0 * d[lost] ** 2), np.inf
+        with np.errstate(all="ignore"):  # past the float range, excursions() raises
+            self._v, self._w, self._tau = -b / d, a / c, np.log(np.abs(d / c))
+            lo, hi = self._interval()
+            # a ray into the cusp at infinity is thin from height t0 on: e^t / d^2 > t0
+            lo[lost], hi[lost] = np.log(t0 * d[lost] ** 2), np.inf
         self._first = lo[None], hi[None]
         self._retire(lost)
 
@@ -199,8 +200,9 @@ class RayWalker:
         lo, hi = np.empty((2, rows, n))
         until = np.asarray(until, dtype=np.float64) + _LEAD
         while not np.all(self._tau > until):
-            for i in range(rows):
-                lo[i], hi[i] = self.step()
+            with np.errstate(all="ignore"):  # past the float range, _checked raises
+                for i in range(rows):
+                    lo[i], hi[i] = self.step()
             yield self._checked(lo, hi)
 
     def _checked(self, lo, hi):
@@ -219,8 +221,7 @@ class ModularTorus(HyperbolicPlane):
         return f"modular-torus(h={self.h})"
 
     def thick_many(self, batch, eps: float) -> np.ndarray:
-        if eps <= 0:
-            raise ParameterError(f"eps must be positive, got {eps}")
+        self.check_eps(eps)
         z = np.asarray(batch, dtype=np.complex128)
         _, y, _ = reduce_many(z.real, z.imag)
         return y <= _thin_height(eps)

@@ -104,8 +104,7 @@ def thick_stat(space: ModelSpace, x, y, eps: float, dt: float) -> float:
     ``ray_thick_fraction_many``."""
     if dt <= 0:
         raise ParameterError(f"grid step must be positive, got {dt}")
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    space.check_eps(eps)
     d = space.distance(x, y)
     if d == 0.0:
         raise DomainError("thick_stat needs a nondegenerate segment")
@@ -133,6 +132,7 @@ def ray_thick_fraction_many(space: ModelSpace, x, length: float, eps: float,
         raise ParameterError(f"grid step must be positive, got {dt}")
     if n < 1:
         raise ParameterError(f"need at least one ray, got {n}")
+    space.check_eps(eps)
     space.validate_point(x)
     if not space.has_thin_part:
         return np.ones(n)
@@ -238,6 +238,7 @@ def p1_fraction(space: ModelSpace, x, r: float, k: float, eps: float,
         raise ParameterError(f"grid step must be positive, got {dt}")
     if n < 1:
         raise ParameterError(f"need at least one sample, got {n}")
+    space.check_eps(eps)
     if not space.has_thin_part:
         return 1.0
     low = theta - _GRID_TOL
@@ -412,17 +413,13 @@ def _side_minima(space: ModelSpace, x, Y, Z, lo, hi) -> np.ndarray:
     rises: the distance to a convex set is convex along geodesics in CAT(0)
     and normed spaces (Bridson-Haefliger, Prop. II.2.5), and in their
     sup-products factor by factor.  So the least distance is the smaller of
-    d(lo_j, [x, Z_j]) and d(hi_j, [Y_j, Z_j]), one ``distance_to_segment``
-    row each."""
-    n = len(lo)
+    d(lo_j, [x, Z_j]) and d(hi_j, [Y_j, Z_j])."""
     # rows 2j and 2j + 1 are the ends lo_j and hi_j
     ends = space.batch_concat([space.geodesic_points(x, space.batch_get(Y, j), np.array([a, b]))
                                for j, (a, b) in enumerate(zip(lo, hi))])
-    X = space.batch_take(space.singleton(x), np.zeros(n, dtype=np.intp))
-    both = space.distance_to_segment(
-        space.batch_take(ends, np.r_[0:2 * n:2, 1:2 * n:2]),
-        space.batch_concat([X, Y]), space.batch_concat([Z, Z]))
-    return np.minimum(both[:n], both[n:])
+    lo_ends, hi_ends = (space.batch_take(ends, slice(i, None, 2)) for i in (0, 1))
+    return np.minimum(space.distance_to_segment(lo_ends, space.singleton(x), Z),
+                      space.distance_to_segment(hi_ends, Y, Z))
 
 
 def thin_triangle_sample(space: ModelSpace, x, r: float, n: int, c: float,

@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from stathyp import cli
+from stathyp import cli, convex
 from stathyp.spaces import EuclideanSpace, HyperbolicPlane, RegularTree, space_class
 
 ESTIMATE_CFG = """\
@@ -146,6 +146,19 @@ class TestRun:
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.ini"),
                          "--out", str(tmp_path)]) == 2
+
+    def test_failed_rename_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # the temporary file is removed and the error reaches main
+        cfg_path = write(tmp_path, "e.ini", EST_TINY)
+        out_dir = tmp_path / "out"
+
+        def no_rename(src, dst):
+            raise OSError(f"cannot rename to {dst}")
+        monkeypatch.setattr(cli.os, "replace", no_rename)
+        assert cli.main(["run", "--config", cfg_path, "--out", str(out_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: cannot rename to {out_dir / 'e.csv'}\n"
+        assert list(out_dir.iterdir()) == []
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg_path = write(tmp_path, "e.ini", ESTIMATE_CFG)
@@ -563,6 +576,32 @@ class TestSpaceKeys:
     ], ids=["hyperbolic", "tree", "sup-product"])
     def test_blank_h_is_the_model_default(self, space, shown):
         assert cli._space(cli.parse_config(f"[space]\n{space}\n" + EST_TINY)).describe() == shown
+
+
+class TestBodyKeys:
+    # the keys of each body kind are its constructor's parameters, then method
+    @pytest.mark.parametrize("kind,cls,known", [
+        ("lp", convex.LpBall, "dim p method"), ("ellipsoid", convex.Ellipsoid, "axes method"),
+        ("polytope", convex.Polytope, "vertices method"),
+    ])
+    def test_keys_are_the_constructor_parameters(self, kind, cls, known):
+        assert " ".join([*inspect.signature(cls).parameters, "method"]) == known
+        with pytest.raises(cli.ConfigError, match=f"for kind '{kind}'; known keys: {known}$"):
+            cli._body({"body": {"kind": kind, "bogus": "1"}})
+
+    def test_wrapped_constructor_keeps_its_keys(self, monkeypatch):
+        # a profiler's wrapper takes (*args, **kwargs); the keys are read at import
+        init = convex.Polytope.__init__
+        monkeypatch.setattr(convex.Polytope, "__init__", lambda self, *a, **k: init(self, *a, **k))
+        square = {"kind": "polytope", "vertices": "1 1; -1 -1; 1 -1; -1 1"}
+        body, method = cli._body({"body": square})
+        assert (body.describe(), method) == ("polytope(dim=2,k=4)", "exact")
+
+    def test_listed_body_defaults_are_the_constructor_defaults(self):
+        listed = cli.list_experiments()["mahler"]["body_defaults"]
+        lp = inspect.signature(convex.LpBall).parameters
+        assert listed == {"kind": "lp", "dim": lp["dim"].default, "p": lp["p"].default,
+                          "method": "exact"}
 
 
 class TestSweep:

@@ -268,14 +268,12 @@ class TestRandomPairs:
                 np.testing.assert_array_equal(getattr(more, name)[:n_fewer],
                                               getattr(fewer, name))
 
-    def test_start_draws_a_later_run(self):
+    def test_first_chunk_draws_a_later_run(self):
         eps0 = math.exp(-10.0)
         whole = coarse.random_pairs(CHUNK + 30, seed=4, eps0=eps0)
-        tail = coarse.random_pairs(30, seed=4, eps0=eps0, start=CHUNK)
+        tail = coarse.random_pairs(30, seed=4, eps0=eps0, first=1)
         for name in ("l_x", "l_y", "d_c"):
             np.testing.assert_array_equal(getattr(whole, name)[CHUNK:], getattr(tail, name))
-        with pytest.raises(ParameterError):
-            coarse.random_pairs(30, seed=4, eps0=eps0, start=5)
 
     def test_off_the_doubly_short_set(self):
         eps0 = math.exp(-10.0)

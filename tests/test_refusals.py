@@ -61,6 +61,10 @@ REFUSALS = {
     "modular-thick-eps": (
         lambda: ModularTorus().thick_many(np.array([1j]), 0.0),
         ParameterError, "eps must be positive"),
+    # a NaN eps read every point as thick
+    "modular-thick-eps-nan": (
+        lambda: ModularTorus().thick_many(np.array([1j, 2j, 0.1 + 5j]), np.nan),
+        ParameterError, "eps must be positive, got nan"),
     "modular-thin-area-eps": (
         lambda: thin_area_fraction(1.5),
         ParameterError, "need 0 < eps <= 1"),
@@ -85,6 +89,28 @@ REFUSALS = {
     "stats-thick-eps": (
         lambda: stats.thick_stat(TORUS, 1j, 2j, 0.0, 0.1),
         ParameterError, "eps must be positive"),
+    # on the flat models these used to read as all thick: fraction 1
+    "stats-thick-flat-eps-nan": (
+        lambda: stats.thick_stat(PLANE, ORIGIN, np.ones(2), np.nan, 0.1),
+        ParameterError, "eps must be positive, got nan"),
+    "stats-rays-flat-eps-negative": (
+        lambda: stats.ray_thick_fraction_many(PLANE, ORIGIN, 10.0, -1.0, 0.1, 3, seed=0),
+        ParameterError, "eps must be positive, got -1.0"),
+    "stats-rays-flat-eps-zero": (
+        lambda: stats.ray_thick_fraction_many(PLANE, ORIGIN, 10.0, 0.0, 0.1, 3, seed=0),
+        ParameterError, "eps must be positive, got 0.0"),
+    "stats-rays-flat-eps-nan": (
+        lambda: stats.ray_thick_fraction_many(PLANE, ORIGIN, 10.0, np.nan, 0.1, 3, seed=0),
+        ParameterError, "eps must be positive, got nan"),
+    "stats-p1-flat-eps-negative": (
+        lambda: stats.p1_fraction(PLANE, ORIGIN, 5.0, 1.0, -1.0, 0.5, 0.2, 10, 0.1, seed=0),
+        ParameterError, "eps must be positive, got -1.0"),
+    "stats-p1-flat-eps-zero": (
+        lambda: stats.p1_fraction(PLANE, ORIGIN, 5.0, 1.0, 0.0, 0.5, 0.2, 10, 0.1, seed=0),
+        ParameterError, "eps must be positive, got 0.0"),
+    "stats-p1-flat-eps-nan": (
+        lambda: stats.p1_fraction(PLANE, ORIGIN, 5.0, 1.0, np.nan, 0.5, 0.2, 10, 0.1, seed=0),
+        ParameterError, "eps must be positive, got nan"),
     "stats-rays-length": (
         lambda: stats.ray_thick_fraction_many(TORUS, 1j, 0.0, 0.5, 0.1, 1, seed=0),
         ParameterError, "ray length must be positive"),

@@ -247,10 +247,11 @@ class TestRayThickness:
         assert stats.ray_thick_fraction_many(mt, 1e-170j, 50.0, 0.5, 0.1, 200, 1).tolist() \
             == [0.0] * 200
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x", [0.4 + 1e-18j, 0.3 + 1e-170j, 1e-310j])
     def test_walk_past_the_float_range_raises(self, x):
-        # these used to give NaN fractions, or never return
+        # these used to give NaN fractions, or never return, and then up to
+        # 69 RuntimeWarnings before the error
         with pytest.raises(DomainError, match="float range"):
             stats.ray_thick_fraction_many(ModularTorus(), x, 50.0, 0.5, 0.1, 200, 1)
 
@@ -528,7 +529,7 @@ class TestTriangleProbes:
                 space.distance_to_segment(pts, space.singleton(a), space.singleton(z)).min()
                 for a in (x, y))
 
-    def test_memory_bounded_by_the_probe_block(self):
+    def test_sample_memory_bounded_by_the_triangle_ends(self):
         # 4000 triangles, each read at the two ends of its middle third: the
         # points and distances of all 8000 ends take well under 1 MB
         hyp = HyperbolicPlane()
@@ -541,7 +542,7 @@ class TestTriangleProbes:
         assert hits.all()
         assert peak < 3e6
 
-    def test_one_probe_memory_bounded_by_the_block(self):
+    def test_one_probe_memory_bounded_by_its_two_ends(self):
         # a probe reads the two ends of its interval, so its memory does not
         # grow with the interval's length
         sp = SupProduct([HyperbolicPlane(), HyperbolicPlane()])
