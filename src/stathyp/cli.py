@@ -71,21 +71,26 @@ _SECTION_KEYS = {
     "body": ("kind", *dict.fromkeys(key for rec in _BODY_RECORDS.values() for key in rec))}
 
 # "positive" names the parameters that must be finite and > 0; any other
-# value is a ConfigError before the experiment starts
+# value is a ConfigError before the experiment starts.  "sections" names the
+# sections a kind reads; a config with any other is a ConfigError.
+_READS_SPACE, _READS_BODY = ("experiment", "space"), ("experiment", "body")
 CATALOG = {
     "estimate-e": {
+        "sections": _READS_SPACE,
         "claim": "average normalized pair distance over spheres/annuli/balls: "
                  "4/pi on the round plane, approaching 2 on hyperbolic models",
         "parameters": {"r": 1.0, "k": 0.0, "n": 100000, "seed": 0},
         "positive": ("r", "n"),
     },
     "thick-stat": {
+        "sections": _READS_SPACE,
         "claim": "time fraction a geodesic ray spends in the thick part; "
                  "long rays match the thick-region area fraction",
         "parameters": {"r": 100.0, "n": 50, "eps": 0.5, "dt": 0.1, "seed": 0},
         "positive": ("r", "n", "eps", "dt"),
     },
     "p1": {
+        "sections": _READS_SPACE,
         "claim": "typical rays to the shell [r-k, r] keep their running "
                  "thickness fraction above theta from time sigma*l to their "
                  "length l",
@@ -94,6 +99,7 @@ CATALOG = {
         "positive": ("r", "n", "eps", "dt"),
     },
     "separation": {
+        "sections": _READS_SPACE,
         "claim": "probability that two random rays are still M0-close at time "
                  "t = sigma*r; decays exponentially on hyperbolic models, "
                  "polynomially on flat ones",
@@ -101,6 +107,7 @@ CATALOG = {
         "positive": ("r", "n", "M0"),
     },
     "thin-triangle": {
+        "sections": _READS_SPACE,
         "claim": "the middle of one side of a long random triangle comes "
                  "within C of the other two sides when the space is "
                  "hyperbolic-like",
@@ -108,16 +115,19 @@ CATALOG = {
         "positive": ("r", "n", "C", "ds"),
     },
     "mahler": {
+        "sections": _READS_BODY,
         "claim": "product of the volumes of a symmetric convex body and its "
                  "polar lies between the cube-lower and ball-upper bounds",
         "parameters": {"n": 200000, "seed": 0},
     },
     "densities": {
+        "sections": _READS_BODY,
         "claim": "ratio of the inverse-volume and polar-volume densities of "
                  "a norm lies in [1, n^(n/2)]",
         "parameters": {"n": 200000, "seed": 0},
     },
     "coarse-check": {
+        "sections": ("experiment",),
         "claim": "horoball distance and its log-max proxy are 6-bilipschitz "
                  "above the threshold floor, thresholded sums chain "
                  "accordingly, and the max/sum log identity has factor 3",
@@ -126,6 +136,7 @@ CATALOG = {
         "positive": ("n", "M0"),
     },
     "discretize": {
+        "sections": _READS_SPACE,
         "claim": "snapping marks spaced tau-2c to a c-separated, 2c-dense net "
                  "yields paths with steps at most tau and marks within 2c; "
                  "checks the net builder in arc length, the same on every model",
@@ -144,7 +155,7 @@ def list_experiments() -> dict:
             "parameters": dict(entry["parameters"]),
             "space_defaults": dict(_SPACE_DEFAULTS),
         }
-        if kind in ("mahler", "densities"):
+        if "body" in entry["sections"]:
             out[kind]["body_defaults"] = dict(_BODY_DEFAULTS)
     return out
 
@@ -176,6 +187,11 @@ def parse_config(text: str) -> dict:
     kind = cfg["experiment"]["kind"]
     if kind not in CATALOG:
         raise ConfigError(f"unknown experiment kind {kind!r}; see `stathyp list`")
+    reads = CATALOG[kind]["sections"]
+    for section in cfg:
+        if section not in reads:
+            raise ConfigError(f"kind {kind!r} does not read a [{section}] section; it reads "
+                              + " and ".join(f"[{s}]" for s in reads))
     return cfg
 
 
@@ -391,8 +407,9 @@ def _run_thin_triangle(cfg, pr, rep):
 def _run_mahler(cfg, pr, rep):
     body, method = _body(cfg)
     report = convex.mahler(body, method, pr["n"], pr["seed"])
+    lo, hi = report.checked
     rep.check("Mahler volume within bounds", report.ok,
-              f"{report.lower_bound:.6f} <= {report.value:.6f} <= {report.upper_bound:.6f}")
+              f"{lo:.6f} <= {report.value:.6f} <= {hi:.6f}")
     return (body.describe(), report.value, report.std_error, ("lower", report.lower_bound),
             ("upper", report.upper_bound),
             f"value={report.value!r} std_error={report.std_error!r}")

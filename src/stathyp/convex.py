@@ -266,7 +266,12 @@ class MahlerReport:
     std_error: float
     lower_bound: float
     upper_bound: float
-    ok: bool  # no bound violated beyond three combined standard errors
+    #: the bounds widened by three combined standard errors, the interval checked
+    checked: tuple[float, float]
+
+    @property
+    def ok(self) -> bool:
+        return self.checked[0] <= self.value <= self.checked[1]
 
 
 def mahler(body: ConvexBody, method: str = "exact", n: int = 200_000,
@@ -290,7 +295,7 @@ def mahler(body: ConvexBody, method: str = "exact", n: int = 200_000,
         std_error=se,
         lower_bound=lower,
         upper_bound=upper,
-        ok=lower - 3.0 * se - _SYM_TOL <= value <= upper + 3.0 * se + _SYM_TOL,
+        checked=(lower - 3.0 * se - _SYM_TOL, upper + 3.0 * se + _SYM_TOL),
     )
 
 

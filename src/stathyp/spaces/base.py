@@ -3,7 +3,7 @@
 A concrete model implements only its own geometry: its points, the metric,
 batch distances, rays from a point and batch geodesics.  :class:`ModelSpace`
 writes the shared parts once: the batch plumbing; scalar geodesics read off
-``geodesic_points``; one shell sampler,
+the row-wise ``geodesic_points``; one shell sampler,
 ``sample_shell`` (``k = 0`` sphere, ``0 < k < r`` annulus, ``k = r`` ball);
 the pair-distance kernel ``ray_pair_distances`` of the estimators that sample
 from one basepoint, by default ``distance_many`` of the two bundles' points,
@@ -35,7 +35,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..errors import ParameterError, UnsupportedMethodError
+from ..errors import DomainError, ParameterError, UnsupportedMethodError
 from ..rng import chunked
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -102,7 +102,7 @@ class ModelSpace(ABC):
 
     def geodesic_point(self, u, v, t: float):
         """Time-``t`` point of the unit-speed ray from ``u`` through ``v``."""
-        return self.batch_get(self.geodesic_points(u, v, [t]), 0)
+        return self.batch_get(self.geodesic_points(self.singleton(u), self.singleton(v), [t]), 0)
 
     @abstractmethod
     def basepoint(self):
@@ -198,8 +198,25 @@ class ModelSpace(ABC):
         """Batch holding the single point ``p``."""
 
     @abstractmethod
-    def geodesic_points(self, u, v, ts: np.ndarray):
-        """Batch of points of the ray from ``u`` through ``v`` at times ``ts >= 0``."""
+    def geodesic_points(self, U, V, T):
+        """Row ``j``: the point at time ``T[j] >= 0`` of the unit-speed ray
+        from ``U_j`` through ``V_j``, with ``U`` and ``V`` as in
+        ``segment_profile``."""
+
+    @staticmethod
+    def _ray_rows(d, T):
+        """``(d, T)`` for the continuous models' ``geodesic_points``: the
+        times as floats, refused where negative, and the rows' lengths ``d``
+        (or any array that is 0 exactly where U_j = V_j).  Such a row is
+        ``U_j`` at time 0 and a DomainError later; its length reads 1."""
+        T = np.asarray(T, dtype=np.float64)
+        if (T < 0).any():
+            raise ParameterError("ray times must be nonnegative")
+        if not d.all():
+            if ((d == 0.0) & (T > 0.0)).any():
+                raise DomainError("degenerate ray: endpoints coincide")
+            d = np.where(d > 0.0, d, 1.0)
+        return d, T
 
     # -- thickness ----------------------------------------------------------
 

@@ -101,15 +101,10 @@ class EuclideanSpace(ModelSpace):
     def distance(self, u, v) -> float:
         return float(_pnorm(self._point(u) - self._point(v), self.p))
 
-    def geodesic_points(self, u, v, ts: np.ndarray) -> np.ndarray:
-        u, v = self._point(u), self._point(v)
-        d = float(_pnorm(v - u, self.p))
-        if d == 0.0:
-            raise DomainError("degenerate ray: endpoints coincide")
-        ts = np.asarray(ts, dtype=np.float64)
-        if np.any(ts < 0):
-            raise ParameterError("ray times must be nonnegative")
-        return u + (ts[:, None] / d) * (v - u)
+    def geodesic_points(self, U, V, T) -> np.ndarray:
+        W = V - U
+        d, T = self._ray_rows(_pnorm(W, self.p), T)
+        return U + (T / d)[:, None] * W
 
     def segment_profile(self, P, U, V):
         """The norm of ``P_j`` minus the point at time ``s`` of the straight

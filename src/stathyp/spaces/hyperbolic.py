@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from ..errors import DomainError, ParameterError
+from ..errors import DomainError
 from .base import ModelSpace, RayBundle
 
 _VERTICAL_RTOL = 1e-13
@@ -152,37 +152,25 @@ class HyperbolicPlane(ModelSpace):
             m = (nv * nv - nu * nu) / (2.0 * (vr - ur))
             rad = np.hypot(ur - m, ui)
             fa, fb = m - rad, m + rad  # ideal feet, fa < fb
-        # det = fb - fa > 0; sends the geodesic to the axis.  ``[()]`` turns
-        # where's 0-d results back into scalars, so that a one-segment caller
-        # such as ``geodesic_points`` stays on scalar arithmetic
-        g = (1.0, np.where(vertical, -ur, -fb)[()], np.where(vertical, 0.0, 1.0)[()],
-             np.where(vertical, 1.0, -fa)[()])
+        # det = fb - fa > 0; sends the geodesic to the axis
+        g = (1.0, np.where(vertical, -ur, -fb), np.where(vertical, 0.0, 1.0),
+             np.where(vertical, 1.0, -fa))
         _, hu = mobius_apply(*g, ur, ui)
         _, hv = mobius_apply(*g, vr, vi)
         return g, hu, hv
 
-    def geodesic_points(self, u, v, ts: np.ndarray):
-        self.validate_point(u)
-        self.validate_point(v)
-        u, v = complex(u), complex(v)
-        if u == v:
-            raise DomainError("degenerate ray: endpoints coincide")
-        ts = np.asarray(ts, dtype=np.float64)
-        if np.any(ts < 0):
-            raise ParameterError("ray times must be nonnegative")
-        g, hu, hv = self._axis_map(np.complex128(u), np.complex128(v))
-        sgn = 1.0 if hv > hu else -1.0
-        a, b, c, d = g
+    def geodesic_points(self, U, V, T):
+        _, T = self._ray_rows(np.not_equal(U, V), T)
+        (a, b, c, d), hu, hv = self._axis_map(U, V)
         # adjugate: inverse up to the (positive) determinant, which Mobius
         # action ignores
-        ia, ib, ic, id_ = d, -b, -c, a
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            heights = hu * np.exp(sgn * ts)
-            x, y = mobius_apply(ia, ib, ic, id_, np.zeros_like(heights), heights)
-        out = _uhp_points(x, y, ts)
-        exact = ts == 0.0
-        if np.any(exact):
-            out = np.where(exact, complex(u), out)
+            heights = hu * np.exp(np.where(hv > hu, T, -T))
+            x, y = mobius_apply(d, -b, -c, a, np.zeros_like(heights), heights)
+        out = _uhp_points(x, y, T)
+        exact = T == 0.0
+        if exact.any():
+            out = np.where(exact, U, out)
         return out
 
     def segment_profile(self, P, U, V):

@@ -60,4 +60,5 @@ def build_net(space: ModelSpace, u, v, c: float) -> Net:
     for t in _time_grid(0.0, d, c / 2.0).tolist():
         if t - kept[-1] >= c - _GRID_TOL:
             kept.append(t)
-    return Net(space.geodesic_points(u, v, np.array(kept)), float(c))
+    return Net(space.geodesic_points(space.singleton(u), space.singleton(v), np.array(kept)),
+               float(c))

@@ -78,21 +78,13 @@ class SupProduct(ModelSpace):
         self.validate_point(v)
         return max(c.distance(ui, vi) for c, ui, vi in zip(self.components, u, v))
 
-    def geodesic_points(self, u, v, ts: np.ndarray) -> tuple:
-        self.validate_point(u)
-        self.validate_point(v)
-        dists = [c.distance(ui, vi) for c, ui, vi in zip(self.components, u, v)]
-        total = max(dists)
-        if total == 0.0:
-            raise DomainError("degenerate ray: endpoints coincide")
-        ts = np.asarray(ts, dtype=np.float64)
-        out = []
-        for comp, ui, vi, di in zip(self.components, u, v, dists):
-            if di == 0.0:
-                out.append(comp.batch_take(comp.singleton(ui), np.zeros(len(ts), dtype=int)))
-            else:
-                out.append(comp.geodesic_points(ui, vi, ts * (di / total)))
-        return tuple(out)
+    def geodesic_points(self, U, V, T) -> tuple:
+        """Factor ``j`` runs its own geodesic to the times ``T * d_j / d``; a
+        factor whose ends coincide gets time 0 and stays at its start."""
+        per = [c.distance_many(uj, vj) for c, uj, vj in zip(self.components, U, V)]
+        d, T = self._ray_rows(functools.reduce(np.maximum, per), T)
+        return tuple(c.geodesic_points(uj, vj, T * (dj / d))
+                     for c, uj, vj, dj in zip(self.components, U, V, per))
 
     # -- batches: tuples of component batches --------------------------------
 

@@ -30,11 +30,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import DomainError, ParameterError
+from ..errors import DomainError, ParameterError, UnsupportedMethodError
 from .base import ModelSpace, RayBundle
 
 _PAD = -1
 _A = ord("a")
+# the most walk steps, count x steps, that one ``rays_chunk`` draws: its
+# uniforms, its moves and the label rows of ``points_at`` grow with them; a
+# tree estimate-e at the cap (r = 128, n = 65536) peaks near 200 MB
+_MAX_WALK_STEPS = 1 << 23
 
 
 class TreeBatch(NamedTuple):
@@ -151,16 +155,19 @@ class RegularTree(ModelSpace):
             raise DomainError(f"tree geodesic times must be integers, got {t}")
         return j
 
-    def geodesic_points(self, u, v, ts: np.ndarray) -> TreeBatch:
+    def geodesic_points(self, U: TreeBatch, V: TreeBatch, T) -> TreeBatch:
+        """The ray through the one pair of the one-row batches ``U`` and
+        ``V`` at the times ``T``; no caller walks a batch of pairs."""
+        if self.batch_size(U) != 1 or self.batch_size(V) != 1:
+            raise UnsupportedMethodError("tree geodesics take one-row batches, one pair of points")
         # the ray climbs ``up`` edges from u to the common ancestor, then
         # descends along the labels ``down``, which run past v far enough to
         # reach the last time
-        self.validate_point(u)
-        self.validate_point(v)
+        u, v = self.batch_get(U, 0), self.batch_get(V, 0)
         if u == v:
             raise DomainError("degenerate ray: endpoints coincide")
         js = []
-        for t in np.asarray(ts, dtype=np.float64).ravel():
+        for t in np.asarray(T, dtype=np.float64).ravel():
             if t < 0:
                 raise ParameterError(f"ray time must be nonnegative, got {t}")
             js.append(self._as_step(t))
@@ -217,6 +224,10 @@ class RegularTree(ModelSpace):
     def rays_chunk(self, x, count, rng, horizon) -> TreeRays:
         self.validate_point(x)
         steps = self._as_step(horizon) if abs(horizon - round(horizon)) <= 1e-9 else int(math.ceil(horizon))
+        if count * steps > _MAX_WALK_STEPS:
+            raise ParameterError(f"{count} tree walks to radius {float(horizon)!r} take "
+                                 f"{count * steps} steps, above the cap of {_MAX_WALK_STEPS}; "
+                                 "lower r or n")
         # uniform non-backtracking walk: q choices at the first step, q-1 after,
         # which is the uniform (counting) measure on every sphere
         u = rng.uniform(size=(count, max(steps, 1)))

@@ -363,8 +363,8 @@ def thin_triangle_probe(space: ModelSpace, x, y, z, interval,
         raise ParameterError(f"interval ({s1}, {s2}) must sit inside [0, {d_xy}]")
     if space.distance(x, z) == 0.0 or space.distance(y, z) == 0.0:
         raise DomainError("degenerate triangle side through z")
-    best = float(_side_minima(space, x, space.singleton(y), space.singleton(z),
-                              [s1], [min(s2, d_xy)])[0])
+    best = float(_side_minima(space, space.singleton(x), space.singleton(y),
+                              space.singleton(z), [s1], [min(s2, d_xy)])[0])
     return best <= c, best
 
 
@@ -404,9 +404,10 @@ def _sample_triangles(space: ModelSpace, x, r: float, n: int, seed: int):
                       f"in {_TRIANGLE_ROUNDS} rounds")
 
 
-def _side_minima(space: ModelSpace, x, Y, Z, lo, hi) -> np.ndarray:
+def _side_minima(space: ModelSpace, X, Y, Z, lo, hi) -> np.ndarray:
     """Least distance from the stretch [lo_j, hi_j] of the side [x, Y_j] to
-    the other two sides [x, Z_j] and [Y_j, Z_j] of each triangle.
+    the other two sides [x, Z_j] and [Y_j, Z_j] of each triangle, where
+    ``X`` is the one-row batch of ``x``.
 
     Along [x, y] the distance to [x, z] is convex and 0 at x, so it never
     falls, and the distance to [y, z] is convex and 0 at y, so it never
@@ -414,12 +415,8 @@ def _side_minima(space: ModelSpace, x, Y, Z, lo, hi) -> np.ndarray:
     and normed spaces (Bridson-Haefliger, Prop. II.2.5), and in their
     sup-products factor by factor.  So the least distance is the smaller of
     d(lo_j, [x, Z_j]) and d(hi_j, [Y_j, Z_j])."""
-    # rows 2j and 2j + 1 are the ends lo_j and hi_j
-    ends = space.batch_concat([space.geodesic_points(x, space.batch_get(Y, j), np.array([a, b]))
-                               for j, (a, b) in enumerate(zip(lo, hi))])
-    lo_ends, hi_ends = (space.batch_take(ends, slice(i, None, 2)) for i in (0, 1))
-    return np.minimum(space.distance_to_segment(lo_ends, space.singleton(x), Z),
-                      space.distance_to_segment(hi_ends, Y, Z))
+    return np.minimum(space.distance_to_segment(space.geodesic_points(X, Y, lo), X, Z),
+                      space.distance_to_segment(space.geodesic_points(X, Y, hi), Y, Z))
 
 
 def thin_triangle_sample(space: ModelSpace, x, r: float, n: int, c: float,
@@ -432,8 +429,9 @@ def thin_triangle_sample(space: ModelSpace, x, r: float, n: int, c: float,
     if n < 1:
         raise ParameterError(f"need at least one triangle, got {n}")
     Y, Z = _sample_triangles(space, x, r, n, seed)
-    d_xy = space.distance_many(space.singleton(x), Y)
-    minima = _side_minima(space, x, Y, Z, d_xy / 3.0, 2.0 * d_xy / 3.0)
+    X = space.singleton(x)
+    d_xy = space.distance_many(X, Y)
+    minima = _side_minima(space, X, Y, Z, d_xy / 3.0, 2.0 * d_xy / 3.0)
     return minima <= c, minima
 
 
@@ -454,7 +452,7 @@ def discretize_geodesic(space: ModelSpace, net: Net, tau: float, segment: tuple)
     if tau <= 4.0 * c:
         raise ParameterError(f"need tau > 4c, got tau={tau}, c={c}")
     times = _time_grid(0.0, space.distance(x, y), tau - 2.0 * c)
-    marks = space.geodesic_points(x, y, times)
+    marks = space.geodesic_points(space.singleton(x), space.singleton(y), times)
     idx, dist = net.nearest(space, marks)
     far = dist > 2.0 * c + _GRID_TOL
     if far.any():

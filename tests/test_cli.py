@@ -8,8 +8,8 @@ import math
 
 import pytest
 
-from stathyp import cli, convex
-from stathyp.spaces import EuclideanSpace, HyperbolicPlane, RegularTree, space_class
+from stathyp import cli, convex, stats
+from stathyp.spaces import EuclideanSpace, HyperbolicPlane, Net, RegularTree, space_class
 
 ESTIMATE_CFG = """\
 [space]
@@ -191,6 +191,20 @@ class TestOtherExperiments:
         row = list(csv.reader(io.StringIO((tmp_path / "m.csv").read_text())))[1]
         assert float(row[6]) == pytest.approx(8.0, abs=1e-9)
 
+    def test_mahler_line_prints_the_checked_interval(self, tmp_path, capsys):
+        # a Monte Carlo run is checked against the bounds widened by three
+        # standard errors; the line shows that interval, the CSV the bounds
+        text = "[body]\nkind = lp\ndim = 3\np = 3\nmethod = monte-carlo\n" + MAHLER_TINY
+        cfg_path = write(tmp_path, "m.ini", text)
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        report = convex.mahler(convex.LpBall(3, 3.0), "monte-carlo", 100, 0)
+        lo, hi = report.checked
+        assert lo < report.lower_bound and hi > report.upper_bound
+        assert (f"PASS: Mahler volume within bounds ({lo:.6f} <= {report.value:.6f} "
+                f"<= {hi:.6f})") in capsys.readouterr().out
+        row = list(csv.reader(io.StringIO((tmp_path / "m.csv").read_text())))[1]
+        assert row[8:12] == ["lower", repr(report.lower_bound), "upper", repr(report.upper_bound)]
+
     def test_densities_config(self, tmp_path):
         text = "[body]\nkind = lp\ndim = 2\np = inf\n\n[experiment]\nkind = densities\n"
         cfg_path = write(tmp_path, "d.ini", text)
@@ -304,6 +318,26 @@ class TestOtherExperiments:
             outs.append(((out_dir / "again.csv").read_bytes(),
                          (out_dir / "again.summary.txt").read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_discretize_check_can_fail(self, tmp_path, capsys, monkeypatch):
+        # a net holding only the segment's start covers no mark past 2c
+        monkeypatch.setattr(stats, "build_net", lambda space, u, v, c: Net(space.singleton(u), c))
+        text = "[space]\nkind = hyperbolic\n\n[experiment]\nkind = discretize\nn = 5\n"
+        cfg_path = write(tmp_path, "d.ini", text)
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL: step-tau and 2c-proximity invariants (5 violations over 5 runs)" in out
+        assert "violations=5 path_points=0" in out
+
+    def test_tree_walks_past_the_cap_exit_2(self, tmp_path, capsys):
+        # refused before the walks are drawn
+        text = "[space]\nkind = tree\n\n[experiment]\nkind = estimate-e\nr = 1e7\nn = 50\n"
+        cfg_path = write(tmp_path, "far.ini", text)
+        assert cli.main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: parameter error in estimate-e: 50 tree walks to radius")
+        assert "above the cap of" in err and err.count("\n") == 1
+        assert not (tmp_path / "far.csv").exists()
 
     @pytest.mark.parametrize("kind", ["thin-triangle", "discretize"])
     def test_tree_refused_before_sampling(self, tmp_path, capsys, monkeypatch, kind):

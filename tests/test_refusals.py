@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stathyp import cli, coarse, convex, stats
-from stathyp.errors import DomainError, ParameterError
+from stathyp.errors import DomainError, ParameterError, UnsupportedMethodError
 from stathyp.rng import substream
 from stathyp.spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus, RegularTree,
                             SupProduct, build_net, thin_area_fraction)
@@ -21,6 +21,20 @@ REFUSALS = {
         lambda: cli.run_config(cli.parse_config(
             "[body]\nkind = cone\n[experiment]\nkind = mahler\n")),
         cli.ConfigError, "unknown body kind 'cone'"),
+    # a section the kind never reads: each used to be ignored, with a PASS
+    "cli-mahler-reads-no-space": (
+        lambda: cli.parse_config("[space]\nkind = minkowski\n[experiment]\nkind = mahler\n"),
+        cli.ConfigError, "kind 'mahler' does not read a \\[space\\] section; "
+                         "it reads \\[experiment\\] and \\[body\\]"),
+    "cli-densities-reads-no-space": (
+        lambda: cli.parse_config(
+            "[space]\nkind = hyperbolic\ndim = 3\n[experiment]\nkind = densities\n"),
+        cli.ConfigError, "kind 'densities' does not read a \\[space\\] section"),
+    "cli-estimate-reads-no-body": (
+        lambda: cli.parse_config(
+            "[body]\nkind = lp\naxes = 1, 2\n[experiment]\nkind = estimate-e\n"),
+        cli.ConfigError, "kind 'estimate-e' does not read a \\[body\\] section; "
+                         "it reads \\[experiment\\] and \\[space\\]"),
     "coarse-negative-twist": (
         lambda: coarse.twist_only_distance(np.array([1.0, -2.0])),
         DomainError, "twist must be nonnegative, got -2.0"),
@@ -169,7 +183,7 @@ REFUSALS = {
         lambda: TREE.validate_point(3),
         DomainError, "address strings, got int"),
     "tree-degenerate-ray": (
-        lambda: TREE.geodesic_points("a", "a", np.array([0.0])),
+        lambda: TREE.geodesic_points(TREE.singleton("a"), TREE.singleton("a"), np.array([0.0])),
         DomainError, "endpoints coincide"),
     "tree-sphere-radius": (
         lambda: TREE.sample_radii(substream(0, 0), 3, 0.0, 0.0),
@@ -180,6 +194,15 @@ REFUSALS = {
     "tree-sphere-enumeration": (
         lambda: TREE.sphere("", -1),
         ParameterError, "radius must be nonnegative"),
+    # refused before the (50, 10^7) draw is made
+    "tree-walk-cap": (
+        lambda: TREE.rays_chunk("", 50, substream(0, 0), horizon=1e7),
+        ParameterError, "50 tree walks to radius 10000000.0 take 500000000 steps, "
+                        "above the cap of 8388608"),
+    "tree-geodesic-two-rows": (
+        lambda: TREE.geodesic_points(TREE.batch_concat([TREE.singleton("a"), TREE.singleton("b")]),
+                                     TREE.singleton("c"), np.array([1.0, 2.0])),
+        UnsupportedMethodError, "one-row batches"),
 }
 
 

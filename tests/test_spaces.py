@@ -41,6 +41,13 @@ def same_point(p, q):
     return np.array_equal(p, q)
 
 
+def leaf_bytes(batch) -> list[bytes]:
+    """The bytes of every leaf array of a batch, to compare batches bit for bit."""
+    if isinstance(batch, tuple):
+        return [b for leaf in batch for b in leaf_bytes(leaf)]
+    return [np.ascontiguousarray(batch).tobytes()]
+
+
 def random_points(space, n, seed):
     rng = np.random.default_rng(seed)
     kind = space.kind
@@ -106,7 +113,7 @@ def test_negative_ray_time_rejected(space):
     pts = random_points(space, 20, seed=31)
     u, v = next((u, v) for u, v in zip(pts[::2], pts[1::2]) if space.distance(u, v) > 0)
     with pytest.raises(ParameterError):
-        space.geodesic_points(u, v, [-1.0])
+        space.geodesic_points(space.singleton(u), space.singleton(v), [-1.0])
     with pytest.raises(ParameterError):
         space.geodesic_point(u, v, -1.0)
 
@@ -140,6 +147,37 @@ class TestGeodesics:
         u = space.basepoint()
         with pytest.raises(DomainError):
             space.geodesic_point(u, u, 1.0)
+
+    def test_rows_match_one_row_calls(self, space):
+        # row j of a many-row call is the one-row call on (U_j, V_j, T_j),
+        # bit for bit, and one shared row broadcasts over every time
+        pts = random_points(space, 24, seed=37)
+        U, V = as_batch(space, pts[::2]), as_batch(space, pts[1::2])
+        T = np.random.default_rng(6).uniform(0.0, 8.0, size=12)
+        T[3] = 0.0
+        rows = space.geodesic_points(U, V, T)
+        shared = space.geodesic_points(space.singleton(pts[0]), space.singleton(pts[1]), T)
+        for j in range(12):
+            one = space.geodesic_points(space.batch_take(U, [j]), space.batch_take(V, [j]),
+                                        T[j:j + 1])
+            assert leaf_bytes(space.batch_take(rows, [j])) == leaf_bytes(one)
+            one = space.geodesic_points(space.singleton(pts[0]), space.singleton(pts[1]),
+                                        T[j:j + 1])
+            assert leaf_bytes(space.batch_take(shared, [j])) == leaf_bytes(one)
+
+    def test_time_zero_is_the_start(self, space):
+        pts = random_points(space, 16, seed=41)
+        U, V = as_batch(space, pts[::2]), as_batch(space, pts[1::2][:-1] + pts[-2:-1])
+        # the last row's ends coincide; at time 0 it too is its start
+        assert leaf_bytes(space.geodesic_points(U, V, np.zeros(8))) == leaf_bytes(U)
+
+    def test_a_row_whose_ends_coincide_raises_past_time_0(self, space):
+        pts = random_points(space, 6, seed=43)
+        U, V = as_batch(space, pts[:3]), as_batch(space, [pts[3], pts[1], pts[5]])
+        with pytest.raises(DomainError, match="endpoints coincide"):
+            space.geodesic_points(U, V, np.array([1.0, 1e-300, 1.0]))
+        moved = space.geodesic_points(U, V, np.array([1.0, 0.0, 1.0]))
+        assert leaf_bytes(space.batch_take(moved, [1])) == leaf_bytes(space.singleton(pts[1]))
 
 
 class TestHyperbolic:
@@ -661,7 +699,7 @@ class TestTreeBatches:
         for u, v in zip(pts[::2], pts[1::2]):
             if u == v:
                 continue
-            batch = tree.geodesic_points(u, v, ts)
+            batch = tree.geodesic_points(tree.singleton(u), tree.singleton(v), ts)
             got = [tree.batch_get(batch, i) for i in range(len(ts))]
             assert got == [tree.geodesic_point(u, v, t) for t in ts]
             assert [tree.distance(u, p) for p in got] == ts.tolist()
@@ -1008,6 +1046,12 @@ class TestSupProduct:
         hyp, plane = sp.geodesic_points(u, v, np.array([0.0, 2.5, 5.0]))
         assert hyp.tolist() == [2j, 2j, 2j]
         assert plane.tolist() == [[0.0, 0.0], [1.5, 2.0], [3.0, 4.0]]
+        # two rows, only the first with a stuck factor: the second runs its
+        # hyperbolic factor, of length log 2, at speed log(2) / 5
+        U = as_batch(sp, [u, (1j, np.zeros(2))])
+        hyp, plane = sp.geodesic_points(U, sp.singleton(v), np.array([2.5, 2.5]))
+        assert hyp[0] == 2j and hyp[1] == pytest.approx(math.sqrt(2.0) * 1j)
+        assert plane.tolist() == [[1.5, 2.0], [1.5, 2.0]]
 
 
 SEGMENT_SPACES = [

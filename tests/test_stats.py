@@ -591,6 +591,13 @@ class TestDiscretizer:
             assert a.tobytes() == b[:3].tobytes()
         assert not many[0].any() and np.all(many[1] >= 2)
 
+    def test_sample_reports_an_uncovered_segment(self, monkeypatch):
+        # a net holding only the segment's start leaves every mark past 2c
+        # uncovered: each segment fails, with no path points
+        monkeypatch.setattr(stats, "build_net", lambda space, u, v, c: Net(space.singleton(u), c))
+        failed, points = stats.discretize_sample(10.0, 6, 3.0, 0.5, seed=0)
+        assert failed.all() and not points.any()
+
     def test_sample_past_the_cartesian_horizon(self):
         failed, points = stats.discretize_sample(1000.0, 20, 3.0, 0.5, seed=0)
         # lengths of at least r/2, marks spaced tau - 2c
