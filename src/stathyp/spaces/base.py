@@ -5,14 +5,14 @@ batch distances, rays from a point and batch geodesics.  :class:`ModelSpace`
 writes the shared parts once: the batch plumbing; scalar geodesics read off
 the row-wise ``geodesic_points``; one shell sampler,
 ``sample_shell`` (``k = 0`` sphere, ``0 < k < r`` annulus, ``k = r`` ball);
-the pair-distance kernel ``ray_pair_distances`` of the estimators that sample
-from one basepoint, by default ``distance_many`` of the two bundles' points,
-which only the tree keeps; the exact distance from each point of a batch to
-its own geodesic segment, ``distance_to_segment``, read off the
-``segment_profile`` that each continuous model supplies: the profile at its
-foot clamped to the segment, or a golden-section search where no foot is
-known; and the thickness interface (``thick_many``, ``ray_walker``), which
-says "always thick" unless a model has a thin part.
+the exact distance from each point of a batch to its own geodesic segment,
+``distance_to_segment``, read off the ``segment_profile`` that each
+continuous model supplies: the profile at its foot clamped to the segment,
+or a golden-section search where no foot is known; and the thickness
+interface (``thick_many``, ``ray_walker``), which says "always thick" unless
+a model has a thin part.  The pair-distance kernel ``ray_pair_distances`` of
+the estimators that sample from one basepoint is declared here and written
+by each model, without forming the two bundles' points.
 
 A batch of ``n`` points is an array with ``n`` rows or a tuple of batches
 of ``n`` rows each (a :class:`~stathyp.spaces.tree.TreeBatch`, the factors of
@@ -138,12 +138,14 @@ class ModelSpace(ABC):
     def cross_distance(self, U, V) -> np.ndarray:
         """Full (len(U), len(V)) distance matrix."""
 
+    @abstractmethod
     def ray_pair_distances(self, by: RayBundle, ty, bz: RayBundle, tz) -> np.ndarray:
         """Row-wise distances d(by_j(ty_j), bz_j(tz_j)) between the rays of two
         bundles from one basepoint; each time is a scalar or one per ray.
+        They are ``distance_many(by.points_at(ty), bz.points_at(tz))`` up to
+        rounding, found without forming those points.
         The result is a new array the caller may change: kernels may work in
         place only on arrays they allocate, never on the bundles or the times."""
-        return self.distance_many(by.points_at(ty), bz.points_at(tz))
 
     def segment_profile(self, P, U, V):
         """``(d, f, s0)``: the lengths ``d_j = d(U_j, V_j)``, the profile

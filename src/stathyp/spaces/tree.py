@@ -15,11 +15,13 @@ longest common prefix off the first column where two rows differ or one of
 them ends.
 
 Rays are uniform non-backtracking walks, so sphere samples are uniform over
-the sphere's points.  Distances are integers; geodesics exist only through
-vertices, so geodesic times and sphere radii must be integers (to 1e-9), and
-shell samples draw integer radii.  Rays that need to continue past their
-defining endpoint extend by the alphabetically smallest non-backtracking
-label, a fixed canonical choice.
+the sphere's points.  The estimators' pair kernel ``ray_pair_distances``
+reads where two walks part off their moves and forms no label row.
+Distances are integers; geodesics exist only through vertices, so geodesic
+times and sphere radii must be integers (to 1e-9), and shell samples draw
+integer radii.  Rays that need to continue past their defining endpoint
+extend by the alphabetically smallest non-backtracking label, a fixed
+canonical choice.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from .base import ModelSpace, RayBundle
 _PAD = -1
 _A = ord("a")
 # the most walk steps, count x steps, that one ``rays_chunk`` draws: its
-# uniforms, its moves and the label rows of ``points_at`` grow with them; a
-# tree estimate-e at the cap (r = 128, n = 65536) peaks near 200 MB
+# uniforms (8 bytes a step) and its moves (1 byte) grow with them; tree
+# estimate-e and separation at the cap (r = 128, n = 65536) peak near 122 MB
+# RSS on x86-64 Linux with numpy 2.4
 _MAX_WALK_STEPS = 1 << 23
 
 
@@ -64,6 +67,10 @@ def _lcp_rows(a: np.ndarray, na: np.ndarray, b: np.ndarray, nb: np.ndarray) -> n
 
 def _encode(p: str) -> np.ndarray:
     return (np.frombuffer(p.encode("ascii"), dtype=np.uint8) - _A).astype(np.int8)
+
+
+def _decode(labels: np.ndarray) -> str:
+    return (labels.astype(np.uint8) + _A).tobytes().decode("ascii")
 
 
 def _walk_points(x: np.ndarray, up: np.ndarray, moves: np.ndarray, t: np.ndarray) -> TreeBatch:
@@ -101,7 +108,9 @@ class TreeRays(RayBundle):
     def size(self) -> int:
         return len(self.up)
 
-    def points_at(self, t) -> TreeBatch:
+    def steps(self, t) -> np.ndarray:
+        """The times ``t``, a scalar or one per ray, as int64 step counts, one
+        per ray; refused off the integers, below 0 or past the horizon."""
         ts = np.broadcast_to(np.asarray(t, dtype=np.float64), (self.size,))
         js = np.rint(ts)
         off_grid = ~(np.abs(ts - js) <= 1e-9)
@@ -113,7 +122,10 @@ class TreeRays(RayBundle):
             if js[i] < 0:
                 raise ParameterError(f"ray time must be nonnegative, got {ts[i]}")
             raise ParameterError(f"ray horizon {self.horizon} exceeded at time {int(js[i])}")
-        return _walk_points(self.x, self.up, self.moves, js.astype(np.int64))
+        return js.astype(np.int64)
+
+    def points_at(self, t) -> TreeBatch:
+        return _walk_points(self.x, self.up, self.moves, self.steps(t))
 
 
 class RegularTree(ModelSpace):
@@ -186,8 +198,7 @@ class RegularTree(ModelSpace):
     # -- batches: TreeBatch label arrays --------------------------------------
 
     def batch_get(self, batch: TreeBatch, i: int) -> str:
-        row = batch.labels[i, :batch.lengths[i]]
-        return (row.astype(np.uint8) + _A).tobytes().decode("ascii")
+        return _decode(batch.labels[i, :batch.lengths[i]])
 
     def batch_concat(self, batches: Sequence[TreeBatch]) -> TreeBatch:
         lengths = np.concatenate([b.lengths for b in batches])
@@ -212,6 +223,21 @@ class RegularTree(ModelSpace):
         nu, nv = U.lengths[:, None], V.lengths[None, :]
         k = _lcp_rows(U.labels[:, None, :], nu, V.labels[None, :, :], nv)
         return (nu + nv - 2 * k).astype(np.float64)
+
+    def ray_pair_distances(self, by: TreeRays, ty, bz: TreeRays, tz) -> np.ndarray:
+        """Walks from one start that make the same first ``k`` moves and
+        then differ are ``jy + jz - 2 min(k, jy, jz)`` apart at steps ``jy``
+        and ``jz``: the walks are geodesic rays, and they leave the vertex
+        where they part through different edges.  ``k`` is read off the
+        moves, so no label row is formed."""
+        if not np.array_equal(by.x, bz.x):
+            raise DomainError(f"ray pairs need one basepoint, got {_decode(by.x)!r} "
+                              f"and {_decode(bz.x)!r}")
+        jy, jz = by.steps(ty), bz.steps(tz)
+        lo = np.minimum(jy, jz)
+        w = int(lo.max(initial=0))
+        k = _lcp_rows(by.moves[:, :w], lo, bz.moves[:, :w], lo)
+        return (jy + jz - 2 * k).astype(np.float64)
 
     # -- sampling -----------------------------------------------------------
 
@@ -243,6 +269,21 @@ class RegularTree(ModelSpace):
             # climbed, then the children in label order without ``last`` and
             # ``came``
             parent = (up == s) & (up < len(xl))
+            if not parent.any() and (last < q).all():
+                # no walk climbs again, and none has just climbed (that one
+                # would still have a parent, or stand at the root with no
+                # last label), so every later step picks among the q - 1
+                # children other than the last label: the same picks, filled
+                # in place
+                rest, picks = u[:, s:], moves[:, s:]
+                rest *= q - 1
+                picks[...] = rest
+                np.minimum(picks, q - 2, out=picks)
+                prev = last
+                for col in picks.T:
+                    col += col >= prev
+                    prev = col
+                break
             n = parent + (q - (last < q) - (came < q))
             pick = np.minimum((u[:, s] * n).astype(np.int64), n - 1)
             rise = parent & (pick == 0)

@@ -13,6 +13,14 @@ from stathyp.spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus, Regul
 LINE, PLANE, TREE = EuclideanSpace(1), EuclideanSpace(2), RegularTree(3)
 H2, TORUS, ORIGIN = HyperbolicPlane(), ModularTorus(), np.zeros(2)
 
+
+def tree_pairs(ty, tz, z_start=""):
+    """The tree pair kernel on walks of horizon 4 from ``""`` and ``z_start``."""
+    by = TREE.rays_chunk("", 2, substream(0, 0), horizon=4)
+    bz = TREE.rays_chunk(z_start, 2, substream(0, 1), horizon=4)
+    return TREE.ray_pair_distances(by, ty, bz, tz)
+
+
 REFUSALS = {
     "cli-unparsable-ini": (
         lambda: cli.parse_config("kind = mahler\n"),
@@ -173,6 +181,18 @@ REFUSALS = {
     "tree-ray-negative-time": (
         lambda: TREE.rays_chunk("", 2, substream(0, 0), horizon=4).points_at(-1.0),
         ParameterError, "ray time must be nonnegative"),
+    "tree-pair-off-grid": (
+        lambda: tree_pairs(2.0, np.array([1.0, 1.5])),
+        DomainError, "tree rays are defined at integer times, got 1.5"),
+    "tree-pair-negative-time": (
+        lambda: tree_pairs(-1.0, 2.0),
+        ParameterError, "ray time must be nonnegative, got -1.0"),
+    "tree-pair-past-horizon": (
+        lambda: tree_pairs(2.0, 5.0),
+        ParameterError, "ray horizon 4 exceeded at time 5"),
+    "tree-pair-two-starts": (
+        lambda: tree_pairs(2.0, 2.0, z_start="a"),
+        DomainError, "ray pairs need one basepoint, got '' and 'a'"),
     "tree-valence-low": (
         lambda: RegularTree(2),
         ParameterError, "valence must be at least 3"),

@@ -13,7 +13,7 @@ from scipy import stats as sps
 from stathyp.errors import (DomainError, ParameterError,
                             UnsupportedMethodError)
 from stathyp.rng import CHUNK
-from stathyp.spaces.base import ModelSpace, RayBundle
+from stathyp.spaces.base import RayBundle
 from stathyp.spaces import (EuclideanSpace, HyperbolicPlane, ModularTorus,
                             Net, RegularTree, SupProduct, build_net,
                             make_space, space_class, thin_area_fraction)
@@ -715,6 +715,24 @@ class TestTreeBatches:
         with pytest.raises(ParameterError):
             bundle.points_at(np.array([1.0, 2.0, 6.0, 0.0]))
 
+    @pytest.mark.parametrize("q", [3, 4, 5])
+    @pytest.mark.parametrize("x", ["", "a", "abcab"])
+    def test_pair_kernel_matches_label_rows(self, q, x):
+        tree = RegularTree(q)
+        for horizon in range(1, 21):
+            rng = np.random.default_rng(2000 * q + horizon)
+            by, bz = (tree.rays_chunk(x, 64, rng, horizon=horizon) for _ in range(2))
+            ty, tz = rng.integers(0, horizon + 1, size=(2, 64)).astype(np.float64)
+            ty[:3], tz[:3] = (0, horizon, horizon), (horizon, 0, horizon)
+            # other walks, the same walks at other times, one scalar time
+            for t_y, other, t_z in ((ty, bz, tz), (ty, by, tz), (float(horizon), bz, tz)):
+                assert same_bits(tree.ray_pair_distances(by, t_y, other, t_z),
+                                 tree.distance_many(by.points_at(t_y), other.points_at(t_z)))
+            for t in (0.0, float(horizon // 2), float(horizon)):  # scalar times
+                assert same_bits(tree.ray_pair_distances(by, t, bz, t),
+                                 tree.distance_many(by.points_at(t), bz.points_at(t)))
+            assert np.all(tree.ray_pair_distances(by, ty, by, ty) == 0.0)
+
 
 BATCH_SPACES = [EuclideanSpace(2), HyperbolicPlane(), ModularTorus(), RegularTree(3),
                 SupProduct([HyperbolicPlane(), EuclideanSpace(2)])]
@@ -773,10 +791,10 @@ class TestRayPairDistances:
             for k in (0.0, 0.25 * r, r):  # sphere, annulus, ball
                 by, ty, bz, tz = ray_pair(space, x, 4000, r, k, seed=int(8 * r))
                 got = space.ray_pair_distances(by, ty, bz, tz)
-                ref = ModelSpace.ray_pair_distances(space, by, ty, bz, tz)
+                ref = space.distance_many(by.points_at(ty), bz.points_at(tz))
                 assert np.allclose(got, ref, rtol=1e-11, atol=0.0)
             got = space.ray_pair_distances(by, r, bz, r)  # scalar times
-            ref = ModelSpace.ray_pair_distances(space, by, r, bz, r)
+            ref = space.distance_many(by.points_at(r), bz.points_at(r))
             assert np.allclose(got, ref, rtol=1e-11, atol=0.0)
 
     def test_equal_rays_and_time_zero_are_exactly_zero(self, space):
@@ -863,7 +881,7 @@ def cartesian_pairs(space, by, ty, bz, tz):
                for j, (c, yj, zj) in enumerate(zip(space.components, by.bundles, bz.bundles))]
         return np.max(np.stack(per, axis=0), axis=0)
     if isinstance(space, EuclideanSpace):
-        return ModelSpace.ray_pair_distances(space, by, ty, bz, tz)
+        return space.distance_many(by.points_at(ty), bz.points_at(tz))
     return space.ray_pair_distances(by, ty, bz, tz)
 
 

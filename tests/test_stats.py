@@ -31,6 +31,45 @@ def tree_exact_spread(tree: RegularTree, r: int) -> float:
     return total / (len(sphere) ** 2 * r)
 
 
+def tree_formula_spread(q: int, r: int) -> float:
+    """Exact sphere spread of the q-regular tree: two walks from the root
+    share their first j steps with probability (1/q)(q - 1)^(1 - j)."""
+    return 2.0 - (2.0 / r) * sum((q - 1) ** (1 - j) / q for j in range(1, r + 1))
+
+
+class TestTreePairs:
+    """Tree spread and separation read where two walks part off their moves."""
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_formula_matches_enumeration(self, q):
+        for r in range(1, 6):
+            assert tree_formula_spread(q, r) == pytest.approx(
+                tree_exact_spread(RegularTree(q), r), rel=1e-12)
+
+    @pytest.mark.parametrize("q,r", [(3, 100), (4, 60)])
+    def test_spread_at_large_radius(self, q, r):
+        res = stats.estimate_spread(RegularTree(q), "", float(r), 0.0, 40_000, seed=0)
+        assert abs(res.mean - tree_formula_spread(q, r)) <= 4.0 * res.std_error
+
+    def test_memory_without_label_rows(self):
+        # with the label rows of points_at the peak was 31 MB
+        tracemalloc.start()
+        try:
+            stats.estimate_spread(RegularTree(3), "", 20.0, 0.0, 65536, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 22e6
+
+    def test_estimators_form_no_label_rows(self, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("label rows formed")
+        monkeypatch.setattr("stathyp.spaces.tree._walk_points", no_rows)
+        tree = RegularTree(3)
+        assert 0.0 <= stats.estimate_spread(tree, "ab", 8.0, 4.0, 2000, seed=1).mean <= 2.0
+        assert 0.0 <= stats.separation_fraction(tree, "ab", 8.0, 4.0, 2.0, 2000, seed=1) <= 1.0
+
+
 class TestEstimateSpread:
     def test_mean_in_range_and_determinism(self):
         eu = EuclideanSpace(2)
