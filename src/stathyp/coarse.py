@@ -53,7 +53,7 @@ def log_plus(a):
 
 def threshold(value, m0: float):
     """``value`` where it meets the threshold ``m0``, else 0; elementwise."""
-    if m0 <= 0:
+    if not m0 > 0:
         raise ParameterError(f"threshold m0 must be positive, got {m0}")
     return _scalar(np.where(np.asarray(value) >= m0, value, 0.0))
 
@@ -122,7 +122,7 @@ def max_log_identity(f, g, h, m0: float):
     (lhs, rhs, ok) where ok means each side is within a factor 3 of the other
     whenever either is positive.  Elementwise on equal-shape arrays.
     """
-    if m0 <= 1:
+    if not m0 > 1:
         raise ParameterError(f"m0 must exceed 1, got {m0}")
     v = np.stack([f, g, h])
     logs = log_plus(v)

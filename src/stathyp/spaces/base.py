@@ -14,9 +14,9 @@ a model has a thin part.  The pair-distance kernel ``ray_pair_distances`` of
 the estimators that sample from one basepoint is declared here and written
 by each model, without forming the two bundles' points.
 
-A batch of ``n`` points is an array with ``n`` rows or a tuple of batches
-of ``n`` rows each (a :class:`~stathyp.spaces.tree.TreeBatch`, the factors of
-a product).  ``batch_size``, ``batch_take`` (rows by index array or slice)
+A batch of ``n`` points is an array with ``n`` rows (a tree's padded label
+rows among them) or a tuple of batches of ``n`` rows each (the factors of a
+product).  ``batch_size``, ``batch_take`` (rows by index array or slice)
 and ``batch_concat`` are written here once, leaf by leaf; only the tree
 overrides ``batch_concat``, to pad label rows to one width.  A model supplies
 ``singleton`` and ``batch_get``, the conversions between one point and a batch.
@@ -47,8 +47,7 @@ def _leafwise(f: Callable[[list], np.ndarray], batches: Sequence[Any]):
     head = batches[0]
     if not isinstance(head, tuple):
         return f(batches)
-    parts = [_leafwise(f, [b[j] for b in batches]) for j in range(len(head))]
-    return head._make(parts) if hasattr(head, "_make") else tuple(parts)
+    return tuple(_leafwise(f, [b[j] for b in batches]) for j in range(len(head)))
 
 
 class RayBundle(ABC):
@@ -250,8 +249,8 @@ class ModelSpace(ABC):
         weight that gives balls of radius ``r`` mass growing like exp(h*r).
         """
         self.validate_point(x)
-        if r <= 0:
-            raise ParameterError(f"radius must be positive, got {r}")
+        if not 0 < r < math.inf:
+            raise ParameterError(f"radius must be positive and finite, got {r}")
         if not (0 <= k <= r):
             raise ParameterError(f"shell width must lie in [0, r], got k={k}, r={r}")
         if n < 1:

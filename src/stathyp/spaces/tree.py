@@ -8,27 +8,28 @@ labels.  Every vertex has exactly q neighbors: the parent (address minus the
 last letter) and its extensions by one non-repeating letter.
 
 The scalar interface (``distance``, ``geodesic_point``, ``validate_point``,
-``sphere``, ``batch_get``, ``singleton``) speaks address strings.  Batches are
-:class:`TreeBatch` arrays: one row of labels per address (0 for ``a``),
-padded with -1 past its length.  Distances, scalar ones included, read the
-longest common prefix off the first column where two rows differ or one of
-them ends.
+``sphere``, ``batch_get``, ``singleton``) speaks address strings.  A batch is
+one ``(n, W)`` int8 array: one row of labels per address (0 for ``a``),
+padded with -1, so an address's length is the number of labels before its
+first pad.  Distances, scalar ones included, read the longest common prefix
+off the first column where two rows differ or one of them ends.
 
 Rays are uniform non-backtracking walks, so sphere samples are uniform over
 the sphere's points.  The estimators' pair kernel ``ray_pair_distances``
 reads where two walks part off their moves and forms no label row.
-Distances are integers; geodesics exist only through vertices, so geodesic
-times and sphere radii must be integers (to 1e-9), and shell samples draw
-integer radii.  Rays that need to continue past their defining endpoint
-extend by the alphabetically smallest non-backtracking label, a fixed
-canonical choice.
+Distances are integers; geodesics exist only through vertices, so ray
+times, geodesic times and sphere radii follow one rule, ``_steps``:
+integers to 1e-9, finite and nonnegative.  Shell samples draw integer
+radii.  Rays that need to continue past their defining endpoint extend by
+the alphabetically smallest non-backtracking label, a fixed canonical
+choice.
 """
 
 from __future__ import annotations
 
 import math
 import string
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,11 +45,28 @@ _A = ord("a")
 _MAX_WALK_STEPS = 1 << 23
 
 
-class TreeBatch(NamedTuple):
-    """Addresses as label rows (0 for ``a``) padded with -1, and their lengths."""
+def _steps(t, horizon: float = math.inf) -> np.ndarray:
+    """The times ``t`` as int64 step counts of the same shape; refused off
+    the integers (by more than 1e-9) or not finite, below 0 or past
+    ``horizon``."""
+    ts = np.asarray(t, dtype=np.float64)
+    js = np.rint(ts)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is off the integers
+        off_grid = ~(np.abs(ts - js) <= 1e-9)
+    bad = off_grid | (js < 0) | (js > horizon)
+    if bad.any():
+        i = int(bad.argmax())
+        if off_grid.flat[i]:
+            raise DomainError(f"tree rays are defined at integer times, got {ts.flat[i]}")
+        if js.flat[i] < 0:
+            raise ParameterError(f"ray time must be nonnegative, got {ts.flat[i]}")
+        raise ParameterError(f"ray horizon {horizon} exceeded at time {int(js.flat[i])}")
+    return js.astype(np.int64)
 
-    labels: np.ndarray   # (n, W) int8
-    lengths: np.ndarray  # (n,) int64
+
+def _lengths(batch: np.ndarray) -> np.ndarray:
+    """Address lengths of the label rows of ``batch``: their labels before the pads."""
+    return np.count_nonzero(batch != _PAD, axis=-1)
 
 
 def _lcp_rows(a: np.ndarray, na: np.ndarray, b: np.ndarray, nb: np.ndarray) -> np.ndarray:
@@ -73,7 +91,7 @@ def _decode(labels: np.ndarray) -> str:
     return (labels.astype(np.uint8) + _A).tobytes().decode("ascii")
 
 
-def _walk_points(x: np.ndarray, up: np.ndarray, moves: np.ndarray, t: np.ndarray) -> TreeBatch:
+def _walk_points(x: np.ndarray, up: np.ndarray, moves: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Walk points at integer times ``t`` (see :class:`TreeRays`)."""
     climbed = np.minimum(t, up)
     base = len(x) - climbed
@@ -86,7 +104,7 @@ def _walk_points(x: np.ndarray, up: np.ndarray, moves: np.ndarray, t: np.ndarray
     idx = np.clip(col - base[:, None] + climbed[:, None], 0, moves.shape[1] - 1)
     labels = np.where(col < base[:, None], xrow, np.take_along_axis(moves, idx, axis=1))
     labels[col >= lengths[:, None]] = _PAD
-    return TreeBatch(labels, lengths)
+    return labels
 
 
 class TreeRays(RayBundle):
@@ -110,21 +128,10 @@ class TreeRays(RayBundle):
 
     def steps(self, t) -> np.ndarray:
         """The times ``t``, a scalar or one per ray, as int64 step counts, one
-        per ray; refused off the integers, below 0 or past the horizon."""
-        ts = np.broadcast_to(np.asarray(t, dtype=np.float64), (self.size,))
-        js = np.rint(ts)
-        off_grid = ~(np.abs(ts - js) <= 1e-9)
-        bad = off_grid | (js < 0) | (js > self.horizon)
-        if bad.any():
-            i = int(bad.argmax())
-            if off_grid[i]:
-                raise DomainError(f"tree rays are defined at integer times, got {ts[i]}")
-            if js[i] < 0:
-                raise ParameterError(f"ray time must be nonnegative, got {ts[i]}")
-            raise ParameterError(f"ray horizon {self.horizon} exceeded at time {int(js[i])}")
-        return js.astype(np.int64)
+        per ray, by the rule of ``_steps``."""
+        return _steps(np.broadcast_to(t, (self.size,)), self.horizon)
 
-    def points_at(self, t) -> TreeBatch:
+    def points_at(self, t) -> np.ndarray:
         return _walk_points(self.x, self.up, self.moves, self.steps(t))
 
 
@@ -161,13 +168,7 @@ class RegularTree(ModelSpace):
     def distance(self, u, v) -> float:
         return float(self.distance_many(self.singleton(u), self.singleton(v))[0])
 
-    def _as_step(self, t: float) -> int:
-        j = int(round(t))
-        if abs(t - j) > 1e-9:
-            raise DomainError(f"tree geodesic times must be integers, got {t}")
-        return j
-
-    def geodesic_points(self, U: TreeBatch, V: TreeBatch, T) -> TreeBatch:
+    def geodesic_points(self, U: np.ndarray, V: np.ndarray, T) -> np.ndarray:
         """The ray through the one pair of the one-row batches ``U`` and
         ``V`` at the times ``T``; no caller walks a batch of pairs."""
         if self.batch_size(U) != 1 or self.batch_size(V) != 1:
@@ -178,50 +179,40 @@ class RegularTree(ModelSpace):
         u, v = self.batch_get(U, 0), self.batch_get(V, 0)
         if u == v:
             raise DomainError("degenerate ray: endpoints coincide")
-        js = []
-        for t in np.asarray(T, dtype=np.float64).ravel():
-            if t < 0:
-                raise ParameterError(f"ray time must be nonnegative, got {t}")
-            js.append(self._as_step(t))
-        k = int(_lcp_rows(_encode(u), len(u), _encode(v), len(v)))
+        js = _steps(np.ravel(T))
+        k = int(_lcp_rows(U[0], len(u), V[0], len(v)))
         up, down = len(u) - k, v[k:]
         # past v: the smallest label that neither repeats the last label nor
         # steps back into the child the ray has just climbed out of
         last, came = v[-1:], ("" if down else u[k])
-        while up + len(down) < max(js, default=0):
+        while up + len(down) < js.max(initial=0):
             last = next(ch for ch in self.alphabet if ch != last and ch != came)
             down, came = down + last, ""
         moves = np.concatenate((np.zeros(up, dtype=np.int8), _encode(down)))[None, :]
-        return _walk_points(_encode(u), np.full(len(js), up), moves,
-                            np.asarray(js, dtype=np.int64))
+        return _walk_points(_encode(u), np.full(len(js), up), moves, js)
 
-    # -- batches: TreeBatch label arrays --------------------------------------
+    # -- batches: (n, W) int8 label arrays, padded with -1 -----------------
 
-    def batch_get(self, batch: TreeBatch, i: int) -> str:
-        return _decode(batch.labels[i, :batch.lengths[i]])
+    def batch_get(self, batch: np.ndarray, i: int) -> str:
+        row = batch[i]
+        return _decode(row[row != _PAD])
 
-    def batch_concat(self, batches: Sequence[TreeBatch]) -> TreeBatch:
-        lengths = np.concatenate([b.lengths for b in batches])
-        labels = np.full((len(lengths), max(b.labels.shape[1] for b in batches)), _PAD,
-                         dtype=np.int8)
-        start = 0
-        for b in batches:
-            n, w = b.labels.shape
-            labels[start:start + n, :w] = b.labels
-            start += n
-        return TreeBatch(labels, lengths)
+    def batch_concat(self, batches: Sequence[np.ndarray]) -> np.ndarray:
+        w = max(b.shape[1] for b in batches)
+        return np.concatenate([np.pad(b, ((0, 0), (0, w - b.shape[1])), constant_values=_PAD)
+                               for b in batches])
 
-    def singleton(self, p) -> TreeBatch:
+    def singleton(self, p) -> np.ndarray:
         self.validate_point(p)
-        return TreeBatch(_encode(p)[None, :], np.array([len(p)]))
+        return _encode(p)[None, :]
 
-    def distance_many(self, U: TreeBatch, V: TreeBatch) -> np.ndarray:
-        k = _lcp_rows(U.labels, U.lengths, V.labels, V.lengths)
-        return (U.lengths + V.lengths - 2 * k).astype(np.float64)
+    def distance_many(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        nu, nv = _lengths(U), _lengths(V)
+        return (nu + nv - 2 * _lcp_rows(U, nu, V, nv)).astype(np.float64)
 
-    def cross_distance(self, U: TreeBatch, V: TreeBatch) -> np.ndarray:
-        nu, nv = U.lengths[:, None], V.lengths[None, :]
-        k = _lcp_rows(U.labels[:, None, :], nu, V.labels[None, :, :], nv)
+    def cross_distance(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        nu, nv = _lengths(U)[:, None], _lengths(V)[None, :]
+        k = _lcp_rows(U[:, None, :], nu, V[None, :, :], nv)
         return (nu + nv - 2 * k).astype(np.float64)
 
     def ray_pair_distances(self, by: TreeRays, ty, bz: TreeRays, tz) -> np.ndarray:
@@ -249,7 +240,9 @@ class RegularTree(ModelSpace):
 
     def rays_chunk(self, x, count, rng, horizon) -> TreeRays:
         self.validate_point(x)
-        steps = self._as_step(horizon) if abs(horizon - round(horizon)) <= 1e-9 else int(math.ceil(horizon))
+        if not math.isfinite(horizon):
+            raise ParameterError(f"ray horizon must be finite, got {horizon}")
+        steps = int(math.ceil(horizon - 1e-9))
         if count * steps > _MAX_WALK_STEPS:
             raise ParameterError(f"{count} tree walks to radius {float(horizon)!r} take "
                                  f"{count * steps} steps, above the cap of {_MAX_WALK_STEPS}; "
@@ -298,10 +291,12 @@ class RegularTree(ModelSpace):
 
     def sample_radii(self, rng, count, r, k):
         if k == 0:
-            r_int = self._as_step(r)
+            r_int = int(_steps(r))
             if r_int < 1:
                 raise ParameterError(f"sphere radius must be a positive integer, got {r}")
             return np.full(count, float(r_int))
+        if not math.isfinite(r - k):
+            raise ParameterError(f"annulus [{r - k}, {r}] must have finite ends")
         lo = max(int(math.ceil(r - k)), 1)
         hi = int(math.floor(r))
         if hi < lo:
@@ -317,7 +312,7 @@ class RegularTree(ModelSpace):
         if r < 0:
             raise ParameterError(f"radius must be nonnegative, got {r}")
         frontier = [(x, None)]
-        for _ in range(r):
+        for _ in range(int(_steps(r))):
             nxt = []
             for p, prev in frontier:
                 for w in self._neighbors(p):

@@ -65,8 +65,8 @@ def estimate_spread(space: ModelSpace, x, r: float, k: float, n: int,
     natural frequency.  The triangle inequality forces the mean into [0, 2].
     """
     space.validate_point(x)
-    if r <= 0:
-        raise ParameterError(f"radius must be positive, got {r}")
+    if not 0 < r < math.inf:
+        raise ParameterError(f"radius must be positive and finite, got {r}")
     if not (0 <= k <= r):
         raise ParameterError(f"shell width must lie in [0, r], got {k}")
     if n < 10:
@@ -278,7 +278,7 @@ def separation_fraction(space: ModelSpace, x, r: float, t: float, m0: float,
     space.validate_point(x)
     if not (0 <= t <= r):
         raise ParameterError(f"time must lie in [0, r], got t={t}, r={r}")
-    if m0 <= 0:
+    if not m0 > 0:
         raise ParameterError(f"m0 must be positive, got {m0}")
     if n < 1:
         raise ParameterError(f"need at least one sample, got {n}")
@@ -355,6 +355,8 @@ def thin_triangle_probe(space: ModelSpace, x, y, z, interval,
     [y, z], read at its two ends (``_side_minima``).  This is the kernel of
     ``thin_triangle_sample`` on one triangle.
     """
+    if not c > 0:
+        raise ParameterError(f"c must be positive, got {c}")
     s1, s2 = interval
     d_xy = space.distance(x, y)
     if d_xy == 0.0:
@@ -428,6 +430,8 @@ def thin_triangle_sample(space: ModelSpace, x, r: float, n: int, c: float,
     """
     if n < 1:
         raise ParameterError(f"need at least one triangle, got {n}")
+    if not c > 0:
+        raise ParameterError(f"c must be positive, got {c}")
     Y, Z = _sample_triangles(space, x, r, n, seed)
     X = space.singleton(x)
     d_xy = space.distance_many(X, Y)

@@ -2,10 +2,11 @@
 process, with its expected output bytes under ``expected/``.
 
 For config ``NAME.ini`` the run writes ``NAME.csv`` and ``NAME.summary.txt``
-(absent where the run exits 2) and prints ``NAME.stdout``; ``MANIFEST.json``
-holds each exit code, stderr text and warning messages, plus the numpy
-version and the platform the files were made on.  ``tests/test_golden.py``
-compares every byte.
+(absent where the run exits 2) and prints that summary, or nothing;
+``MANIFEST.json`` holds each exit code, stderr text and warning messages,
+plus the numpy version and the platform the files were made on.
+``tests/test_golden.py`` compares every byte, printed ones against the
+summary the run wrote.
 
 Regenerate after a change that is meant to move printed values, and list
 each moved value, old -> new, with the change:
@@ -68,7 +69,6 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for config in configs():
             got = run(config, Path(tmp))
-            (EXPECTED / f"{config.stem}.stdout").write_bytes(got["stdout"].encode())
             for suffix, text in got["files"].items():
                 (EXPECTED / (config.stem + suffix)).write_bytes(text.encode())
             entries[config.stem] = {key: got[key] for key in ("exit", "stderr", "warnings")}

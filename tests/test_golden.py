@@ -1,7 +1,7 @@
-"""Golden sweep: the committed configs of ``tests/golden`` print, write and
-exit exactly as recorded, byte for byte.  A change that moves an output
-regenerates the files with ``tests/golden/regenerate.py`` and lists each
-moved value."""
+"""Golden sweep: the committed configs of ``tests/golden`` write and exit
+exactly as recorded, byte for byte, and print the summary they write.  A
+change that moves an output regenerates the files with
+``tests/golden/regenerate.py`` and lists each moved value."""
 
 import difflib
 import importlib.util
@@ -44,10 +44,13 @@ def test_golden_sweep(tmp_path):
         for key in ("exit", "stderr", "warnings"):
             if got[key] != want[key]:
                 moved.append(f"{config.stem} {key}: {want[key]!r} -> {got[key]!r}")
-        texts = {".stdout": got["stdout"], **got["files"]}
-        for suffix in (".stdout", *golden.OUTPUTS):
+        for suffix in golden.OUTPUTS:
             path = golden.EXPECTED / (config.stem + suffix)
             want_text = path.read_bytes().decode() if path.exists() else None
-            if texts.get(suffix) != want_text:
-                moved += changed_lines(config.stem + suffix, want_text, texts.get(suffix))
+            if got["files"].get(suffix) != want_text:
+                moved += changed_lines(config.stem + suffix, want_text, got["files"].get(suffix))
+        # stdout is the summary the run wrote, or empty where it wrote none
+        summary = got["files"].get(".summary.txt", "")
+        if got["stdout"] != summary:
+            moved += changed_lines(config.stem + " stdout", summary, got["stdout"])
     assert not moved, "\n".join(moved)

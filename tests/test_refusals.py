@@ -49,6 +49,13 @@ REFUSALS = {
     "coarse-identity-m0": (
         lambda: coarse.max_log_identity(2.0, 2.0, 2.0, 1.0),
         ParameterError, "m0 must exceed 1"),
+    # a NaN threshold used to make every comparison False, and both checks pass
+    "coarse-identity-m0-nan": (
+        lambda: coarse.max_log_identity(2.0, 2.0, 2.0, np.nan),
+        ParameterError, "m0 must exceed 1, got nan"),
+    "coarse-chain-m0-nan": (
+        lambda: coarse.chain_inequality_holds(np.array([3.0]), np.array([2.0]), np.nan),
+        ParameterError, "threshold m0 must be positive, got nan"),
     "convex-one-vertex": (
         lambda: convex.Polytope(np.zeros((1, 2))),
         ParameterError, "need a \\(k, dim\\) vertex array"),
@@ -105,6 +112,14 @@ REFUSALS = {
     "stats-spread-radius": (
         lambda: stats.estimate_spread(PLANE, ORIGIN, 0.0, 0.0, 10, seed=0),
         ParameterError, "radius must be positive"),
+    # used to return points at infinity on normed spaces
+    "model-shell-infinite-radius": (
+        lambda: PLANE.sample_shell(PLANE.basepoint(), np.inf, 0.0, 10, seed=0),
+        ParameterError, "radius must be positive and finite, got inf"),
+    # used to warn, then blame the metric
+    "stats-spread-infinite-radius": (
+        lambda: stats.estimate_spread(H2, 1j, np.inf, 0.0, 100, seed=0),
+        ParameterError, "radius must be positive and finite, got inf"),
     "stats-thick-step": (
         lambda: stats.thick_stat(TORUS, 1j, 2j, 0.5, 0.0),
         ParameterError, "grid step must be positive"),
@@ -157,6 +172,10 @@ REFUSALS = {
     "stats-separation-m0": (
         lambda: stats.separation_fraction(PLANE, ORIGIN, 5.0, 1.0, 0.0, 10, seed=0),
         ParameterError, "m0 must be positive"),
+    # a NaN m0 used to count no pair as close, and report 0.0
+    "stats-separation-m0-nan": (
+        lambda: stats.separation_fraction(H2, 1j, 20.0, 10.0, np.nan, 1000, seed=0),
+        ParameterError, "m0 must be positive, got nan"),
     "stats-separation-count": (
         lambda: stats.separation_fraction(PLANE, ORIGIN, 5.0, 1.0, 1.0, 0, seed=0),
         ParameterError, "need at least one sample"),
@@ -175,6 +194,13 @@ REFUSALS = {
     "stats-triangle-count": (
         lambda: stats.thin_triangle_sample(H2, 1j, 5.0, 0, 1.0, seed=0),
         ParameterError, "need at least one triangle"),
+    # a NaN c used to report no triangle as thin
+    "stats-triangle-c-nan": (
+        lambda: stats.thin_triangle_sample(H2, 1j, 5.0, 20, np.nan, seed=0),
+        ParameterError, "c must be positive, got nan"),
+    "stats-probe-c-nan": (
+        lambda: stats.thin_triangle_probe(H2, 1j, 2j, 1.0 + 1j, (0.0, 0.5), np.nan),
+        ParameterError, "c must be positive, got nan"),
     "stats-discretize-count": (
         lambda: stats.discretize_sample(5.0, 0, 3.0, 0.5, seed=0),
         ParameterError, "need at least one segment"),
@@ -211,9 +237,15 @@ REFUSALS = {
     "tree-annulus-empty": (
         lambda: TREE.sample_radii(substream(0, 0), 3, 2.5, 0.2),
         ParameterError, "contains no integer radius"),
+    "tree-annulus-infinite": (
+        lambda: TREE.sample_radii(substream(0, 0), 3, np.inf, 1.0),
+        ParameterError, "annulus \\[inf, inf\\] must have finite ends"),
     "tree-sphere-enumeration": (
         lambda: TREE.sphere("", -1),
         ParameterError, "radius must be nonnegative"),
+    "tree-sphere-enumeration-off-grid": (
+        lambda: TREE.sphere("", np.inf),
+        DomainError, "tree rays are defined at integer times, got inf"),
     # refused before the (50, 10^7) draw is made
     "tree-walk-cap": (
         lambda: TREE.rays_chunk("", 50, substream(0, 0), horizon=1e7),

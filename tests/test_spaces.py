@@ -715,6 +715,40 @@ class TestTreeBatches:
         with pytest.raises(ParameterError):
             bundle.points_at(np.array([1.0, 2.0, 6.0, 0.0]))
 
+    def test_batches_are_label_arrays(self):
+        tree = RegularTree(3)
+        a, b = tree.singleton("ab"), tree.singleton("c")
+        pts = tree.rays_chunk("ab", 4, np.random.default_rng(0), horizon=5).points_at(3.0)
+        for batch in (a, tree.batch_concat([a, b]), tree.batch_take(pts, [1, 3]), pts,
+                      tree.geodesic_points(a, b, [0.0, 4.0])):
+            assert type(batch) is np.ndarray and batch.dtype == np.int8 and batch.ndim == 2
+        # padded to the widest batch, each row with its own length
+        assert tree.batch_concat([b, a]).tolist() == [[2, -1], [0, 1]]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t,error", [(0.5, DomainError), (-1.0, ParameterError),
+                                         (math.inf, DomainError), (math.nan, DomainError)])
+    def test_one_rule_for_bad_times(self, t, error):
+        tree = RegularTree(3)
+        calls = (lambda: tree.rays_chunk("ab", 4, np.random.default_rng(0), horizon=5).points_at(t),
+                 lambda: tree.geodesic_points(tree.singleton("ab"), tree.singleton("c"), [1.0, t]),
+                 lambda: tree.sample_radii(np.random.default_rng(0), 3, t, 0.0))
+        messages = []
+        for call in calls:
+            with pytest.raises(error) as info:
+                call()
+            messages.append(str(info.value))
+        assert len(set(messages)) == 1, messages
+
+    def test_walk_horizon_steps(self):
+        tree = RegularTree(3)
+        for horizon, steps in ((4 - 1e-10, 4), (4.0, 4), (4 + 1e-10, 4), (4.5, 5)):
+            bundle = tree.rays_chunk("", 3, np.random.default_rng(0), horizon=horizon)
+            assert (bundle.horizon, bundle.moves.shape[1]) == (steps, steps)
+        for horizon in (math.inf, math.nan):
+            with pytest.raises(ParameterError, match="ray horizon must be finite"):
+                tree.rays_chunk("", 3, np.random.default_rng(0), horizon=horizon)
+
     @pytest.mark.parametrize("q", [3, 4, 5])
     @pytest.mark.parametrize("x", ["", "a", "abcab"])
     def test_pair_kernel_matches_label_rows(self, q, x):
