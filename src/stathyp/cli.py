@@ -64,15 +64,11 @@ def _signature(cls) -> dict:
 _SPACE_RECORDS = {kind: _signature(cls) for kind, cls in SPACE_CLASSES.items()}
 _BODY_RECORDS = {kind: {**_signature(cls), "method": "exact"} for kind, cls in _BODIES.items()}
 _BODY_DEFAULTS = {"kind": "lp", **_BODY_RECORDS["lp"]}
-# the keys each section may hold, checked per kind where the section is read
-_SECTION_KEYS = {
-    "experiment": None,
-    "space": ("kind", *dict.fromkeys(key for rec in _SPACE_RECORDS.values() for key in rec)),
-    "body": ("kind", *dict.fromkeys(key for rec in _BODY_RECORDS.values() for key in rec))}
 
 # "positive" names the parameters that must be finite and > 0; any other
 # value is a ConfigError before the experiment starts.  "sections" names the
-# sections a kind reads; a config with any other is a ConfigError.
+# sections a kind reads; a config with any other is a ConfigError, and
+# run_config builds the [space] or [body] named here and hands it to the runner.
 _READS_SPACE, _READS_BODY = ("experiment", "space"), ("experiment", "body")
 CATALOG = {
     "estimate-e": {
@@ -150,13 +146,10 @@ def list_experiments() -> dict:
     """Machine-readable catalog of experiment kinds, parameters, and claims."""
     out = {}
     for kind, entry in CATALOG.items():
-        out[kind] = {
-            "claim": entry["claim"],
-            "parameters": dict(entry["parameters"]),
-            "space_defaults": dict(_SPACE_DEFAULTS),
-        }
-        if "body" in entry["sections"]:
-            out[kind]["body_defaults"] = dict(_BODY_DEFAULTS)
+        out[kind] = {"claim": entry["claim"], "parameters": dict(entry["parameters"])}
+        for section, defaults in (("space", _SPACE_DEFAULTS), ("body", _BODY_DEFAULTS)):
+            if section in entry["sections"]:
+                out[kind][f"{section}_defaults"] = dict(defaults)
     return out
 
 
@@ -171,17 +164,18 @@ def _new_parser() -> configparser.ConfigParser:
 
 
 def parse_config(text: str) -> dict:
-    """Parse INI text into {section: {key: string}} with validation."""
+    """Parse INI text into {section: {key: string}}, refusing a section that
+    is unknown or that the kind does not read; ``run_config`` checks the keys
+    of each section as it reads it."""
     cp = _new_parser()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     cfg = {s: dict(cp.items(s)) for s in cp.sections()}
-    for section, items in cfg.items():
-        if section not in _SECTION_KEYS:
+    for section in cfg:
+        if section not in ("space", "experiment", "body"):
             raise ConfigError(f"unknown section [{section}]; use [space], [experiment] or [body]")
-        _check_keys(f"[{section}]", items, _SECTION_KEYS[section] or items)
     if "experiment" not in cfg or "kind" not in cfg["experiment"]:
         raise ConfigError("config needs an [experiment] section with a kind")
     kind = cfg["experiment"]["kind"]
@@ -193,14 +187,6 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"kind {kind!r} does not read a [{section}] section; it reads "
                               + " and ".join(f"[{s}]" for s in reads))
     return cfg
-
-
-def _check_keys(where: str, items, known, kind: str = "") -> None:
-    unknown = [key for key in items if key not in known]
-    if unknown:
-        of = f" for kind {kind!r}" if kind else ""
-        raise ConfigError(f"{where} has no key {unknown[0]!r}{of}; "
-                          f"known keys: {' '.join(known)}")
 
 
 def serialize_config(cfg: dict) -> str:
@@ -219,7 +205,10 @@ def _section(where: str, sec: dict, record: dict, kind: str) -> dict:
     ``components``, ``axes`` and ``vertices`` by their own readers.  A blank
     ``h`` keeps its default.  A stray key, a missing key with no default and a
     value that does not convert are ConfigErrors naming section and key."""
-    _check_keys(where, [key for key in sec if key != "kind"], record, kind)
+    unknown = [key for key in sec if key != "kind" and key not in record]
+    if unknown:
+        raise ConfigError(f"{where} has no key {unknown[0]!r} for kind {kind!r}; "
+                          f"known keys: {' '.join(record)}")
     out = {}
     for key, default in record.items():
         raw = sec.get(key)
@@ -298,11 +287,9 @@ def _factor(where: str, token: str):
     return _model(where, {"kind": kind, **items}, dim=1)  # a line unless it says otherwise
 
 
-def _continuous_space(cfg: dict, kind: str):
-    space = _space(cfg)
+def _check_continuous(space, kind: str) -> None:
     if space.atomic:  # geodesics only at integer times
         raise ConfigError(f"{kind} needs continuous geodesics; {space.kind} has none")
-    return space
 
 
 def _body(cfg: dict) -> tuple[convex.ConvexBody, str]:
@@ -341,8 +328,7 @@ def _binomial_se(frac: float, n: float) -> float:
     return math.sqrt(max(frac * (1 - frac), 1.0 / n) / n)
 
 
-def _run_estimate_e(cfg, pr, rep):
-    space = _space(cfg)
+def _run_estimate_e(space, pr, rep):
     res = stats.estimate_spread(space, space.basepoint(), pr["r"], pr["k"], pr["n"], pr["seed"])
     form = "sphere" if pr["k"] == 0 else ("ball" if pr["k"] == pr["r"] else "annulus")
     rep.check("normalized mean within [0, 2]", 0.0 <= res.mean <= 2.0,
@@ -352,8 +338,7 @@ def _run_estimate_e(cfg, pr, rep):
             f"mean={res.mean!r} std_error={res.std_error!r} digest={res.config_digest}")
 
 
-def _run_thick_stat(cfg, pr, rep):
-    space = _space(cfg)
+def _run_thick_stat(space, pr, rep):
     n = pr["n"]
     fracs = stats.ray_thick_fraction_many(space, space.basepoint(), pr["r"],
                                           pr["eps"], pr["dt"], n, pr["seed"])
@@ -368,8 +353,7 @@ def _run_thick_stat(cfg, pr, rep):
             f"mean={mean!r} std_error={se!r}")
 
 
-def _run_p1(cfg, pr, rep):
-    space = _space(cfg)
+def _run_p1(space, pr, rep):
     frac = stats.p1_fraction(space, space.basepoint(), pr["r"], pr["k"],
                              pr["eps"], pr["theta"], pr["sigma"], pr["n"],
                              pr["dt"], pr["seed"])
@@ -378,8 +362,7 @@ def _run_p1(cfg, pr, rep):
             ("sigma", pr["sigma"]), f"fraction={frac!r}")
 
 
-def _run_separation(cfg, pr, rep):
-    space = _space(cfg)
+def _run_separation(space, pr, rep):
     t = pr["sigma"] * pr["r"]
     frac = stats.separation_fraction(space, space.basepoint(), pr["r"], t,
                                      pr["M0"], pr["n"], pr["seed"])
@@ -389,8 +372,8 @@ def _run_separation(cfg, pr, rep):
             ("M0", pr["M0"]), f"fraction={frac!r} at t={t!r}")
 
 
-def _run_thin_triangle(cfg, pr, rep):
-    space = _continuous_space(cfg, "thin-triangle")
+def _run_thin_triangle(space, pr, rep):
+    _check_continuous(space, "thin-triangle")
     n, c = pr["n"], pr["C"]
     hits, minima = stats.thin_triangle_sample(space, space.basepoint(), pr["r"], n, c, pr["seed"])
     misses = n - int(hits.sum())
@@ -404,8 +387,8 @@ def _run_thin_triangle(cfg, pr, rep):
             f"hit_rate={rate!r} min_distance={worst!r}")
 
 
-def _run_mahler(cfg, pr, rep):
-    body, method = _body(cfg)
+def _run_mahler(subject, pr, rep):
+    body, method = subject
     report = convex.mahler(body, method, pr["n"], pr["seed"])
     lo, hi = report.checked
     rep.check("Mahler volume within bounds", report.ok,
@@ -415,8 +398,8 @@ def _run_mahler(cfg, pr, rep):
             f"value={report.value!r} std_error={report.std_error!r}")
 
 
-def _run_densities(cfg, pr, rep):
-    body, method = _body(cfg)
+def _run_densities(subject, pr, rep):
+    body, method = subject
     pair = convex.densities(body, method, pr["n"], pr["seed"])
     ratio, se = pair.ratio, pair.ratio_std_error
     cap = body.dim ** (body.dim / 2.0)
@@ -429,7 +412,7 @@ def _run_densities(cfg, pr, rep):
             f"holmes_thompson={pair.holmes_thompson!r}")
 
 
-def _run_coarse_check(cfg, pr, rep):
+def _run_coarse_check(_, pr, rep):
     n, seed, eps0, m0 = pr["n"], pr["seed"], pr["eps"], pr["M0"]
     if not (math.isfinite(eps0) and 0.0 < eps0 < 1.0):
         raise ConfigError(f"coarse-check needs 0 < eps < 1, got eps={eps0}")
@@ -461,8 +444,8 @@ def _run_coarse_check(cfg, pr, rep):
             f"failures={fails}")
 
 
-def _run_discretize(cfg, pr, rep):
-    space = _continuous_space(cfg, "discretize")
+def _run_discretize(space, pr, rep):
+    _check_continuous(space, "discretize")
     n, tau, c = pr["n"], pr["tau"], pr["c"]
     failed, points = stats.discretize_sample(pr["r"], n, tau, c, pr["seed"])
     violations = int(failed.sum())
@@ -486,15 +469,20 @@ _RUNNERS = {
 
 
 def run_config(cfg: dict, seed_override: int | None = None) -> Report:
-    """Run ``cfg``.  Its runner adds the PASS/FAIL lines to the report and
-    returns ``(descriptor, mean, std_error, extra1, extra2, headline)``, each
-    extra a ``(name, value)`` pair or ``("", "")``; the head line and the CSV
-    row are written here, with ``r`` and ``k`` 0.0 where a kind has none."""
+    """Run ``cfg``.  Its runner is handed what the kind's ``sections`` name
+    (the ``[space]`` model, the ``[body]`` and its volume method, or None),
+    adds the PASS/FAIL lines to the report and returns ``(descriptor, mean,
+    std_error, extra1, extra2, headline)``, each extra a ``(name, value)``
+    pair or ``("", "")``; the head line and the CSV row are written here, with
+    ``r`` and ``k`` 0.0 where a kind has none."""
     kind = cfg["experiment"]["kind"]
     pr = _params(cfg, kind, seed_override)
+    reads = CATALOG[kind]["sections"]
     rep = Report()
     try:
-        descriptor, mean, se, extra1, extra2, headline = _RUNNERS[kind](cfg, pr, rep)
+        subject = (_space(cfg) if "space" in reads
+                   else _body(cfg) if "body" in reads else None)
+        descriptor, mean, se, extra1, extra2, headline = _RUNNERS[kind](subject, pr, rep)
     except ConfigError:
         raise
     except StathypError as exc:

@@ -18,6 +18,7 @@ bounds on the Mahler volume place in [1, n^(n/2)].
 
 from __future__ import annotations
 
+import abc
 import math
 from dataclasses import dataclass
 
@@ -61,33 +62,34 @@ class VolumeEstimate:
                               f"float range")
 
 
-class ConvexBody:
+class ConvexBody(abc.ABC):
     """Base class; subclasses must be centrally symmetric with 0 interior."""
 
     dim: int
 
+    @abc.abstractmethod
     def contains(self, xs: np.ndarray) -> np.ndarray:
         """Membership of rows of ``xs`` (m, dim) -> bool (m,)."""
-        raise NotImplementedError
 
+    @abc.abstractmethod
     def support(self, xi: np.ndarray) -> float:
         """Support function max_{v in body} xi . v."""
-        raise NotImplementedError
 
+    @abc.abstractmethod
     def polar(self) -> "ConvexBody":
         """Polar dual {xi : xi . v <= 1 for all v in the body}.
 
         Polytopes dualize to polytopes (facets <-> vertices), so exact volume
         survives polarity; ellipsoids and p-balls have closed-form duals.
         """
-        raise NotImplementedError
 
+    @abc.abstractmethod
     def exact_volume(self) -> float:
-        raise UnsupportedMethodError(
-            f"no exact volume for {type(self).__name__}; use the monte-carlo method")
+        """Closed-form volume; UnsupportedMethodError where there is none."""
 
+    @abc.abstractmethod
     def describe(self) -> str:
-        return type(self).__name__
+        """The body's name and parameters, as the CSV ``space`` column shows it."""
 
 
 class Polytope(ConvexBody):

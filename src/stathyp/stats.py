@@ -5,10 +5,9 @@ geodesics and rays; fellow-traveling (separation) fractions; thin-triangle
 probes; and the nearest-net-point discretizer that turns geodesics into
 sample paths.
 
-Estimators are deterministic functions of ``(inputs, seed)``: all randomness
-flows through the chunked substreams of :mod:`stathyp.rng`, and accumulation
-is done per chunk with an exactly rounded final sum, so results are
-bit-reproducible regardless of worker count.
+Estimators are deterministic functions of ``(inputs, seed)`` alone: all
+randomness flows through the chunked substreams of :mod:`stathyp.rng`, and
+the per-chunk sums are added with an exactly rounded final sum.
 """
 
 from __future__ import annotations
@@ -45,6 +44,16 @@ def config_digest(**fields) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def _check_radius(r: float) -> None:
+    if not 0 < r < math.inf:
+        raise ParameterError(f"radius must be positive and finite, got {r}")
+
+
+def _check_step(dt: float) -> None:
+    if not 0 < dt < math.inf:
+        raise ParameterError(f"grid step must be positive and finite, got {dt}")
+
+
 @dataclass(frozen=True)
 class EstimateResult:
     """Monte Carlo outcome for a normalized-distance estimate."""
@@ -65,8 +74,7 @@ def estimate_spread(space: ModelSpace, x, r: float, k: float, n: int,
     natural frequency.  The triangle inequality forces the mean into [0, 2].
     """
     space.validate_point(x)
-    if not 0 < r < math.inf:
-        raise ParameterError(f"radius must be positive and finite, got {r}")
+    _check_radius(r)
     if not (0 <= k <= r):
         raise ParameterError(f"shell width must lie in [0, r], got {k}")
     if n < 10:
@@ -102,8 +110,7 @@ def thick_stat(space: ModelSpace, x, y, eps: float, dt: float) -> float:
     """Fraction of time the segment [x, y] spends in the eps-thick part: the
     ray from ``x`` through ``y`` walked for d(x, y), on the grid of
     ``ray_thick_fraction_many``."""
-    if dt <= 0:
-        raise ParameterError(f"grid step must be positive, got {dt}")
+    _check_step(dt)
     space.check_eps(eps)
     d = space.distance(x, y)
     if d == 0.0:
@@ -126,10 +133,9 @@ def ray_thick_fraction_many(space: ModelSpace, x, length: float, eps: float,
     the length may be arbitrarily large.  Ray ``j``'s fraction depends only
     on ``(seed, j, length, eps, dt)``.
     """
-    if length <= 0:
-        raise ParameterError(f"ray length must be positive, got {length}")
-    if dt <= 0:
-        raise ParameterError(f"grid step must be positive, got {dt}")
+    if not 0 < length < math.inf:
+        raise ParameterError(f"ray length must be positive and finite, got {length}")
+    _check_step(dt)
     if n < 1:
         raise ParameterError(f"need at least one ray, got {n}")
     space.check_eps(eps)
@@ -232,10 +238,9 @@ def p1_fraction(space: ModelSpace, x, r: float, k: float, eps: float,
         raise ParameterError(f"sigma must lie in (0, 1), got {sigma}")
     if not (0 < theta < 1):
         raise ParameterError(f"theta must lie in (0, 1), got {theta}")
-    if r <= 0 or not (0 <= k <= r):
+    if not (0 < r < math.inf and 0 <= k <= r):
         raise ParameterError(f"bad radii r={r}, k={k}")
-    if dt <= 0:
-        raise ParameterError(f"grid step must be positive, got {dt}")
+    _check_step(dt)
     if n < 1:
         raise ParameterError(f"need at least one sample, got {n}")
     space.check_eps(eps)
@@ -276,6 +281,7 @@ def separation_fraction(space: ModelSpace, x, r: float, t: float, m0: float,
                         n: int, seed: int, stream: int = 0) -> float:
     """Fraction of sampled sphere pairs still within m0 of each other at time t."""
     space.validate_point(x)
+    _check_radius(r)
     if not (0 <= t <= r):
         raise ParameterError(f"time must lie in [0, r], got t={t}, r={r}")
     if not m0 > 0:
@@ -428,6 +434,7 @@ def thin_triangle_sample(space: ModelSpace, x, r: float, n: int, c: float,
     all at once (``_side_minima``).  Triangle ``j`` depends only on
     ``(seed, j)``.
     """
+    _check_radius(r)
     if n < 1:
         raise ParameterError(f"need at least one triangle, got {n}")
     if not c > 0:
@@ -487,6 +494,7 @@ def discretize_sample(r: float, n: int, tau: float, c: float,
     where it failed.  A ``tau`` of at most 4c raises, as in
     ``discretize_geodesic``.
     """
+    _check_radius(r)
     if n < 1:
         raise ParameterError(f"need at least one segment, got {n}")
     line = EuclideanSpace(1)

@@ -9,7 +9,8 @@ import math
 import pytest
 
 from stathyp import cli, convex, stats
-from stathyp.spaces import EuclideanSpace, HyperbolicPlane, Net, RegularTree, space_class
+from stathyp.spaces import (EuclideanSpace, HyperbolicPlane, ModelSpace, Net, RegularTree,
+                            space_class)
 
 ESTIMATE_CFG = """\
 [space]
@@ -79,6 +80,14 @@ class TestCatalog:
         for kind, entry in cli.list_experiments().items():
             assert entry["claim"].strip(), kind
             assert "parameters" in entry and "seed" in entry["parameters"]
+
+    def test_defaults_listed_only_for_the_sections_read(self):
+        # mahler, densities and coarse-check once listed defaults of a [space]
+        # section that they refuse
+        for kind, entry in cli.list_experiments().items():
+            reads = cli.CATALOG[kind]["sections"]
+            assert ({key for key in entry if key.endswith("_defaults")}
+                    == {f"{section}_defaults" for section in reads if section != "experiment"})
 
     def test_catalog_round_trips_through_parser(self):
         for kind, entry in cli.list_experiments().items():
@@ -561,6 +570,10 @@ class TestOtherExperiments:
          [], "[body] has no key 'dim' for kind 'polytope'; known keys: vertices method"),
         ("[body]\naxes = 1, 2\n" + MAHLER_TINY, [],
          "[body] has no key 'axes' for kind 'lp'; known keys: dim p method"),
+        ("[space]\nkind = euclidean\ndim = 3\nbogus = 1\n" + EST_TINY, [],
+         "[space] has no key 'bogus' for kind 'euclidean'; known keys: dim p h\n"),
+        ("[body]\nkind = ellipsoid\naxes = 1, 2\nbogus = 1\n" + MAHLER_TINY, [],
+         "[body] has no key 'bogus' for kind 'ellipsoid'; known keys: axes method\n"),
     ], ids=["h-abc", "dim-two", "component-without-equals", "h-nan", "h-inf", "tree-h-negative",
             "ellipsoid-without-axes", "lp-p-x", "ellipsoid-nan-axis", "ellipsoid-empty-axes",
             "seed-negative", "seed-flag-negative", "n-fractional",
@@ -570,7 +583,7 @@ class TestOtherExperiments:
             "modular-stray-components", "tree-stray-p", "euclidean-stray-q",
             "product-stray-dim", "factor-stray-dim", "dim-blank", "tree-q-blank",
             "component-dim-blank", "ellipsoid-stray-dim-p", "polytope-stray-dim",
-            "lp-stray-axes"])
+            "lp-stray-axes", "euclidean-stray-key", "ellipsoid-stray-key"])
     def test_bad_config_values_exit_2(self, tmp_path, capsys, text, args, shown):
         # each case used to end in a traceback or in a vacuous PASS
         cfg_path = write(tmp_path, "bad.ini", text)
@@ -578,6 +591,36 @@ class TestOtherExperiments:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err and shown in err
         assert not (tmp_path / "bad.csv").exists()
+
+
+class TestDispatch:
+    # run_config builds the section that the kind's catalog entry names, once,
+    # and hands it to the runner
+    @pytest.mark.parametrize("kind,section", [
+        ("estimate-e", "space"), ("thick-stat", "space"), ("p1", "space"),
+        ("separation", "space"), ("thin-triangle", "space"), ("discretize", "space"),
+        ("mahler", "body"), ("densities", "body"), ("coarse-check", None)])
+    def test_runner_is_handed_what_its_kind_reads(self, monkeypatch, kind, section):
+        handed, built = [], []
+        for name in ("_space", "_body"):
+            build = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda cfg, b=build, n=name: built.append(n) or b(cfg))
+
+        def runner(subject, pr, rep):
+            handed.append(subject)
+            return "stub", 0.0, 0.0, ("", ""), ("", ""), "stub"
+
+        monkeypatch.setitem(cli._RUNNERS, kind, runner)
+        cli.run_config(cli.parse_config(f"[experiment]\nkind = {kind}\n"))
+        [subject] = handed
+        assert built == ([f"_{section}"] if section else [])
+        if section == "space":
+            assert isinstance(subject, ModelSpace)
+        elif section == "body":
+            body, method = subject
+            assert isinstance(body, convex.ConvexBody) and method == "exact"
+        else:
+            assert subject is None
 
 
 class TestSpaceKeys:

@@ -123,6 +123,10 @@ REFUSALS = {
     "stats-thick-step": (
         lambda: stats.thick_stat(TORUS, 1j, 2j, 0.5, 0.0),
         ParameterError, "grid step must be positive"),
+    # used to read the ray's length as 2^53 or more grid steps
+    "stats-thick-step-nan": (
+        lambda: stats.thick_stat(TORUS, 1j, 2j, 0.5, np.nan),
+        ParameterError, "grid step must be positive and finite, got nan"),
     "stats-thick-eps": (
         lambda: stats.thick_stat(TORUS, 1j, 2j, 0.0, 0.1),
         ParameterError, "eps must be positive"),
@@ -151,21 +155,44 @@ REFUSALS = {
     "stats-rays-length": (
         lambda: stats.ray_thick_fraction_many(TORUS, 1j, 0.0, 0.5, 0.1, 1, seed=0),
         ParameterError, "ray length must be positive"),
+    # an infinite ray on a flat model used to read as all thick
+    "stats-rays-flat-infinite-length": (
+        lambda: stats.ray_thick_fraction_many(PLANE, ORIGIN, np.inf, 0.5, 0.1, 5, seed=0),
+        ParameterError, "ray length must be positive and finite, got inf"),
     "stats-rays-step": (
         lambda: stats.ray_thick_fraction_many(TORUS, 1j, 1.0, 0.5, 0.0, 1, seed=0),
         ParameterError, "grid step must be positive"),
+    # a NaN step on a flat model used to read as all thick
+    "stats-rays-flat-step-nan": (
+        lambda: stats.ray_thick_fraction_many(PLANE, ORIGIN, 5.0, 0.5, np.nan, 5, seed=0),
+        ParameterError, "grid step must be positive and finite, got nan"),
+    # an infinite step used to give NaN fractions
+    "stats-rays-step-inf": (
+        lambda: stats.ray_thick_fraction_many(TORUS, 1j, 5.0, 0.5, np.inf, 3, seed=0),
+        ParameterError, "grid step must be positive and finite, got inf"),
     "stats-rays-count": (
         lambda: stats.ray_thick_fraction_many(TORUS, 1j, 1.0, 0.5, 0.1, 0, seed=0),
         ParameterError, "need at least one ray"),
     "stats-p1-radii": (
         lambda: stats.p1_fraction(TORUS, 1j, 5.0, 6.0, 0.5, 0.5, 0.2, 10, 0.1, seed=0),
         ParameterError, "bad radii r=5.0, k=6.0"),
+    # used to warn before it refused
+    "stats-p1-infinite-radius": (
+        lambda: stats.p1_fraction(TORUS, 1j, np.inf, 0.0, 0.5, 0.5, 0.5, 10, 0.1, seed=0),
+        ParameterError, "bad radii r=inf, k=0.0"),
     "stats-p1-step": (
         lambda: stats.p1_fraction(TORUS, 1j, 5.0, 1.0, 0.5, 0.5, 0.2, 10, 0.0, seed=0),
         ParameterError, "grid step must be positive"),
+    "stats-p1-flat-step-nan": (
+        lambda: stats.p1_fraction(PLANE, ORIGIN, 5.0, 1.0, 0.5, 0.5, 0.2, 10, np.nan, seed=0),
+        ParameterError, "grid step must be positive and finite, got nan"),
     "stats-p1-count": (
         lambda: stats.p1_fraction(TORUS, 1j, 5.0, 1.0, 0.5, 0.5, 0.2, 0, 0.1, seed=0),
         ParameterError, "need at least one sample"),
+    # used to sample rays of infinite horizon and report a fraction
+    "stats-separation-infinite-radius": (
+        lambda: stats.separation_fraction(H2, 1j, np.inf, 1.0, 1.0, 50, seed=0),
+        ParameterError, "radius must be positive and finite, got inf"),
     "stats-separation-time": (
         lambda: stats.separation_fraction(PLANE, ORIGIN, 5.0, 6.0, 1.0, 10, seed=0),
         ParameterError, "time must lie in \\[0, r\\]"),
@@ -191,6 +218,10 @@ REFUSALS = {
     "stats-probe-interval": (
         lambda: stats.thin_triangle_probe(H2, 1j, 2j, 1.0 + 1j, (0.0, 1.0), 1.0),
         ParameterError, "must sit inside"),
+    # used to report every triangle as thin
+    "stats-triangle-radius": (
+        lambda: stats.thin_triangle_sample(PLANE, ORIGIN, -1.0, 5, 3.0, seed=0),
+        ParameterError, "radius must be positive and finite, got -1.0"),
     "stats-triangle-count": (
         lambda: stats.thin_triangle_sample(H2, 1j, 5.0, 0, 1.0, seed=0),
         ParameterError, "need at least one triangle"),
@@ -204,6 +235,10 @@ REFUSALS = {
     "stats-discretize-count": (
         lambda: stats.discretize_sample(5.0, 0, 3.0, 0.5, seed=0),
         ParameterError, "need at least one segment"),
+    # used to report no failure
+    "stats-discretize-radius": (
+        lambda: stats.discretize_sample(-5.0, 5, 3.0, 0.5, seed=0),
+        ParameterError, "radius must be positive and finite, got -5.0"),
     "tree-ray-negative-time": (
         lambda: TREE.rays_chunk("", 2, substream(0, 0), horizon=4).points_at(-1.0),
         ParameterError, "ray time must be nonnegative"),
@@ -258,6 +293,7 @@ REFUSALS = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call,error,match", REFUSALS.values(), ids=REFUSALS.keys())
 def test_refusal(call, error, match):
     with pytest.raises(error, match=match):

@@ -1,8 +1,8 @@
 """The benchmark's tracer installs onto the package and comes off again, its
 workloads build and run through the CLI, every kind writes its CSV row and
 summary head from its parameters, a run that builds no polytope never imports
-scipy, the README's layout table and example config hold, and every public
-name has a caller."""
+scipy, the README's layout table and example config hold, every public
+name has a caller, and no runner builds the section its kind reads."""
 
 import ast
 import csv
@@ -192,6 +192,22 @@ def test_every_catalog_parameter_is_read(kind):
             and node.value.id == "pr" and isinstance(node.slice, ast.Constant)}
     unread = {name for name in cli.CATALOG[kind]["parameters"] if name not in read}
     assert unread == {name for k, name in INERT_PARAMETERS if k == kind}
+
+
+@pytest.mark.parametrize("kind", sorted(cli.CATALOG))
+def test_no_runner_builds_a_section(kind):
+    # run_config builds the [space] or [body] that the catalog names; a runner
+    # that built one again, itself or through a cli helper, would state a
+    # second time what its kind reads
+    called, todo = set(), [cli._RUNNERS[kind]]
+    while todo:
+        for node in ast.walk(ast.parse(inspect.getsource(todo.pop()))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                helper = getattr(cli, node.func.id, None)
+                if node.func.id not in called and isinstance(helper, FunctionType):
+                    todo.append(helper)
+                called.add(node.func.id)
+    assert not called & {"_space", "_body", "_model", "parse_config"}
 
 
 def test_benchmark_workloads_build_and_run(tmp_path, capsys):
